@@ -13,12 +13,14 @@ race:
 	go test -race ./...
 
 # The concurrency regressions (FileStore lost-update, segment-log crash
-# recovery, sharded propagation, the KDC cluster) under the race
+# recovery, sharded propagation, the KDC cluster, the KDC request
+# pipeline entered at once from the UDP ring, the ring-full fallback and
+# TCP goroutines over one replay cache) under the race
 # detector with forced parallelism — GOMAXPROCS=4 surfaces the
 # interleavings these tests exist for even on single-CPU boxes.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence' \
+		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPRing|TestConcurrentClients' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
 
 # Cold-start budget gate: a 100k-principal, 8-shard realm must come up

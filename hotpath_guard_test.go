@@ -30,6 +30,7 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/kdb.(*Database).GetRO":             {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
 	"internal/kdb.(*EpochStore).FetchSharedPair": {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
 	"internal/kdc.(*Server).HandleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
+	"internal/kdc.(*Server).handleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
 	"internal/replay.(*Cache).Seen":              {"internal/replay/replay_test.go", "TestSeenReplayCheckAllocs"},
 	"internal/obs.(*Counter).Inc":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
 	"internal/obs.(*Counter).Add":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},

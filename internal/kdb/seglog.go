@@ -798,8 +798,11 @@ func (s *SegmentStore) Len() int { return s.mem.Len() }
 // ReplaceAll implements Store: bulk replacement (propagation install,
 // LoadDump) writes a fresh base snapshot and starts an empty segment —
 // the one legitimately whole-file write left, and it is O(new
-// contents).
+// contents). It waits out any running compaction: both write the base
+// file, and a fold of the old segments must not land over the new base.
 func (s *SegmentStore) ReplaceAll(entries []*Entry) {
+	s.compactMu.Lock()
+	defer s.compactMu.Unlock()
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
 	meta := s.lastMeta

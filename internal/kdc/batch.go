@@ -1,6 +1,7 @@
 package kdc
 
 import (
+	"sync"
 	"time"
 
 	"kerberos/internal/core"
@@ -10,13 +11,12 @@ import (
 	"kerberos/internal/replay"
 )
 
-// Batched request handling. A KDC drains its UDP socket in bursts (see
-// transport.go): under load a drain yields many independent AS and TGS
-// requests, each of which the scalar path would encrypt one message at
-// a time. HandleBatch restages the same per-request logic so that every
-// DES operation across the whole burst lands in a des.SealBatch or
-// des.UnsealBatch call, where the bitsliced cipher (internal/des)
-// encrypts up to 64 messages per pass:
+// The KDC request pipeline. Every request — a lone TCP frame through
+// Handle or a drained UDP burst through HandleBatch — runs the same
+// staged logic, so each check, error, metric, log line and trace field
+// is written once. The stages put every DES operation of the batch into
+// a des.SealBatch or des.UnsealBatch call, where the bitsliced cipher
+// (internal/des) encrypts up to 64 messages per pass:
 //
 //	stage 1   decode + validate every request; TGS requests queue
 //	          their TGT ciphertexts            → one UnsealBatch
@@ -26,11 +26,11 @@ import (
 //	phase C   build all reply parts            → one SealBatch
 //	phase D   encode replies, remember TGS authenticators
 //
-// Every check, error, metric, log line, and trace event matches the
-// scalar path request for request; a batch of one short-circuits to
-// Handle so a lone datagram pays no staging or transpose cost. Failures
-// are isolated per request: a corrupt lane gets its error reply while
-// its neighbours proceed.
+// Below des.bsBatchMin lanes the batch calls run the scalar Seal and
+// Unseal per message, so a lone request does exactly the DES work of a
+// direct seal, and the staging scratch is pooled, so it allocates no
+// staging arrays either. Failures are isolated per request: a corrupt
+// lane gets its error reply while its neighbours proceed.
 
 // BatchRequest is one datagram of a HandleBatch call: the encoded
 // request, the address it arrived from, and (set by the call) the
@@ -48,7 +48,7 @@ type batchExchange struct {
 	ev   obs.Event
 	done bool // reply already written (error, retransmit, or unknown type)
 
-	// Staged inputs for the issue phases, the parameters issue() takes.
+	// Staged inputs for the seal phases.
 	client       core.Principal
 	service      core.Principal
 	serviceEntry *kdb.Entry
@@ -56,21 +56,59 @@ type batchExchange struct {
 	reqTime      core.KerberosTime
 	replyKey     des.Key // client private key (AS) or TGT session key (TGS)
 	replyKVNO    uint8
-
-	// Issue-phase state.
-	ticket *core.Ticket
+	sessionKey   des.Key
 
 	// TGS extras.
+	req    *core.TGSRequest
 	tgt    *core.Ticket
 	auth   *core.Authenticator
 	digest uint64
 }
 
+// pipeline is one call's staging scratch. Each kind of DES batch is
+// carved from a shared backing array — TGT then authenticator unseals,
+// ticket then reply seals — and the idx slices map a batch position
+// back to its lane.
+type pipeline struct {
+	exs     []batchExchange
+	unseals []des.UnsealRequest
+	seals   []des.SealRequest
+	idx     []int
+}
+
+var pipelinePool = sync.Pool{New: func() any { return new(pipeline) }}
+
+// getPipeline returns zeroed scratch for a batch of n.
+func getPipeline(n int) *pipeline {
+	p := pipelinePool.Get().(*pipeline)
+	if cap(p.exs) < n {
+		*p = pipeline{
+			exs:     make([]batchExchange, n),
+			unseals: make([]des.UnsealRequest, 2*n),
+			seals:   make([]des.SealRequest, 2*n),
+			idx:     make([]int, 3*n),
+		}
+	}
+	p.exs = p.exs[:n]
+	return p
+}
+
+// release wipes the key material the stages parked — client keys and
+// TGT session keys in the exchanges, TGS keys and session keys in the
+// unseal batches, service and reply keys in the seal batches — drops
+// every reference the batch held, and returns the scratch to the pool.
+func (p *pipeline) release() {
+	n := len(p.exs)
+	clear(p.exs)
+	clear(p.unseals[:2*n])
+	clear(p.seals[:2*n])
+	pipelinePool.Put(p)
+}
+
 // HandleBatch processes a burst of independent requests, filling in
 // each BatchRequest's Reply. It is equivalent to calling Handle once
 // per request — same replies, same metrics, same traces — but gathers
-// the burst's DES work into bitsliced batch passes. A batch of one
-// takes the scalar fast path directly.
+// the burst's DES work into bitsliced batch passes.
 //
 //kerb:hotpath
 func (s *Server) HandleBatch(batch []BatchRequest) {
@@ -78,26 +116,24 @@ func (s *Server) HandleBatch(batch []BatchRequest) {
 	if len(batch) == 0 {
 		return
 	}
-	if len(batch) == 1 {
-		// Depth-1 fast path: a lone request pays exactly the scalar cost,
-		// bypassing the staging pipeline entirely.
-		batch[0].Reply = s.Handle(batch[0].Msg, batch[0].From)
-		return
-	}
 	s.handleBatch(batch)
 }
 
+// handleBatch is the pipeline body that Handle and HandleBatch share.
+//
+//kerb:hotpath
 func (s *Server) handleBatch(batch []BatchRequest) {
 	start := s.clock()
 	now := start
-	exs := make([]batchExchange, len(batch))
+	n := len(batch)
+	p := getPipeline(n)
+	defer p.release()
+	exs := p.exs
 
 	// Stage 1: decode and classify. AS requests validate all the way to
 	// the client key; TGS requests stop at the TGT ciphertext, which
 	// joins the first batched unseal.
-	tgtUnseals := make([]des.UnsealRequest, 0, len(batch))
-	tgtIdx := make([]int, 0, len(batch))
-	tgsReqs := make([]*core.TGSRequest, len(batch))
+	tgtUnseals, tgtIdx := p.unseals[:0:n], p.idx[:0:n]
 	for i := range batch {
 		ex := &exs[i]
 		t, err := core.PeekType(batch[i].Msg)
@@ -110,18 +146,17 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		case core.MsgAuthRequest:
 			s.metrics.ASRequests.Inc()
 			ex.kind = obs.ExchangeAS
-			if reply := s.batchAS(batch[i].Msg, ex, now); reply != nil {
+			if reply := s.stageAS(batch[i].Msg, ex, now); reply != nil {
 				batch[i].Reply, ex.done = reply, true
 			}
 		case core.MsgTGSRequest:
 			s.metrics.TGSRequests.Inc()
 			ex.kind = obs.ExchangeTGS
-			req, ureq, reply := s.batchTGSOpen(batch[i].Msg, ex, now)
+			ureq, reply := s.stageTGSOpen(batch[i].Msg, ex, now)
 			if reply != nil {
 				batch[i].Reply, ex.done = reply, true
 				continue
 			}
-			tgsReqs[i] = req
 			tgtUnseals = append(tgtUnseals, ureq)
 			tgtIdx = append(tgtIdx, i)
 		default:
@@ -134,8 +169,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 	// queueing the authenticators (sealed under the per-TGT session keys)
 	// for the second batched unseal.
 	des.UnsealBatch(tgtUnseals)
-	authUnseals := make([]des.UnsealRequest, 0, len(tgtIdx))
-	authIdx := make([]int, 0, len(tgtIdx))
+	authUnseals, authIdx := p.unseals[n:n:2*n], p.idx[n:n:2*n]
 	for j, i := range tgtIdx {
 		ex := &exs[i]
 		if tgtUnseals[j].Err != nil {
@@ -148,6 +182,9 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			batch[i].Reply, ex.done = s.fail(&ex.ev, err), true
 			continue
 		}
+		// The ticket must actually be addressed to our ticket-granting
+		// service; a stolen service ticket for some other server must not
+		// mint new tickets.
 		if !tgt.Server.IsTGS() || tgt.Server.Instance != s.realm {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrCannotIssue,
 				"ticket is for %v, not the %s ticket-granting service", tgt.Server, s.realm))
@@ -159,7 +196,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		}
 		ex.tgt = tgt
 		authUnseals = append(authUnseals, des.UnsealRequest{
-			Key: tgt.SessionKey, Ciphertext: tgsReqs[i].APReq.Authenticator,
+			Key: tgt.SessionKey, Ciphertext: ex.req.APReq.Authenticator,
 		})
 		authIdx = append(authIdx, i)
 	}
@@ -170,7 +207,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 	des.UnsealBatch(authUnseals)
 	for j, i := range authIdx {
 		ex := &exs[i]
-		req := tgsReqs[i]
+		req := ex.req
 		if authUnseals[j].Err != nil {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrIntegrityFailed, "authenticator did not decrypt"))
 			ex.done = true
@@ -185,11 +222,16 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			batch[i].Reply, ex.done = s.fail(&ex.ev, err), true
 			continue
 		}
+		// The replay rule. A byte-identical re-presentation of an
+		// authenticator whose request was already answered is almost
+		// always the client retransmitting after a lost reply: it gets
+		// the remembered reply, with no fresh work and no new session
+		// key. A duplicate with no remembered reply — a true replay, or
+		// a twin still in flight, including one in this same batch,
+		// since Remember runs only after the seal phases — is rejected
+		// with ErrRepeat, as two concurrent requests would be.
 		digest := replay.Digest(batch[i].Msg)
 		if cached, dup := s.replays.SeenWithReply(auth, digest, now); dup {
-			// Same retransmit handling as doTGS: a byte-identical
-			// re-presentation (even within one batch) is answered with the
-			// remembered reply; an unanswered duplicate is rejected.
 			if cached != nil {
 				s.metrics.TGSRetransmits.Inc()
 				ex.ev.Detail = "retransmit"
@@ -208,12 +250,19 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		if s.sink != nil {
 			ex.ev.Service = service.String()
 		}
+		// "This service is unique in that the ticket-granting service will
+		// not issue tickets for it. Instead, the authentication service
+		// itself must be used" (§5.1).
 		if service.IsChangePw() {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrCannotIssue,
 				"tickets for %v are only issued by the authentication service", service))
 			ex.done = true
 			continue
 		}
+		// Single-hop cross-realm only: a client authenticated elsewhere may
+		// use our services, but may not hop onward to a third realm — the
+		// path-recording needed to make chained trust meaningful is future
+		// work in the paper (§7.2).
 		crossRealmHop := service.IsTGS() && service.Instance != s.realm
 		if crossRealmHop && ex.tgt.Client.Realm != s.realm {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrCannotIssue,
@@ -233,24 +282,27 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			batch[i].Reply, ex.done = s.fail(&ex.ev, err), true
 			continue
 		}
+		// The client's realm in the new ticket is where the client was
+		// originally authenticated (§7.2), carried over from the TGT.
 		ex.client = ex.tgt.Client
 		ex.service = service
 		ex.serviceEntry = serviceEntry
+		// "The lifetime of the new ticket is the minimum of the remaining
+		// life for the ticket-granting ticket and the default for the
+		// service" (§4.4).
 		ex.life = core.MinLife(req.Life, core.MinLife(ex.tgt.RemainingLife(now), effMaxLife(serviceEntry)))
 		ex.reqTime = req.Time
 		ex.replyKey = ex.tgt.SessionKey
-		ex.replyKVNO = 0
 		ex.auth = auth
 		ex.digest = digest
 	}
 
 	// Phase B: build every surviving request's ticket and seal them all
 	// under their service keys in one batch.
-	ticketSeals := make([]des.SealRequest, 0, len(batch))
-	sealIdx := make([]int, 0, len(batch))
+	ticketSeals, sealIdx := p.seals[:0:n], p.idx[2*n:2*n:3*n]
 	for i := range exs {
 		ex := &exs[i]
-		if ex.done || ex.serviceEntry == nil {
+		if ex.done {
 			continue
 		}
 		serviceKey, err := s.db.Key(ex.serviceEntry)
@@ -265,7 +317,8 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			ex.done = true
 			continue
 		}
-		ex.ticket = &core.Ticket{
+		ex.sessionKey = sessionKey
+		ticket := core.Ticket{
 			Server:     ex.service,
 			Client:     ex.client,
 			Addr:       batch[i].From,
@@ -273,7 +326,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			Life:       ex.life,
 			SessionKey: sessionKey,
 		}
-		ticketSeals = append(ticketSeals, des.SealRequest{Key: serviceKey, Plaintext: ex.ticket.SealPayload()})
+		ticketSeals = append(ticketSeals, des.SealRequest{Key: serviceKey, Plaintext: ticket.SealPayload()})
 		sealIdx = append(sealIdx, i)
 	}
 	des.SealBatch(ticketSeals)
@@ -281,11 +334,11 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 	// Phase C: build every reply part around its sealed ticket and seal
 	// them all — under client private keys (AS) and TGT session keys
 	// (TGS) — in one batch.
-	replySeals := make([]des.SealRequest, 0, len(sealIdx))
+	replySeals := p.seals[n : n : 2*n]
 	for j, i := range sealIdx {
 		ex := &exs[i]
-		enc := &core.EncTicketReply{
-			SessionKey:  ex.ticket.SessionKey,
+		enc := core.EncTicketReply{
+			SessionKey:  ex.sessionKey,
 			Server:      ex.service,
 			Life:        ex.life,
 			KVNO:        ex.serviceEntry.KVNO,
@@ -297,8 +350,10 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 	}
 	des.SealBatch(replySeals)
 
-	// Phase D: encode the replies; TGS exchanges remember their
-	// authenticator so retransmits are answered idempotently.
+	// Phase D: encode the replies. A TGS exchange attaches its reply to
+	// the recorded authenticator so a retransmission of this exact
+	// request is answered idempotently; the reply buffer is immutable
+	// once returned, so retention without a copy is safe.
 	for j, i := range sealIdx {
 		ex := &exs[i]
 		reply := (&core.AuthReply{Client: ex.client, KVNO: ex.replyKVNO, Sealed: replySeals[j].Sealed}).Encode()
@@ -329,28 +384,23 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		}
 		s.trace(&exs[i].ev, exs[i].kind, start, d, batch[i].Reply)
 	}
-
-	// Wipe the key material the stages parked in scratch: long-term
-	// client keys in replyKey (AS), TGS keys in the first unseal batch,
-	// and service keys in the ticket-seal batch.
-	for i := range exs {
-		clear(exs[i].replyKey[:])
-	}
-	for j := range tgtUnseals {
-		clear(tgtUnseals[j].Key[:])
-	}
-	for j := range authUnseals {
-		clear(authUnseals[j].Key[:])
-	}
-	for j := range ticketSeals {
-		clear(ticketSeals[j].Key[:])
-	}
 }
 
-// batchAS validates one AS request through the client-key fetch — the
-// doAS logic up to, but excluding, the seals — parking the issue
-// parameters in ex. A non-nil return is the finished (error) reply.
-func (s *Server) batchAS(msg []byte, ex *batchExchange, now time.Time) []byte {
+// stageAS is stage 1 of the initial ticket exchange (§4.2, Figure 5):
+// "The authentication server checks that it knows about the client. If
+// so, it generates a random session key ... It then creates a ticket
+// for the ticket-granting server ... encrypted in a key known only to
+// the ticket-granting server and the authentication server. The
+// authentication server then sends the ticket, along with a copy of the
+// random session key and some additional information, back to the
+// client. This response is encrypted in the client's private key."
+// It runs every check through the client-key fetch and parks the seal
+// parameters in ex; the seal phases do the rest. A non-nil return is
+// the finished (error) reply.
+//
+// The same exchange issues tickets for changepw.kerberos (§5.1) and for
+// remote-realm TGSes (§7.2).
+func (s *Server) stageAS(msg []byte, ex *batchExchange, now time.Time) []byte {
 	req, err := core.DecodeAuthRequest(msg)
 	if err != nil {
 		return s.fail(&ex.ev, err)
@@ -388,32 +438,40 @@ func (s *Server) batchAS(msg []byte, ex *batchExchange, now time.Time) []byte {
 	ex.serviceEntry = serviceEntry
 	ex.life = core.MinLife(req.Life, core.MinLife(effMaxLife(clientEntry), effMaxLife(serviceEntry)))
 	ex.reqTime = req.Time
-	ex.replyKey = clientKey // wiped by handleBatch after the reply seal
+	ex.replyKey = clientKey // wiped by the pipeline's scratch release
 	ex.replyKVNO = clientEntry.KVNO
 	return nil
 }
 
-// batchTGSOpen runs the pre-unseal part of doTGS for one request:
-// decode, and resolve which key the TGT is sealed under. On success the
-// returned UnsealRequest joins the batched TGT unseal. A non-nil reply
-// is the finished (error) answer.
-func (s *Server) batchTGSOpen(msg []byte, ex *batchExchange, now time.Time) (*core.TGSRequest, des.UnsealRequest, []byte) {
+// stageTGSOpen is stage 1 of the ticket-granting exchange (§4.4,
+// Figure 8). The TGT plus a fresh authenticator arrive as an AP request
+// for the ticket-granting server; the reply is sealed in the TGT's
+// session key, so "there is no need for the user to enter her/his
+// password again." It decodes the request, parks it in ex, and resolves
+// the key the TGT is sealed under; the returned UnsealRequest joins the
+// batched TGT unseal. A non-nil reply is the finished (error) answer.
+func (s *Server) stageTGSOpen(msg []byte, ex *batchExchange, now time.Time) (des.UnsealRequest, []byte) {
 	req, err := core.DecodeTGSRequest(msg)
 	if err != nil {
-		return nil, des.UnsealRequest{}, s.fail(&ex.ev, err)
+		return des.UnsealRequest{}, s.fail(&ex.ev, err)
 	}
+	// A local TGT is sealed in our own krbtgt key; a TGT issued by a
+	// remote realm's KDC for our TGS is sealed in the inter-realm key
+	// both administrators agreed on (§7.2), registered here as
+	// krbtgt.<remote realm>.
 	issuingRealm := req.APReq.TicketRealm
 	if issuingRealm == "" {
 		issuingRealm = s.realm
 	}
-	tgsEntry, err := s.lookup(core.TGSPrincipal(tgsKeyInstance(issuingRealm, s.realm), s.realm), now)
+	tgsEntry, err := s.lookup(core.TGSPrincipal(issuingRealm, s.realm), now)
 	if err != nil {
-		return nil, des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrWrongRealm,
+		return des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrWrongRealm,
 			"no key shared with realm %s", issuingRealm))
 	}
 	tgsKey, err := s.db.Key(tgsEntry)
 	if err != nil {
-		return nil, des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt TGS key"))
+		return des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt TGS key"))
 	}
-	return req, des.UnsealRequest{Key: tgsKey, Ciphertext: req.APReq.Ticket}, nil
+	ex.req = req
+	return des.UnsealRequest{Key: tgsKey, Ciphertext: req.APReq.Ticket}, nil
 }

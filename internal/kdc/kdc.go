@@ -48,10 +48,11 @@ type Metrics struct {
 	ASLatency  obs.Histogram
 	TGSLatency obs.Histogram
 	// BatchSizes distributes HandleBatch call sizes — how many requests
-	// each drained burst actually carried (1 = scalar fast path).
+	// each drained burst actually carried (a lone datagram is a batch of
+	// one).
 	BatchSizes obs.SizeHistogram
-	// GatherOccupancy distributes how full the UDP gather window was on
-	// each drain, before the batch cap was applied.
+	// GatherOccupancy distributes the UDP ring's depth at each drain,
+	// before the maxUDPBatch cap was applied.
 	GatherOccupancy obs.SizeHistogram
 }
 
@@ -147,22 +148,15 @@ func (s *Server) Metrics() *Metrics { return &s.metrics }
 func (s *Server) ReplayLen() int { return s.replays.Len() }
 
 // Handle processes one encoded request from the given address and
-// returns the encoded reply. It is transport-independent: the UDP and
-// TCP listeners, in-process tests, and benchmarks all call it. It never
-// returns nil; protocol failures become MsgError replies.
+// returns the encoded reply. It is transport-independent: the TCP
+// listener, the UDP reader's ring-full fallback, in-process tests, and
+// benchmarks all call it. It runs the request pipeline HandleBatch runs,
+// on a batch of one. It never returns nil; protocol failures become
+// MsgError replies.
 func (s *Server) Handle(msg []byte, from core.Addr) []byte {
-	t, err := core.PeekType(msg)
-	if err != nil {
-		return s.errorReply(core.NewError(core.ErrBadVersionCode, "%v", err))
-	}
-	switch t {
-	case core.MsgAuthRequest:
-		return s.handleAS(msg, from)
-	case core.MsgTGSRequest:
-		return s.handleTGS(msg, from)
-	default:
-		return s.errorReply(core.NewError(core.ErrMsgTypeCode, "KDC cannot serve %v", t))
-	}
+	one := [1]BatchRequest{{Msg: msg, From: from}}
+	s.handleBatch(one[:])
+	return one[0].Reply
 }
 
 func (s *Server) errorReply(err error) []byte {
@@ -227,262 +221,6 @@ func effMaxLife(e *kdb.Entry) core.Lifetime {
 		return core.MaxLife
 	}
 	return e.MaxLife
-}
-
-// issue builds and seals a ticket plus the client-facing sealed reply
-// part. replyKey is what the EncTicketReply is sealed in (client private
-// key for AS, TGT session key for TGS); replyKVNO describes that key.
-func (s *Server) issue(client core.Principal, clientAddr core.Addr,
-	service *kdb.Entry, serviceName core.Principal, life core.Lifetime,
-	reqTime core.KerberosTime, replyKey des.Key, replyKVNO uint8,
-	now time.Time) ([]byte, error) {
-
-	serviceKey, err := s.db.Key(service)
-	if err != nil {
-		return nil, core.NewError(core.ErrDatabase, "cannot decrypt key for %v", serviceName)
-	}
-	sessionKey, err := des.NewRandomKey()
-	if err != nil {
-		return nil, core.NewError(core.ErrGeneric, "session key generation failed")
-	}
-	ticket := &core.Ticket{
-		Server:     serviceName,
-		Client:     client,
-		Addr:       clientAddr,
-		Issued:     core.TimeFromGo(now),
-		Life:       life,
-		SessionKey: sessionKey,
-	}
-	enc := &core.EncTicketReply{
-		SessionKey:  sessionKey,
-		Server:      serviceName,
-		Life:        life,
-		KVNO:        service.KVNO,
-		Issued:      core.TimeFromGo(now),
-		RequestTime: reqTime,
-		Ticket:      ticket.Seal(serviceKey),
-	}
-	return core.NewAuthReply(client, replyKVNO, replyKey, enc).Encode(), nil
-}
-
-// handleAS serves the initial ticket exchange (§4.2, Figure 5): "The
-// authentication server checks that it knows about the client. If so, it
-// generates a random session key ... It then creates a ticket for the
-// ticket-granting server ... encrypted in a key known only to the
-// ticket-granting server and the authentication server. The
-// authentication server then sends the ticket, along with a copy of the
-// random session key and some additional information, back to the
-// client. This response is encrypted in the client's private key."
-//
-// The same exchange issues tickets for changepw.kerberos (§5.1) and for
-// remote-realm TGSes (§7.2).
-func (s *Server) handleAS(msg []byte, from core.Addr) []byte {
-	s.metrics.ASRequests.Inc()
-	start := s.clock()
-	var ev obs.Event
-	reply := s.doAS(msg, from, &ev)
-	d := s.clock().Sub(start)
-	s.metrics.ASLatency.Observe(d)
-	s.trace(&ev, obs.ExchangeAS, start, d, reply)
-	return reply
-}
-
-func (s *Server) doAS(msg []byte, from core.Addr, ev *obs.Event) []byte {
-	req, err := core.DecodeAuthRequest(msg)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	now := s.clock()
-
-	client := req.Client.WithRealm(s.realm)
-	if s.sink != nil {
-		ev.Principal = client.String()
-	}
-	if client.Realm != s.realm {
-		return s.fail(ev, core.NewError(core.ErrWrongRealm,
-			"client %v is not of realm %s", client, s.realm))
-	}
-	clientEntry, err := s.lookup(client, now)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	service := req.Service.WithRealm(s.realm)
-	if s.sink != nil {
-		ev.Service = service.String()
-	}
-	if service.Realm != s.realm {
-		return s.fail(ev, core.NewError(core.ErrWrongRealm,
-			"service %v is not registered in realm %s", service, s.realm))
-	}
-	serviceEntry, err := s.lookup(service, now)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-
-	life := core.MinLife(req.Life,
-		core.MinLife(effMaxLife(clientEntry), effMaxLife(serviceEntry)))
-	clientKey, err := s.db.Key(clientEntry)
-	defer clear(clientKey[:]) // before the error check: cover every exit path
-	if err != nil {
-		return s.fail(ev, core.NewError(core.ErrDatabase, "cannot decrypt key for %v", client))
-	}
-	reply, err := s.issue(client, from, serviceEntry, service, life,
-		req.Time, clientKey, clientEntry.KVNO, now)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	ev.KVNO = serviceEntry.KVNO
-	if s.logger != nil {
-		s.logger.Printf("kdc %s: AS issued %v ticket to %v at %v", s.realm, service, client, from)
-	}
-	return reply
-}
-
-// handleTGS serves the ticket-granting exchange (§4.4, Figure 8). The
-// TGT plus a fresh authenticator arrive as an AP request for the
-// ticket-granting server; the reply is sealed in the TGT's session key,
-// so "there is no need for the user to enter her/his password again."
-func (s *Server) handleTGS(msg []byte, from core.Addr) []byte {
-	s.metrics.TGSRequests.Inc()
-	start := s.clock()
-	var ev obs.Event
-	reply := s.doTGS(msg, from, &ev)
-	d := s.clock().Sub(start)
-	s.metrics.TGSLatency.Observe(d)
-	s.trace(&ev, obs.ExchangeTGS, start, d, reply)
-	return reply
-}
-
-func (s *Server) doTGS(msg []byte, from core.Addr, ev *obs.Event) []byte {
-	req, err := core.DecodeTGSRequest(msg)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	now := s.clock()
-
-	// Select the key the TGT is sealed under. A local TGT is sealed in
-	// our own krbtgt key; a TGT issued by a remote realm's KDC for our
-	// TGS is sealed in the inter-realm key both administrators agreed on
-	// (§7.2), registered here as krbtgt.<remote realm>.
-	issuingRealm := req.APReq.TicketRealm
-	if issuingRealm == "" {
-		issuingRealm = s.realm
-	}
-	tgsEntry, err := s.lookup(core.TGSPrincipal(tgsKeyInstance(issuingRealm, s.realm), s.realm), now)
-	if err != nil {
-		return s.fail(ev, core.NewError(core.ErrWrongRealm,
-			"no key shared with realm %s", issuingRealm))
-	}
-	tgsKey, err := s.db.Key(tgsEntry)
-	defer clear(tgsKey[:]) // before the error check: cover every exit path
-	if err != nil {
-		return s.fail(ev, core.NewError(core.ErrDatabase, "cannot decrypt TGS key"))
-	}
-
-	tgt, err := core.OpenTicket(tgsKey, req.APReq.Ticket)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	// The ticket must actually be addressed to our ticket-granting
-	// service; a stolen service ticket for some other server must not
-	// mint new tickets.
-	if !tgt.Server.IsTGS() || tgt.Server.Instance != s.realm {
-		return s.fail(ev, core.NewError(core.ErrCannotIssue,
-			"ticket is for %v, not the %s ticket-granting service", tgt.Server, s.realm))
-	}
-	if s.sink != nil {
-		ev.Principal = tgt.Client.String()
-	}
-	auth, err := core.OpenAuthenticator(tgt.SessionKey, req.APReq.Authenticator)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	if err := auth.Verify(tgt, from, now); err != nil {
-		return s.fail(ev, err)
-	}
-	reqDigest := replay.Digest(msg)
-	if cached, dup := s.replays.SeenWithReply(auth, reqDigest, now); dup {
-		// A byte-identical re-presentation within the window is almost
-		// always the client retransmitting after a lost reply; answer it
-		// with the original reply (no fresh work, no new session key)
-		// rather than a replay error. Only a duplicate arriving before
-		// the first request finished — or a true replay of an
-		// authenticator we never answered — is rejected.
-		if cached != nil {
-			s.metrics.TGSRetransmits.Inc()
-			ev.Detail = "retransmit"
-			if s.logger != nil {
-				s.logger.Printf("kdc %s: TGS resending reply to retransmit from %v", s.realm, auth.Client)
-			}
-			return cached
-		}
-		return s.fail(ev, core.NewError(core.ErrRepeat,
-			"authenticator from %v already presented", auth.Client))
-	}
-
-	service := req.Service.WithRealm(s.realm)
-	if s.sink != nil {
-		ev.Service = service.String()
-	}
-	// "This service is unique in that the ticket-granting service will
-	// not issue tickets for it. Instead, the authentication service
-	// itself must be used" (§5.1).
-	if service.IsChangePw() {
-		return s.fail(ev, core.NewError(core.ErrCannotIssue,
-			"tickets for %v are only issued by the authentication service", service))
-	}
-	// Single-hop cross-realm only: a client authenticated elsewhere may
-	// use our services, but may not hop onward to a third realm — the
-	// path-recording needed to make chained trust meaningful is future
-	// work in the paper (§7.2).
-	crossRealmHop := service.IsTGS() && service.Instance != s.realm
-	if crossRealmHop && tgt.Client.Realm != s.realm {
-		return s.fail(ev, core.NewError(core.ErrCannotIssue,
-			"client of realm %s may not chain to realm %s via %s",
-			tgt.Client.Realm, service.Instance, s.realm))
-	}
-	if service.Realm != s.realm {
-		return s.fail(ev, core.NewError(core.ErrWrongRealm,
-			"service %v is not registered in realm %s", service, s.realm))
-	}
-	serviceEntry, err := s.lookup(service, now)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-
-	// "The lifetime of the new ticket is the minimum of the remaining
-	// life for the ticket-granting ticket and the default for the
-	// service" (§4.4).
-	remaining := tgt.RemainingLife(now)
-	life := core.MinLife(req.Life, core.MinLife(remaining, effMaxLife(serviceEntry)))
-
-	// The client's realm in the new ticket is where the client was
-	// originally authenticated (§7.2), carried over from the TGT.
-	reply, err := s.issue(tgt.Client, from, serviceEntry, service, life,
-		req.Time, tgt.SessionKey, 0, now)
-	if err != nil {
-		return s.fail(ev, err)
-	}
-	ev.KVNO = serviceEntry.KVNO
-	if s.logger != nil {
-		s.logger.Printf("kdc %s: TGS issued %v ticket to %v (authenticated by %s)",
-			s.realm, service, tgt.Client, tgt.Client.Realm)
-	}
-	// Attach the reply to the recorded authenticator so a retransmission
-	// of this exact request is answered idempotently. The reply buffer is
-	// immutable once returned, so retention without a copy is safe.
-	s.replays.Remember(auth, reqDigest, reply, now)
-	return reply
-}
-
-// tgsKeyInstance picks which database entry holds the key a TGT from
-// issuingRealm is sealed in: our own realm's TGT key for local tickets,
-// otherwise the inter-realm key registered under the remote realm's name.
-func tgsKeyInstance(issuingRealm, localRealm string) string {
-	if issuingRealm == localRealm {
-		return localRealm
-	}
-	return issuingRealm
 }
 
 // RegisterCrossRealm records the shared inter-realm key in db: "the

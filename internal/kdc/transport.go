@@ -18,20 +18,23 @@ import (
 // Transport: the authentication protocols are datagram-shaped, so the
 // primary listener is UDP (the historical kerberos port was 750/udp);
 // a TCP listener with length-prefixed framing serves large messages and
-// clients behind stream-only paths. Both feed Server.Handle.
+// clients behind stream-only paths. Both feed the one request pipeline:
+// TCP frames through Server.Handle, datagrams through Server.HandleBatch.
 //
 // The UDP path is a two-stage ring: one reader goroutine drains the
 // socket into a fixed ring of packet slots, and one handler goroutine
 // drains the ring in bursts through Server.HandleBatch, so a loaded
 // socket naturally presents multi-request batches to the bitsliced
-// crypto engine. A lone datagram flows straight through (HandleBatch's
-// depth-1 fast path is the scalar Handle), so idle-load latency is the
-// same as a direct dispatch. Replies are written back coalesced, one
+// crypto engine. The handler never waits for a burst to fill: batch
+// width comes only from arrival concurrency, and a lone datagram is a
+// batch of one, whose DES work the batch calls run scalar, so idle-load
+// latency is that of a direct dispatch. Replies are written back, one
 // sendto per datagram — portable stdlib I/O; without golang.org/x/sys
 // there is no recvmmsg/sendmmsg, so the batching win here is in the
 // crypto and the handoff, not in syscall count. If the handler falls
-// behind and the ring fills, the reader serves datagrams inline — the
-// kernel socket buffer, not an unbounded queue, is the backpressure.
+// behind and the ring fills, the reader serves datagrams inline through
+// Server.Handle — the kernel socket buffer, not an unbounded queue, is
+// the backpressure.
 // TCP connections are capped by a semaphore and every read carries a
 // deadline, so a stalled or hostile client can neither pin a goroutine
 // forever nor exhaust the server's slot budget.
@@ -57,13 +60,6 @@ var (
 	// des batches beyond 64 lanes split into multiple passes anyway, and
 	// a bounded drain keeps first-reply latency flat under floods.
 	maxUDPBatch = 64
-	// udpGatherWindow is how long the handler lingers after finding a
-	// non-full burst, letting more datagrams join the batch. Zero (the
-	// default) never delays: batching then comes only from genuine
-	// arrival concurrency, so a lone request pays no gather latency.
-	// Throughput experiments can trade a bounded delay for wider
-	// bitsliced passes.
-	udpGatherWindow time.Duration = 0
 )
 
 // udpRingSize is the slot count of the reader→handler ring (a power of
@@ -176,9 +172,9 @@ func (l *Listener) Close() error {
 // directly into the next free slot's buffer — no copy between the
 // socket and the batch — publishes it with the head store, and nudges
 // the handler. When the ring is full the handler is saturated, so the
-// reader serves the datagram inline with the scalar path instead of
-// dropping it or queueing without bound; while it does, the kernel
-// socket buffer absorbs the burst.
+// reader serves the datagram inline through Handle instead of dropping
+// it or queueing without bound; while it does, the kernel socket buffer
+// absorbs the burst.
 func (l *Listener) udpReader() {
 	defer l.wg.Done()
 	defer close(l.udpWake)
@@ -216,11 +212,8 @@ func (l *Listener) udpReader() {
 // udpHandler is the ring's single consumer: it drains whatever burst
 // has accumulated — up to maxUDPBatch slots — into one HandleBatch
 // call, writes the replies back, and releases the slots. Batch width is
-// set by genuine arrival concurrency unless udpGatherWindow adds a
-// bounded linger; the window occupancy is observed either way so the
-// operator can see how wide the bursts actually run.
-//
-//kerb:clockadapter -- the optional gather linger is a wall-clock I/O pacing delay, not protocol time
+// set by arrival concurrency alone; the ring depth at each drain is
+// observed so the operator can see how wide the bursts actually run.
 func (l *Listener) udpHandler() {
 	defer l.wg.Done()
 	batch := make([]BatchRequest, maxUDPBatch)
@@ -232,10 +225,6 @@ func (l *Listener) udpHandler() {
 				return // reader gone and ring drained
 			}
 			continue
-		}
-		if udpGatherWindow > 0 && avail < uint64(maxUDPBatch) {
-			time.Sleep(udpGatherWindow)
-			avail = l.ring.head.Load() - t
 		}
 		l.server.metrics.GatherOccupancy.Observe(int64(avail))
 		n := int(avail)

@@ -24,4 +24,7 @@ done
 echo "== go test -fuzz=FuzzDelta -fuzztime=$FUZZTIME ./internal/kprop"
 go test -run '^$' -fuzz='^FuzzDelta$' -fuzztime="$FUZZTIME" ./internal/kprop
 
+echo "== go test -fuzz=FuzzHandleBatch -fuzztime=$FUZZTIME ./internal/kdc"
+go test -run '^$' -fuzz='^FuzzHandleBatch$' -fuzztime="$FUZZTIME" ./internal/kdc
+
 echo "fuzz smoke: OK"
