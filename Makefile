@@ -1,7 +1,7 @@
 # Development targets. The repo is pure Go with no dependencies; every
 # target is a thin wrapper so CI and humans run the same commands.
 
-.PHONY: build test race race-regress vet lint bench bench-realm bench-coldstart coldstart-smoke sim verify ci fuzz cover
+.PHONY: build test race race-regress cross vet lint bench bench-realm bench-coldstart coldstart-smoke sim verify ci fuzz cover
 
 build:
 	go build ./...
@@ -15,13 +15,22 @@ race:
 # The concurrency regressions (FileStore lost-update, segment-log crash
 # recovery, sharded propagation, the KDC cluster, the KDC request
 # pipeline entered at once from the UDP ring, the ring-full fallback and
-# TCP goroutines over one replay cache) under the race
+# TCP goroutines over one replay cache, a Selector's idle sockets shared
+# by concurrent exchanges) under the race
 # detector with forced parallelism — GOMAXPROCS=4 surfaces the
 # interleavings these tests exist for even on single-CPU boxes.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPRing|TestConcurrentClients' \
+		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPRing|TestConcurrentClients|TestSelector|TestPooled' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
+
+# Cross-compile for the other platforms the module builds on, so the
+# build-tagged socket drain (internal/kdc/drain_*.go) and its fallback
+# both keep compiling.
+cross:
+	GOOS=windows go build ./...
+	GOOS=darwin go build ./...
+	GOOS=freebsd go build ./...
 
 # Cold-start budget gate: a 100k-principal, 8-shard realm must come up
 # well under a second (the 1M realm benchmarks ~10x that headroom).

@@ -28,7 +28,9 @@ type Config struct {
 
 	// DialUDP and DialTCP override socket construction for every
 	// selector this config builds (fault injection in tests). Nil means
-	// real sockets.
+	// real sockets, and lets a selector keep its UDP sockets across
+	// exchanges; a non-nil DialUDP is called once per exchange, and the
+	// socket it returns is closed when the exchange ends.
 	DialUDP kdc.UDPDial
 	DialTCP kdc.TCPDial
 
@@ -57,6 +59,9 @@ func (c *Config) selector(realm string) (*kdc.Selector, error) {
 	}
 	s, ok := c.selectors[realm]
 	if !ok || !slices.Equal(s.Addrs(), addrs) {
+		if ok {
+			s.Close()
+		}
 		s = kdc.NewSelector(addrs...)
 		s.DialUDP = c.DialUDP
 		s.DialTCP = c.DialTCP
@@ -172,10 +177,14 @@ func (c *Client) LoginService(password string, service core.Principal, life core
 		return nil, fmt.Errorf("client: cannot decrypt KDC reply (incorrect password?): %w", err)
 	}
 	// Bind the reply to our request: the sealed echo must match, so a
-	// recorded reply to an older request cannot be substituted.
+	// recorded reply to an older request cannot be substituted, and so
+	// must the service, since the echo has one-second resolution.
 	if enc.RequestTime != req.Time {
 		return nil, core.NewError(core.ErrRepeat, "KDC reply does not match request (echo %d != %d)",
 			enc.RequestTime, req.Time)
+	}
+	if !enc.Server.SameEntity(service) {
+		return nil, core.NewError(core.ErrRepeat, "KDC reply is for %v, not %v", enc.Server, service)
 	}
 	cred := credFromReply(enc, c.Principal.Realm)
 	c.Cache.Store(cred)
@@ -229,8 +238,13 @@ func (c *Client) tgsExchange(tgt *Credentials, kdcRealm string, service core.Pri
 	if err != nil {
 		return nil, err
 	}
+	// The echo has one-second resolution, so a reply to another request
+	// from the same second passes it; the service name must match too.
 	if enc.RequestTime != req.Time {
 		return nil, core.NewError(core.ErrRepeat, "TGS reply does not match request")
+	}
+	if !enc.Server.SameEntity(service) {
+		return nil, core.NewError(core.ErrRepeat, "TGS reply is for %v, not %v", enc.Server, service)
 	}
 	cred := credFromReply(enc, kdcRealm)
 	c.Cache.Store(cred)

@@ -2,6 +2,7 @@ package client
 
 import (
 	"errors"
+	"net"
 	"testing"
 	"time"
 
@@ -150,6 +151,73 @@ func TestGetCredentials(t *testing.T) {
 	c2 := env.newClient(t, "jis")
 	if _, err := c2.GetCredentials(svc); !errors.Is(err, ErrNoTGT) {
 		t.Errorf("no-TGT error = %v", err)
+	}
+}
+
+// replayingKDC is a UDP endpoint that relays the first request it
+// receives to the KDC at realAddr and answers every request, that one
+// included, with the reply it got back.
+func replayingKDC(t *testing.T, realAddr string) string {
+	t.Helper()
+	pc, err := net.ListenPacket("udp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pc.Close() })
+	go func() {
+		var first []byte
+		buf := make([]byte, kdc.MaxUDPMessage)
+		for {
+			n, from, err := pc.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			if first == nil {
+				if first, err = kdc.Exchange(realAddr, buf[:n], time.Second); err != nil {
+					return
+				}
+			}
+			pc.WriteTo(first, from)
+		}
+	}()
+	return pc.LocalAddr().String()
+}
+
+// TestReplyForOtherServiceRejected: the sealed echo has one-second
+// resolution, so a recorded reply from the same second passes it. A
+// reply that names a different service than the one requested must
+// still be refused, and nothing cached for the requested service.
+func TestReplyForOtherServiceRejected(t *testing.T) {
+	env := newEnv(t, testRealm)
+	c := env.newClient(t, "jis")
+	if _, err := c.Login("zanzibar"); err != nil {
+		t.Fatal(err)
+	}
+	env.config.Realms[testRealm] = []string{replayingKDC(t, env.listener.Addr())}
+	svcA := core.Principal{Name: "rlogin", Instance: "priam", Realm: testRealm}
+	svcB := core.Principal{Name: "pop", Instance: "po10", Realm: testRealm}
+	if _, err := c.GetCredentials(svcA); err != nil {
+		t.Fatal(err)
+	}
+	var pe *core.ProtocolError
+	if cred, err := c.GetCredentials(svcB); !errors.As(err, &pe) {
+		t.Fatalf("TGS reply for %v accepted as the answer for %v: cred %v, err %v", svcA, svcB, cred, err)
+	}
+	if _, ok := c.Cache.Get(svcB, env.clock.Now()); ok {
+		t.Errorf("credentials for %v cached from a reply for %v", svcB, svcA)
+	}
+
+	// The AS exchange: a changepw reply must not pass for a TGT.
+	c2 := env.newClient(t, "jis")
+	env.config.Realms[testRealm] = []string{replayingKDC(t, env.listener.Addr())}
+	if _, err := c2.LoginService("zanzibar", core.ChangePwPrincipal(testRealm), 0); err != nil {
+		t.Fatal(err)
+	}
+	if cred, err := c2.Login("zanzibar"); !errors.As(err, &pe) {
+		t.Fatalf("AS reply for changepw accepted as a TGT: cred %v, err %v", cred, err)
+	}
+	if _, ok := c2.Cache.Get(core.TGSPrincipal(testRealm, testRealm), env.clock.Now()); ok {
+		t.Error("a TGT was cached from a changepw reply")
 	}
 }
 

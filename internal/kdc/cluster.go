@@ -81,7 +81,9 @@ func (c *Cluster) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
 	if len(c.listeners) == 0 {
 		return nil, errors.New("kdc: cluster has no instances")
 	}
-	return c.Selector().Exchange(req, timeout)
+	s := c.Selector()
+	defer s.Close()
+	return s.Exchange(req, timeout)
 }
 
 // Close stops every instance.

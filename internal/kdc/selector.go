@@ -3,6 +3,8 @@ package kdc
 import (
 	"errors"
 	"fmt"
+	"net"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -21,10 +23,19 @@ import (
 //   - Every attempt shares the caller's single deadline, so the worst
 //     case is bounded by the budget, not by budget × addresses.
 //
+// Its UDP sockets outlive the exchange: a socket that carried one clean
+// exchange — one request written, one AUTH_REPLY read — goes back on its
+// address's idle list for the next exchange, so a busy client does not
+// pay socket set-up and teardown per request. Close releases them.
+//
 // A Selector is safe for concurrent use.
 type Selector struct {
 	addrs     []string
 	preferred atomic.Int32
+
+	mu     sync.Mutex
+	idle   map[string][]*udpSock // per address; the most recent last
+	closed bool
 
 	// HeadStart is how long the currently preferred KDC may remain the
 	// only one being asked before the next address is raced alongside
@@ -33,7 +44,10 @@ type Selector struct {
 	HeadStart time.Duration
 
 	// DialUDP and DialTCP override socket construction — the seam the
-	// fault-injection harness plugs into. Nil means real sockets.
+	// fault-injection harness plugs into. Nil means real sockets. A
+	// non-nil DialUDP also turns socket reuse off: every exchange dials
+	// through it and closes the socket afterwards, so a dialer that
+	// wraps or accounts per socket sees one socket per exchange.
 	DialUDP UDPDial
 	DialTCP TCPDial
 }
@@ -41,7 +55,7 @@ type Selector struct {
 // NewSelector builds a selector over the given KDC addresses, listed
 // master first (the krb.conf convention).
 func NewSelector(addrs ...string) *Selector {
-	return &Selector{addrs: append([]string(nil), addrs...)}
+	return &Selector{addrs: append([]string(nil), addrs...), idle: make(map[string][]*udpSock)}
 }
 
 // Addrs returns the configured addresses in their original order.
@@ -73,15 +87,96 @@ func (s *Selector) headStart(timeout time.Duration, n int) time.Duration {
 	return h
 }
 
-func (s *Selector) dials() (UDPDial, TCPDial) {
-	du, dt := s.DialUDP, s.DialTCP
-	if du == nil {
-		du = defaultDialUDP
+func (s *Selector) dials() (udpExchange, TCPDial) {
+	udp := s.exchangePooled
+	if s.DialUDP != nil {
+		udp = dialEach(s.DialUDP)
 	}
+	dt := s.DialTCP
 	if dt == nil {
 		dt = defaultDialTCP
 	}
-	return du, dt
+	return udp, dt
+}
+
+// udpSock is a connected UDP socket a Selector dialed itself, kept with
+// its own receive buffer.
+type udpSock struct {
+	conn *net.UDPConn
+	buf  []byte
+}
+
+// exchangePooled runs the datagram half of an exchange on an idle
+// socket for addr, dialing one only when none is idle, and keeps the
+// socket afterwards if the exchange was clean.
+func (s *Selector) exchangePooled(addr string, req []byte, deadline time.Time) ([]byte, error) {
+	sock, err := s.checkout(addr)
+	if err != nil {
+		return nil, err
+	}
+	reply, clean, err := udpRoundTrip(sock.conn, sock.buf, addr, req, deadline)
+	if clean {
+		s.checkin(addr, sock)
+	} else {
+		sock.conn.Close()
+	}
+	return reply, err
+}
+
+// checkout takes the most recently used idle socket for addr and drains
+// whatever datagrams reached it since its last exchange — a late
+// duplicate must not be read as the answer to the next request. A
+// socket that cannot be drained is closed and replaced.
+func (s *Selector) checkout(addr string) (*udpSock, error) {
+	s.mu.Lock()
+	var sock *udpSock
+	if list := s.idle[addr]; len(list) > 0 {
+		sock = list[len(list)-1]
+		list[len(list)-1] = nil
+		s.idle[addr] = list[:len(list)-1]
+	}
+	s.mu.Unlock()
+	if sock != nil {
+		if drainUDP(sock.conn, sock.buf) {
+			return sock, nil
+		}
+		sock.conn.Close()
+	}
+	conn, err := defaultDialUDP(addr)
+	if err != nil {
+		return nil, err
+	}
+	return &udpSock{conn: conn.(*net.UDPConn), buf: make([]byte, MaxUDPMessage)}, nil
+}
+
+// checkin returns a socket to addr's idle list, or closes it once the
+// Selector is closed.
+func (s *Selector) checkin(addr string, sock *udpSock) {
+	s.mu.Lock()
+	if !s.closed {
+		s.idle[addr] = append(s.idle[addr], sock)
+		sock = nil
+	}
+	s.mu.Unlock()
+	if sock != nil {
+		sock.conn.Close()
+	}
+}
+
+// Close closes the Selector's idle sockets. Exchanges may still run
+// afterwards, and any in flight finish, but their sockets are closed
+// rather than kept.
+func (s *Selector) Close() error {
+	s.mu.Lock()
+	idle := s.idle
+	s.idle, s.closed = nil, true
+	s.mu.Unlock()
+	for _, list := range idle {
+		for _, sock := range list {
+			sock.conn.Close()
+		}
+	}
+	return nil
 }
 
 // Exchange sends req to the realm's KDCs and returns the first valid
@@ -96,13 +191,13 @@ func (s *Selector) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
 		return nil, errors.New("kdc: no KDC addresses configured")
 	}
 	deadline := time.Now().Add(timeout)
-	dialUDP, dialTCP := s.dials()
+	udp, dialTCP := s.dials()
 	start := int(s.preferred.Load())
 	if start < 0 || start >= n {
 		start = 0
 	}
 	if n == 1 {
-		return exchangeDeadline(dialUDP, dialTCP, s.addrs[0], req, deadline)
+		return exchangeDeadline(udp, dialTCP, s.addrs[0], req, deadline)
 	}
 
 	type result struct {
@@ -118,7 +213,7 @@ func (s *Selector) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
 		idx := (start + launched) % n
 		launched++
 		go func() {
-			reply, err := exchangeDeadline(dialUDP, dialTCP, s.addrs[idx], req, deadline)
+			reply, err := exchangeDeadline(udp, dialTCP, s.addrs[idx], req, deadline)
 			results <- result{idx: idx, reply: reply, err: err}
 		}()
 	}

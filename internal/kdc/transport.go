@@ -398,17 +398,29 @@ func isRepeatError(reply []byte) bool {
 // Exchange sends one request to a KDC address and returns the reply:
 // UDP with retransmission first, switching to TCP when the request is
 // too large for a datagram, when the server signals an oversized reply,
-// or when the datagram path fails with budget still remaining.
+// or when the datagram path fails with budget still remaining. It dials
+// a fresh socket for the exchange; a Selector keeps its sockets.
 //
 //kerb:clockadapter -- converts a caller timeout into a wall-clock I/O deadline
 func Exchange(addr string, req []byte, timeout time.Duration) ([]byte, error) {
-	return exchangeDeadline(defaultDialUDP, defaultDialTCP, addr, req, time.Now().Add(timeout))
+	return exchangeDeadline(dialEach(defaultDialUDP), defaultDialTCP, addr, req, time.Now().Add(timeout))
+}
+
+// udpExchange runs the datagram half of one exchange with addr.
+type udpExchange func(addr string, req []byte, deadline time.Time) ([]byte, error)
+
+// dialEach is the datagram half over a socket dialed for the exchange
+// and closed after it.
+func dialEach(dial UDPDial) udpExchange {
+	return func(addr string, req []byte, deadline time.Time) ([]byte, error) {
+		return exchangeUDP(dial, addr, req, deadline)
+	}
 }
 
 //kerb:clockadapter -- retry/backoff pacing against a wall-clock I/O deadline
-func exchangeDeadline(dialUDP UDPDial, dialTCP TCPDial, addr string, req []byte, deadline time.Time) ([]byte, error) {
+func exchangeDeadline(udp udpExchange, dialTCP TCPDial, addr string, req []byte, deadline time.Time) ([]byte, error) {
 	if len(req) <= MaxUDPMessage {
-		reply, err := exchangeUDP(dialUDP, addr, req, deadline)
+		reply, err := udp(addr, req, deadline)
 		switch {
 		case err == nil && !IsReplyTooBig(reply):
 			return reply, nil
@@ -422,20 +434,31 @@ func exchangeDeadline(dialUDP UDPDial, dialTCP TCPDial, addr string, req []byte,
 	return exchangeTCPDeadline(dialTCP, addr, req, deadline)
 }
 
-// exchangeUDP runs one datagram exchange: send, wait, retransmit with
-// backoff, until a valid reply arrives or the deadline passes. Replies
-// that do not parse as KDC messages — stragglers from earlier
-// retransmissions, misdirected or corrupted datagrams — are skipped
-// rather than surfaced as errors.
-//
-//kerb:clockadapter -- socket deadlines and retransmit pacing are wall-clock I/O timeouts
+// exchangeUDP runs one datagram exchange on a socket dialed for it.
 func exchangeUDP(dial UDPDial, addr string, req []byte, deadline time.Time) ([]byte, error) {
 	conn, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	buf := make([]byte, MaxUDPMessage)
+	reply, _, err := udpRoundTrip(conn, make([]byte, MaxUDPMessage), addr, req, deadline)
+	return reply, err
+}
+
+// udpRoundTrip runs one datagram exchange on a connected socket: send,
+// wait, retransmit with backoff, until a valid reply arrives or the
+// deadline passes. Replies that do not parse as KDC messages —
+// stragglers from earlier retransmissions, misdirected or corrupted
+// datagrams — are skipped rather than surfaced as errors. buf receives
+// the datagrams; the returned reply is a copy, so buf may be reused.
+//
+// clean reports that the socket saw nothing but this exchange: the
+// request was written once and the first datagram read was the
+// AUTH_REPLY returned. Only then may the socket carry another exchange
+// — any other ending can leave a late datagram queued on it.
+//
+//kerb:clockadapter -- socket deadlines and retransmit pacing are wall-clock I/O timeouts
+func udpRoundTrip(conn net.Conn, buf []byte, addr string, req []byte, deadline time.Time) (reply []byte, clean bool, err error) {
 	wait := udpRetryBase
 	// repeatReply holds an ErrRepeat answer received mid-exchange. When
 	// this request (or a network-duplicated copy of it) races its own
@@ -444,16 +467,18 @@ func exchangeUDP(dial UDPDial, addr string, req []byte, deadline time.Time) ([]b
 	// the remembered original answer. Only if nothing better arrives by
 	// the deadline does the replay error surface to the caller.
 	var repeatReply []byte
+	writes, reads := 0, 0
 	for {
 		if !time.Now().Before(deadline) {
 			if repeatReply != nil {
-				return repeatReply, nil
+				return repeatReply, false, nil
 			}
-			return nil, fmt.Errorf("kdc: no reply from %s within deadline", addr)
+			return nil, false, fmt.Errorf("kdc: no reply from %s within deadline", addr)
 		}
 		if _, err := conn.Write(req); err != nil {
-			return nil, err
+			return nil, false, err
 		}
+		writes++
 		tryUntil := time.Now().Add(jitter(wait))
 		if tryUntil.After(deadline) {
 			tryUntil = deadline
@@ -467,25 +492,27 @@ func exchangeUDP(dial UDPDial, addr string, req []byte, deadline time.Time) ([]b
 					// Socket-level failure (e.g. ICMP port unreachable
 					// surfacing as ECONNREFUSED): the KDC is down, not
 					// slow. Fail fast so failover can start.
-					return nil, err
+					return nil, false, err
 				}
 				if !time.Now().Before(deadline) {
 					if repeatReply != nil {
-						return repeatReply, nil
+						return repeatReply, false, nil
 					}
-					return nil, fmt.Errorf("kdc: no reply from %s within deadline: %w", addr, err)
+					return nil, false, fmt.Errorf("kdc: no reply from %s within deadline: %w", addr, err)
 				}
 				break // this interval is spent; retransmit
 			}
-			reply := buf[:n:n]
-			if !validKDCReply(reply) {
+			reads++
+			got := buf[:n]
+			if !validKDCReply(got) {
 				continue // stale or garbled datagram; keep listening
 			}
-			if isRepeatError(reply) {
-				repeatReply = append([]byte(nil), reply...)
+			if isRepeatError(got) {
+				repeatReply = append([]byte(nil), got...)
 				continue
 			}
-			return reply, nil
+			t, _ := core.PeekType(got)
+			return append([]byte(nil), got...), writes == 1 && reads == 1 && t == core.MsgAuthReply, nil
 		}
 		if wait < udpRetryMax {
 			wait *= 2
@@ -524,7 +551,9 @@ func exchangeTCPDeadline(dial TCPDial, addr string, req []byte, deadline time.Ti
 // convenience over Selector; callers doing repeated exchanges should
 // hold a Selector so the last-responsive KDC is remembered.
 func ExchangeAny(addrs []string, req []byte, timeout time.Duration) ([]byte, error) {
-	return NewSelector(addrs...).Exchange(req, timeout)
+	s := NewSelector(addrs...)
+	defer s.Close()
+	return s.Exchange(req, timeout)
 }
 
 func addrOf(ip net.IP) core.Addr { return core.AddrFromIP(ip) }
