@@ -15,14 +15,18 @@ race:
 # The concurrency regressions (FileStore lost-update, segment-log crash
 # recovery, sharded propagation, the KDC cluster, the KDC request
 # pipeline entered at once from the UDP ring, the ring-full fallback and
-# TCP goroutines over one replay cache, a Selector's idle sockets shared
-# by concurrent exchanges) under the race
+# TCP goroutines over one replay cache, the replay cache itself entered
+# concurrently, a Selector's idle sockets shared by concurrent
+# exchanges) under the race
 # detector with forced parallelism — GOMAXPROCS=4 surfaces the
 # interleavings these tests exist for even on single-CPU boxes.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPRing|TestConcurrentClients|TestSelector|TestPooled' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
+	GOMAXPROCS=4 go test -race -count=1 \
+		-run 'TestReplay|TestConcurrentUse|TestSweep' \
+		./internal/replay/
 
 # Cross-compile for the other platforms the module builds on, so the
 # build-tagged socket drain (internal/kdc/drain_*.go) and its fallback

@@ -22,29 +22,55 @@ import (
 )
 
 // model is the obviously-correct single-map reference implementation.
+// It keys on the exact principal strings rather than the package's
+// fingerprinted key, so a fingerprint that confused two authenticators
+// would show up as a disagreement.
 type model struct {
 	window time.Duration
-	seen   map[key]entry
+	seen   map[modelKey]modelEntry
+}
+
+type modelKey struct {
+	name, instance, realm string
+	time                  core.KerberosTime
+	microSec, checksum    uint32
+}
+
+type modelEntry struct {
+	deadline time.Time
+	digest   uint64
+	reply    []byte
 }
 
 func newModel() *model {
-	return &model{window: 2 * core.ClockSkew, seen: map[key]entry{}}
+	return &model{window: 2 * core.ClockSkew, seen: map[modelKey]modelEntry{}}
+}
+
+func modelKeyOf(auth *core.Authenticator) modelKey {
+	return modelKey{
+		name:     auth.Client.Name,
+		instance: auth.Client.Instance,
+		realm:    auth.Client.Realm,
+		time:     auth.Time,
+		microSec: auth.MicroSec,
+		checksum: auth.Checksum,
+	}
 }
 
 func (m *model) seenWithReply(auth *core.Authenticator, digest uint64, now time.Time) ([]byte, bool) {
-	k := keyOf(auth)
+	k := modelKeyOf(auth)
 	if got, ok := m.seen[k]; ok && now.Before(got.deadline) {
 		if got.reply != nil && got.digest == digest {
 			return got.reply, true
 		}
 		return nil, true
 	}
-	m.seen[k] = entry{deadline: now.Add(m.window)}
+	m.seen[k] = modelEntry{deadline: now.Add(m.window)}
 	return nil, false
 }
 
 func (m *model) remember(auth *core.Authenticator, digest uint64, reply []byte, now time.Time) {
-	k := keyOf(auth)
+	k := modelKeyOf(auth)
 	if got, ok := m.seen[k]; ok && now.Before(got.deadline) {
 		got.digest = digest
 		got.reply = reply
@@ -113,6 +139,51 @@ func TestReplayCacheMatchesModel(t *testing.T) {
 		if got := cache.Metrics().Hits.Load(); got != hits {
 			t.Errorf("seed %d: hits counter = %d, want %d", seed, got, hits)
 		}
+	}
+}
+
+// TestReplayCachesAgreeAcrossSeeds: each cache keys its principal
+// fingerprint with its own random seed, but the seed must not reach any
+// observable: two caches fed one presentation stream give the same
+// verdicts, hold the same entries in the same shards, and sweep to the
+// same Len.
+func TestReplayCachesAgreeAcrossSeeds(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	clk := testclock.New(time.Unix(567705600, 0))
+	a, b := New(), New()
+	for op := 0; op < 5000; op++ {
+		if rng.Intn(50) == 0 {
+			clk.Advance(time.Duration(rng.Intn(4)) * core.ClockSkew / 2)
+		}
+		auth := propAuth(rng.Intn(40), clk.Now(), uint32(rng.Intn(200)))
+		digest := uint64(rng.Intn(3))
+		now := clk.Now()
+		ra, da := a.SeenWithReply(auth, digest, now)
+		rb, db := b.SeenWithReply(auth, digest, now)
+		if da != db || !bytes.Equal(ra, rb) {
+			t.Fatalf("op %d: caches disagree: (%q, %v) vs (%q, %v)", op, ra, da, rb, db)
+		}
+		if !da {
+			reply := []byte(fmt.Sprintf("reply-%d", op))
+			a.Remember(auth, digest, reply, now)
+			b.Remember(auth, digest, reply, now)
+		}
+	}
+	for i := range a.shards {
+		sa, sb := &a.shards[i], &b.shards[i]
+		if len(sa.seen) != len(sb.seen) || len(sa.queue)-sa.head != len(sb.queue)-sb.head {
+			t.Errorf("shard %d: %d entries / %d queued vs %d / %d", i,
+				len(sa.seen), len(sa.queue)-sa.head, len(sb.seen), len(sb.queue)-sb.head)
+		}
+	}
+	if a.Len() != b.Len() {
+		t.Errorf("Len %d vs %d", a.Len(), b.Len())
+	}
+	if a.Metrics().Swept.Load() == 0 {
+		t.Error("stream never swept an entry; the test exercises nothing")
+	}
+	if a.Metrics().Swept.Load() != b.Metrics().Swept.Load() {
+		t.Errorf("swept %d vs %d", a.Metrics().Swept.Load(), b.Metrics().Swept.Load())
 	}
 }
 

@@ -10,9 +10,15 @@
 // at most a few expired entries from its own shard's FIFO queue — so no
 // request ever waits behind a full-map sweep, and a busy shard never
 // blocks an unrelated one.
+//
+// Entries are fixed-size and pointer-free apart from a remembered reply:
+// the client's name, instance and realm are folded into a keyed 64-bit
+// fingerprint, so the cache never retains the decoded name strings.
 package replay
 
 import (
+	"encoding/binary"
+	"hash/maphash"
 	"sync"
 	"time"
 
@@ -28,26 +34,33 @@ const shardCount = 16
 // expiry cost is amortized across requests instead of spiking on one.
 const sweepBatch = 8
 
-// key identifies one seen authenticator. The client's name components
-// are stored directly (not rendered to a string) so building a key
-// allocates nothing. Timestamps outside the clock skew window are
-// rejected before they reach the cache, so entries only need to live for
-// the skew window.
+// shrinkMin is the smallest peak population a shard rebuilds its map
+// and queue down from; below it the retained memory is not worth a copy.
+const shrinkMin = 1024
+
+// key identifies one seen authenticator in 24 pointer-free bytes. who
+// is a keyed hash of the client's name, instance and realm (see
+// Cache.keyOf); the other fields are the authenticator's own. A true
+// replay always maps to the same key, so no replay is ever accepted; a
+// false duplicate needs two principals with equal time, microseconds and
+// checksum and a collision of the 64-bit keyed hash. Timestamps outside
+// the clock skew window are rejected before they reach the cache, so
+// entries only need to live for the skew window.
 type key struct {
-	name     string
-	instance string
-	realm    string
+	who      uint64
 	time     core.KerberosTime
 	microSec uint32
 	checksum uint32
 }
 
 // expiring is one FIFO-queue element: a key and when it may be
-// forgotten. Expiry times are assigned from a monotonic clock at insert,
-// so the queue is ordered and the oldest entry is always at the front.
+// forgotten, in Unix nanoseconds. Expiry times come from the caller's
+// now at insert, so the queue is ordered while that clock runs forward;
+// if it steps back, sweeps stop at the later front entry and the
+// entries behind it live longer, never shorter.
 type expiring struct {
 	k      key
-	expiry time.Time
+	expiry int64
 }
 
 // entry is what the cache remembers per authenticator: the expiry
@@ -57,8 +70,13 @@ type expiring struct {
 // authenticator from a different request body still gains nothing: it
 // only ever receives a byte-identical copy of a reply already sent to
 // the legitimate client, sealed in keys the attacker lacks.
+//
+// The deadline is Unix nanoseconds of the caller's now: the wall clock
+// the ±5 min skew check reads. A monotonic deadline would let a
+// skew-valid authenticator outlive its entry after the wall clock steps
+// back.
 type entry struct {
-	deadline time.Time
+	deadline int64
 	digest   uint64 // Digest of the full request the reply answers
 	reply    []byte // nil until Remember attaches the server's answer
 }
@@ -69,6 +87,7 @@ type shard struct {
 	seen  map[key]entry // value: expiry deadline plus remembered reply
 	queue []expiring    // insertion-ordered expiry schedule
 	head  int           // index of the oldest queue element
+	peak  int           // largest len(seen) since seen was last allocated
 }
 
 // Metrics counts cache activity. All fields are lock-free; a scrape
@@ -85,6 +104,7 @@ type Metrics struct {
 // concurrent use. The zero value is not usable; call New.
 type Cache struct {
 	window  time.Duration
+	seed    maphash.Seed // keys Cache.keyOf's principal fingerprint
 	metrics Metrics
 	shards  [shardCount]shard
 }
@@ -93,7 +113,7 @@ type Cache struct {
 // (twice the clock skew: an authenticator can be at most ClockSkew old or
 // ClockSkew in the future when first accepted).
 func New() *Cache {
-	c := &Cache{window: 2 * core.ClockSkew}
+	c := &Cache{window: 2 * core.ClockSkew, seed: maphash.MakeSeed()}
 	for i := range c.shards {
 		c.shards[i].seen = make(map[key]entry)
 	}
@@ -119,15 +139,28 @@ func (c *Cache) RegisterMetrics(reg *obs.Registry, prefix string) {
 }
 
 // keyOf builds the lookup key for an authenticator without allocating.
-func keyOf(auth *core.Authenticator) key {
+// Each principal component is hashed length-prefixed, so the encoding
+// is injective: {"ab","c"} and {"a","bc"} hash different inputs. The
+// per-Cache random seed keeps the fingerprints unpredictable to clients
+// choosing names.
+func (c *Cache) keyOf(auth *core.Authenticator) key {
+	// 128 bytes hold three 40-byte components, Kerberos v4's limits, so
+	// the buffer stays on the stack; longer names cost one allocation.
+	b := make([]byte, 0, 128)
+	b = appendField(b, auth.Client.Name)
+	b = appendField(b, auth.Client.Instance)
+	b = appendField(b, auth.Client.Realm)
 	return key{
-		name:     auth.Client.Name,
-		instance: auth.Client.Instance,
-		realm:    auth.Client.Realm,
+		who:      maphash.Bytes(c.seed, b),
 		time:     auth.Time,
 		microSec: auth.MicroSec,
 		checksum: auth.Checksum,
 	}
+}
+
+// appendField appends s to b behind its uvarint length.
+func appendField(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
 // fnvString folds s into an FNV-1a hash without converting to []byte.
@@ -148,16 +181,19 @@ func fnvUint32(h, v uint32) uint32 {
 	return h
 }
 
-// shardIndex hashes a key to its shard. A final avalanche step spreads
+// shardIndex hashes an authenticator's exact fields to its shard. It is
+// unseeded on purpose: which entries share a shard decides which ones a
+// sweep retires, so a seeded index would make Len, and every simulation
+// that reports it, vary from run to run. A final avalanche step spreads
 // entropy into the low bits the modulo keeps.
-func shardIndex(k *key) int {
+func shardIndex(auth *core.Authenticator) int {
 	h := uint32(2166136261)
-	h = fnvString(h, k.name)
-	h = fnvString(h, k.instance)
-	h = fnvString(h, k.realm)
-	h = fnvUint32(h, uint32(k.time))
-	h = fnvUint32(h, k.microSec)
-	h = fnvUint32(h, k.checksum)
+	h = fnvString(h, auth.Client.Name)
+	h = fnvString(h, auth.Client.Instance)
+	h = fnvString(h, auth.Client.Realm)
+	h = fnvUint32(h, uint32(auth.Time))
+	h = fnvUint32(h, auth.MicroSec)
+	h = fnvUint32(h, auth.Checksum)
 	h ^= h >> 16
 	h *= 0x85ebca6b
 	h ^= h >> 13
@@ -169,17 +205,17 @@ func shardIndex(k *key) int {
 // after expiry re-inserts a key with a later deadline (and a new queue
 // element), a queue element only deletes its key when the map still
 // holds the deadline it was queued with.
-func (s *shard) sweep(now time.Time) (swept int) {
+func (s *shard) sweep(now int64) (swept int) {
+	s.peak = max(s.peak, len(s.seen))
 	for n := 0; n < sweepBatch && s.head < len(s.queue); n++ {
 		e := &s.queue[s.head]
-		if now.Before(e.expiry) {
+		if now < e.expiry {
 			break
 		}
-		if got, ok := s.seen[e.k]; ok && !now.Before(got.deadline) && got.deadline.Equal(e.expiry) {
+		if got, ok := s.seen[e.k]; ok && got.deadline == e.expiry {
 			delete(s.seen, e.k)
 			swept++
 		}
-		*e = expiring{} // release the key's strings
 		s.head++
 	}
 	if s.head == len(s.queue) {
@@ -191,7 +227,26 @@ func (s *shard) sweep(now time.Time) (swept int) {
 		s.queue = append(s.queue[:0], s.queue[s.head:]...)
 		s.head = 0
 	}
+	if s.peak >= shrinkMin && len(s.seen) <= s.peak/4 {
+		s.rebuild()
+	}
 	return swept
+}
+
+// rebuild reallocates the shard's map and queue at their current size.
+// Go maps never shrink and the queue keeps its capacity, so without it
+// a shard would hold its flood-peak memory forever. Rebuilding only
+// after the population fell to a quarter of its peak keeps the copy
+// amortized O(1) per retired entry. Order and contents are unchanged.
+func (s *shard) rebuild() {
+	seen := make(map[key]entry, len(s.seen))
+	for k, e := range s.seen {
+		seen[k] = e
+	}
+	s.seen = seen
+	s.queue = append([]expiring(nil), s.queue[s.head:]...)
+	s.head = 0
+	s.peak = len(seen)
 }
 
 // Seen records the authenticator and reports whether it had been
@@ -228,14 +283,15 @@ func Digest(msg []byte) uint64 {
 // request body.
 func (c *Cache) SeenWithReply(auth *core.Authenticator, reqDigest uint64, now time.Time) ([]byte, bool) {
 	c.metrics.Checks.Inc()
-	k := keyOf(auth)
-	s := &c.shards[shardIndex(&k)]
+	k := c.keyOf(auth)
+	s := &c.shards[shardIndex(auth)]
+	ns := now.UnixNano()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if n := s.sweep(now); n > 0 {
+	if n := s.sweep(ns); n > 0 {
 		c.metrics.Swept.Add(uint64(n))
 	}
-	if got, dup := s.seen[k]; dup && now.Before(got.deadline) {
+	if got, dup := s.seen[k]; dup && ns < got.deadline {
 		c.metrics.Hits.Inc()
 		if got.reply != nil && got.digest == reqDigest {
 			c.metrics.Memoized.Inc()
@@ -243,7 +299,7 @@ func (c *Cache) SeenWithReply(auth *core.Authenticator, reqDigest uint64, now ti
 		}
 		return nil, true
 	}
-	deadline := now.Add(c.window)
+	deadline := ns + int64(c.window)
 	s.seen[k] = entry{deadline: deadline}
 	s.queue = append(s.queue, expiring{k: k, expiry: deadline})
 	return nil, false
@@ -255,11 +311,11 @@ func (c *Cache) SeenWithReply(auth *core.Authenticator, reqDigest uint64, now ti
 // reply slice is retained, not copied; callers must not mutate it
 // afterwards. Unknown or expired authenticators are ignored.
 func (c *Cache) Remember(auth *core.Authenticator, reqDigest uint64, reply []byte, now time.Time) {
-	k := keyOf(auth)
-	s := &c.shards[shardIndex(&k)]
+	k := c.keyOf(auth)
+	s := &c.shards[shardIndex(auth)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if got, ok := s.seen[k]; ok && now.Before(got.deadline) {
+	if got, ok := s.seen[k]; ok && now.UnixNano() < got.deadline {
 		got.digest = reqDigest
 		got.reply = reply
 		s.seen[k] = got

@@ -63,6 +63,21 @@ func TestDistinctAuthenticatorsNotConfused(t *testing.T) {
 	if c.Seen(auth("jis", t0, 99), t0) {
 		t.Error("different checksum treated as replay")
 	}
+	// Principals whose components differ only at a boundary: the same
+	// bytes split name|instance or instance|realm another way. Time,
+	// microseconds and checksum are equal within each pair.
+	for _, pair := range [][2]core.Principal{
+		{{Name: "ab", Instance: "c", Realm: "R"}, {Name: "a", Instance: "bc", Realm: "R"}},
+		{{Name: "a", Instance: "bc", Realm: "D"}, {Name: "a", Instance: "b", Realm: "cD"}},
+		{{Name: "a", Instance: "", Realm: "bc"}, {Name: "", Instance: "a", Realm: "bc"}},
+	} {
+		for i, p := range pair {
+			a := core.NewAuthenticator(p, core.Addr{18, 72, 0, 3}, t0, 5)
+			if c.Seen(a, t0) {
+				t.Errorf("%+v (pair member %d) treated as replay of %+v", p, i, pair[1-i])
+			}
+		}
+	}
 }
 
 func TestWindowExpiry(t *testing.T) {
@@ -106,13 +121,11 @@ func TestSweepIsBounded(t *testing.T) {
 	// Pile many entries into one shard: same client, same second,
 	// varying checksum picked to land on the shard of a probe key.
 	probe := auth("jis", t0.Add(time.Hour), 0)
-	pk := keyOf(probe)
-	target := shardIndex(&pk)
+	target := shardIndex(probe)
 	planted := 0
 	for i := uint32(0); planted < 100; i++ {
 		a := auth("jis", t0, i)
-		k := keyOf(a)
-		if shardIndex(&k) == target {
+		if shardIndex(a) == target {
 			c.Seen(a, t0)
 			planted++
 		}
@@ -143,18 +156,16 @@ func TestSweepIsBounded(t *testing.T) {
 func TestSweepDoesNotBlockOtherShards(t *testing.T) {
 	c := New()
 	a := auth("jis", t0, 0)
-	ka := keyOf(a)
 	// Find an authenticator living in a different shard.
 	var b *core.Authenticator
 	for i := uint32(1); ; i++ {
 		cand := auth("bcn", t0, i)
-		kc := keyOf(cand)
-		if shardIndex(&kc) != shardIndex(&ka) {
+		if shardIndex(cand) != shardIndex(a) {
 			b = cand
 			break
 		}
 	}
-	s := &c.shards[shardIndex(&ka)]
+	s := &c.shards[shardIndex(a)]
 	s.mu.Lock() // hold a's shard hostage
 	done := make(chan bool, 1)
 	go func() {
@@ -177,8 +188,7 @@ func TestShardSpread(t *testing.T) {
 	used := make(map[int]bool)
 	for i := 0; i < 256; i++ {
 		a := auth("jis", t0.Add(time.Duration(i)*time.Second), uint32(i))
-		k := keyOf(a)
-		used[shardIndex(&k)] = true
+		used[shardIndex(a)] = true
 	}
 	if len(used) < shardCount/2 {
 		t.Errorf("256 distinct authenticators hit only %d/%d shards", len(used), shardCount)
