@@ -90,12 +90,6 @@ var lockPkgs = []string{
 	"kerberos/internal/kprop",
 }
 
-// noTaintPkgs are exempt from secretflow: the cipher implementation
-// necessarily manipulates raw key bytes below the Seal boundary.
-var noTaintPkgs = []string{
-	"kerberos/internal/des",
-}
-
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings as a JSON array on stdout")
 	baseline := flag.String("baseline", "", "suppress findings recorded in this file")
@@ -213,8 +207,6 @@ func scope(a *analysis.Analyzer, pkg *analysis.Package) bool {
 		return hasPrefix(pkg.Path, wirePkgs)
 	case "lockflow":
 		return hasPrefix(pkg.Path, lockPkgs)
-	case "secretflow":
-		return !hasPrefix(pkg.Path, noTaintPkgs)
 	default:
 		return true
 	}

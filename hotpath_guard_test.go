@@ -22,7 +22,8 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/des.(*Cipher).Seal":                {"internal/des/seal_test.go", "TestSealAllocs"},
 	"internal/des.Seal":                          {"internal/des/seal_test.go", "TestSealAllocs"},
 	"internal/des.(*Cipher).Unseal":              {"internal/des/seal_test.go", "TestUnsealAllocs"},
-	"internal/des.(*SchedCache).For":             {"internal/des/sched_test.go", "TestSchedCacheHitAllocs"},
+	"internal/des.Unseal":                        {"internal/des/seal_test.go", "TestUnsealAllocs"},
+	"internal/des.(*Cipher).SetKey":              {"internal/des/des_test.go", "TestExpandKeyAllocs"},
 	"internal/des.SealBatch":                     {"internal/des/batch_test.go", "TestSealBatchAllocs"},
 	"internal/des.UnsealBatch":                   {"internal/des/batch_test.go", "TestUnsealBatchAllocs"},
 	"internal/des.CBCChecksumBatch":              {"internal/des/batch_test.go", "TestCBCChecksumBatchAllocs"},

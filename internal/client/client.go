@@ -169,8 +169,8 @@ func (c *Client) LoginService(password string, service core.Principal, life core
 		return nil, err
 	}
 	key := PasswordKey(c.Principal, password)
-	// Drop the cached schedule and the key itself on every return path.
-	defer des.ForgetKey(key)
+	// Wipe the key on every return path; Open expands it into a stack
+	// schedule that it wipes itself.
 	defer clear(key[:])
 	enc, err := rep.Open(key)
 	if err != nil {

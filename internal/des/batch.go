@@ -28,8 +28,15 @@ import (
 // SealRequest is one message of a SealBatch: a plaintext to seal under
 // its own key. Sealed is set by the call, in a fresh buffer (the only
 // per-request allocation), and holds exactly what Seal would produce.
+//
+// A request names its key either as Key or, when the caller already
+// holds the expanded schedule (a kdb-owned long-lived key, or a
+// per-request scratch Cipher used twice), as Cipher; a non-nil Cipher
+// wins and Key is ignored. The scalar path then seals with the
+// caller's schedule instead of expanding the key again.
 type SealRequest struct {
 	Key       Key
+	Cipher    *Cipher
 	Plaintext []byte
 	Sealed    []byte
 }
@@ -37,12 +44,29 @@ type SealRequest struct {
 // UnsealRequest is one message of an UnsealBatch. On success Plaintext
 // holds the recovered payload and Err is nil; any integrity failure
 // leaves Plaintext nil and Err set to ErrIntegrity, exactly as Unseal
-// would report it.
+// would report it. Key and Cipher name the key as in SealRequest.
 type UnsealRequest struct {
 	Key        Key
+	Cipher     *Cipher
 	Ciphertext []byte
 	Plaintext  []byte
 	Err        error
+}
+
+// key returns the request's key, from its Cipher when one is carried.
+func (r *SealRequest) key() Key {
+	if r.Cipher != nil {
+		return r.Cipher.key
+	}
+	return r.Key
+}
+
+// key returns the request's key, from its Cipher when one is carried.
+func (r *UnsealRequest) key() Key {
+	if r.Cipher != nil {
+		return r.Cipher.key
+	}
+	return r.Key
 }
 
 // ChecksumRequest is one message of a CBCChecksumBatch: Sum is set to
@@ -111,7 +135,12 @@ func SealBatch(reqs []SealRequest) {
 func sealLanes(reqs []SealRequest) {
 	if len(reqs) < bsBatchMin {
 		for i := range reqs {
-			reqs[i].Sealed = Seal(reqs[i].Key, reqs[i].Plaintext)
+			r := &reqs[i]
+			if r.Cipher != nil {
+				r.Sealed = r.Cipher.Seal(r.Plaintext)
+			} else {
+				r.Sealed = Seal(r.Key, r.Plaintext)
+			}
 		}
 		scalarFallbackOpCt.Add(uint64(len(reqs)))
 		return
@@ -122,7 +151,7 @@ func sealLanes(reqs []SealRequest) {
 	for i := range reqs {
 		buf := make([]byte, SealedLen(len(reqs[i].Plaintext)))
 		binary.BigEndian.PutUint32(buf[0:4], uint32(len(reqs[i].Plaintext)))
-		binary.BigEndian.PutUint32(buf[4:8], QuadChecksum(reqs[i].Key, reqs[i].Plaintext))
+		binary.BigEndian.PutUint32(buf[4:8], QuadChecksum(reqs[i].key(), reqs[i].Plaintext))
 		copy(buf[sealHeaderLen:], reqs[i].Plaintext)
 		reqs[i].Sealed = buf
 		n := len(buf) / BlockSize
@@ -130,7 +159,7 @@ func sealLanes(reqs []SealRequest) {
 		if n > maxBlocks {
 			maxBlocks = n
 		}
-		st.keys[i] = bsPackKey(reqs[i].Key)
+		st.keys[i] = bsPackKey(reqs[i].key())
 		st.chain[i] = st.keys[i] // PCBC chains from the key as IV
 	}
 	transpose64(&st.keys)
@@ -175,7 +204,12 @@ func UnsealBatch(reqs []UnsealRequest) {
 func unsealLanes(reqs []UnsealRequest) {
 	if len(reqs) < bsBatchMin {
 		for i := range reqs {
-			reqs[i].Plaintext, reqs[i].Err = Unseal(reqs[i].Key, reqs[i].Ciphertext)
+			r := &reqs[i]
+			if r.Cipher != nil {
+				r.Plaintext, r.Err = r.Cipher.Unseal(r.Ciphertext)
+			} else {
+				r.Plaintext, r.Err = Unseal(r.Key, r.Ciphertext)
+			}
 		}
 		scalarFallbackOpCt.Add(uint64(len(reqs)))
 		return
@@ -197,7 +231,7 @@ func unsealLanes(reqs []UnsealRequest) {
 		if n > maxBlocks {
 			maxBlocks = n
 		}
-		st.keys[i] = bsPackKey(reqs[i].Key)
+		st.keys[i] = bsPackKey(reqs[i].key())
 		st.chain[i] = st.keys[i]
 	}
 	transpose64(&st.keys)
@@ -232,7 +266,7 @@ func unsealLanes(reqs []UnsealRequest) {
 			continue
 		}
 		plaintext := buf[sealHeaderLen : sealHeaderLen+int(n)]
-		if !ChecksumEqual(QuadChecksum(reqs[i].Key, plaintext), binary.BigEndian.Uint32(buf[4:8])) {
+		if !ChecksumEqual(QuadChecksum(reqs[i].key(), plaintext), binary.BigEndian.Uint32(buf[4:8])) {
 			reqs[i].Plaintext, reqs[i].Err = nil, ErrIntegrity
 			continue
 		}

@@ -15,11 +15,17 @@ func forceBitslice(t *testing.T) {
 	t.Cleanup(func() { bsBatchMin = old })
 }
 
+// randomSealReqs makes n requests under random keys. Every third one
+// names its key by a caller-owned Cipher, with Key left zero, so the
+// batch paths must take the key from the Cipher.
 func randomSealReqs(rng *rand.Rand, n int) []SealRequest {
 	reqs := make([]SealRequest, n)
 	for i := range reqs {
 		rng.Read(reqs[i].Key[:])
 		reqs[i].Key = FixParity(reqs[i].Key)
+		if i%3 == 2 {
+			reqs[i].Cipher, reqs[i].Key = NewCipher(reqs[i].Key), Key{}
+		}
 		// Ragged lengths, including empty and non-block-aligned.
 		pt := make([]byte, rng.Intn(101))
 		rng.Read(pt)
@@ -37,7 +43,7 @@ func TestSealBatchMatchesSeal(t *testing.T) {
 		reqs := randomSealReqs(rng, n)
 		SealBatch(reqs)
 		for i := range reqs {
-			want := Seal(reqs[i].Key, reqs[i].Plaintext)
+			want := Seal(reqs[i].key(), reqs[i].Plaintext)
 			if !bytes.Equal(reqs[i].Sealed, want) {
 				t.Fatalf("n=%d lane %d: SealBatch %x, Seal %x", n, i, reqs[i].Sealed, want)
 			}
@@ -55,7 +61,7 @@ func TestSealBatchScalarFallback(t *testing.T) {
 	reqs := randomSealReqs(rng, 8)
 	SealBatch(reqs)
 	for i := range reqs {
-		want := Seal(reqs[i].Key, reqs[i].Plaintext)
+		want := Seal(reqs[i].key(), reqs[i].Plaintext)
 		if !bytes.Equal(reqs[i].Sealed, want) {
 			t.Fatalf("lane %d: fallback SealBatch %x, Seal %x", i, reqs[i].Sealed, want)
 		}
@@ -70,7 +76,7 @@ func TestSealBatchChunks(t *testing.T) {
 	reqs := randomSealReqs(rng, 3*bsLanes/2)
 	SealBatch(reqs)
 	for i := range reqs {
-		want := Seal(reqs[i].Key, reqs[i].Plaintext)
+		want := Seal(reqs[i].key(), reqs[i].Plaintext)
 		if !bytes.Equal(reqs[i].Sealed, want) {
 			t.Fatalf("lane %d: SealBatch %x, Seal %x", i, reqs[i].Sealed, want)
 		}
@@ -88,7 +94,7 @@ func TestUnsealBatch(t *testing.T) {
 		SealBatch(sreqs)
 		ureqs := make([]UnsealRequest, n)
 		for i := range ureqs {
-			ureqs[i].Key = sreqs[i].Key
+			ureqs[i].Key, ureqs[i].Cipher = sreqs[i].Key, sreqs[i].Cipher
 			ureqs[i].Ciphertext = sreqs[i].Sealed
 		}
 		// Sabotage a few lanes: flipped byte, truncation, wrong key.
@@ -103,6 +109,7 @@ func TestUnsealBatch(t *testing.T) {
 			bad[4] = true
 		}
 		if n >= 9 {
+			ureqs[8].Cipher = nil
 			rng.Read(ureqs[8].Key[:])
 			bad[8] = true
 		}
@@ -174,7 +181,7 @@ func TestUnsealBatchAllocs(t *testing.T) {
 	SealBatch(sreqs)
 	ureqs := make([]UnsealRequest, bsLanes)
 	for i := range ureqs {
-		ureqs[i].Key = sreqs[i].Key
+		ureqs[i].Key, ureqs[i].Cipher = sreqs[i].Key, sreqs[i].Cipher
 		ureqs[i].Ciphertext = sreqs[i].Sealed
 	}
 	UnsealBatch(ureqs)

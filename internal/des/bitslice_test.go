@@ -61,11 +61,11 @@ func TestBsSubkeyIdx(t *testing.T) {
 	for trial := 0; trial < 64; trial++ {
 		var k Key
 		rng.Read(k[:])
-		c := NewCipher(k)
+		sub := referenceSubkeys(k)
 		k64 := binary.BigEndian.Uint64(k[:])
 		for r := 0; r < 16; r++ {
 			for i := 0; i < 48; i++ {
-				want := c.subkeys[r] >> uint(47-i) & 1
+				want := sub[r] >> uint(47-i) & 1
 				got := k64 >> uint(63-bsSubkeyIdx[r][i]) & 1
 				if got != want {
 					t.Fatalf("key %x round %d subkey bit %d: schedule says plane %d (bit %d), want %d",

@@ -33,24 +33,43 @@ var ErrKeySize = errors.New("des: key must be 8 bytes")
 // of the block size.
 var ErrInput = errors.New("des: input not a multiple of the block size")
 
-// Cipher is an expanded DES key: the 16 48-bit round subkeys, plus the
-// key itself so sealed-message operations (which use the key as IV and
-// checksum seed) need only the Cipher. It is safe for concurrent use
-// after creation and never mutated, so one Cipher may be shared freely —
-// see SchedCache for reusing expansions of long-lived keys.
+// Cipher is an expanded DES key: the 16 round subkeys, stored as the
+// window-positioned word pairs the table-driven round consumes
+// (fast.go), plus the key itself so sealed-message operations (which
+// use the key as IV and checksum seed) need only the Cipher. It is
+// safe for concurrent use once expanded and never mutated by the
+// cipher operations, so one Cipher may be shared freely.
+//
+// The caller owns every schedule: long-lived keys live as *Cipher
+// values in kdb's per-entry cache; a short-lived key is expanded into
+// a stack or scratch Cipher (SetKey) and wiped when its use ends. No
+// package-level state holds a key or a schedule.
 type Cipher struct {
-	subkeys [16]uint64 // the 48-bit round subkeys, MSB-aligned in the low 48 bits
-	ks      [32]uint32 // the same subkeys as window-positioned word pairs (fast.go)
-	key     Key
+	ks  [32]uint32 // the 16 round subkeys as window-positioned word pairs
+	key Key
 }
 
-// NewCipher expands key into a Cipher.
+// NewCipher expands key into a heap Cipher, for schedules that outlive
+// the call that makes them.
 func NewCipher(key Key) *Cipher {
 	c := new(Cipher)
-	c.key = key
-	c.expandKey(key)
+	c.SetKey(key)
 	return c
 }
+
+// SetKey expands key into c in place, replacing whatever c held. It
+// does not allocate, so a caller can expand a short-lived key into a
+// stack or pooled Cipher and wipe it afterwards.
+//
+//kerb:hotpath
+func (c *Cipher) SetKey(key Key) {
+	c.key = key
+	c.expandKey(key)
+}
+
+// wipe zeroes the schedule and the key (§4.2: the key is "erased from
+// memory" once used).
+func (c *Cipher) wipe() { *c = Cipher{} }
 
 // Key returns the key this Cipher was expanded from.
 func (c *Cipher) Key() Key { return c.key }
@@ -60,13 +79,15 @@ func NewCipherBytes(key []byte) (*Cipher, error) {
 	if len(key) != KeySize {
 		return nil, ErrKeySize
 	}
-	var k Key
-	copy(k[:], key)
-	return NewCipher(k), nil
+	c := new(Cipher)
+	copy(c.key[:], key) // straight into the Cipher: no loose copy to wipe
+	c.expandKey(c.key)
+	return c, nil
 }
 
 // permute maps v, an nIn-bit value, through tab. Table entries are 1-based
-// bit positions counted from the most significant bit, per FIPS 46.
+// bit positions counted from the most significant bit, per FIPS 46. It
+// runs only at init, to build the lookup tables of fast.go.
 func permute(v uint64, nIn int, tab []byte) uint64 {
 	var out uint64
 	for _, p := range tab {
@@ -80,54 +101,12 @@ func rotate28(v uint64, n byte) uint64 {
 	return ((v << n) | (v >> (28 - n))) & 0x0fffffff
 }
 
-func (c *Cipher) expandKey(key Key) {
-	k64 := binary.BigEndian.Uint64(key[:])
-	k56 := permute(k64, 64, permutedChoice1[:])
-	cHalf := k56 >> 28
-	dHalf := k56 & 0x0fffffff
-	for round := 0; round < 16; round++ {
-		cHalf = rotate28(cHalf, keyRotations[round])
-		dHalf = rotate28(dHalf, keyRotations[round])
-		c.subkeys[round] = permute(cHalf<<28|dHalf, 56, permutedChoice2[:])
-	}
-	c.expandRoundWords()
-}
-
-// feistel is the DES cipher function f(R, K).
-func feistel(r uint32, subkey uint64) uint32 {
-	x := permute(uint64(r), 32, expansion[:]) ^ subkey
-	var sOut uint64
-	for i := 0; i < 8; i++ {
-		six := byte(x>>uint(42-6*i)) & 0x3f
-		row := (six>>4)&2 | six&1
-		col := (six >> 1) & 0xf
-		sOut = sOut<<4 | uint64(sBoxes[i][row*16+col])
-	}
-	return uint32(permute(sOut, 32, roundPermutation[:]))
-}
-
 // crypt runs the 16-round Feistel network with the subkeys in the given
-// order (forward for encryption, reverse for decryption). It dispatches
-// to the table-driven core in fast.go; cryptReference below is the
-// bit-by-bit transcription of the standard kept as the test oracle.
+// order (forward for encryption, reverse for decryption), on the
+// table-driven core in fast.go. The bit-by-bit transcription of the
+// standard is the test oracle (des_test.go).
 func (c *Cipher) crypt(block uint64, decrypt bool) uint64 {
 	return c.cryptFast(block, decrypt)
-}
-
-// cryptReference is the direct transcription of FIPS 46.
-func (c *Cipher) cryptReference(block uint64, decrypt bool) uint64 {
-	v := permute(block, 64, initialPermutation[:])
-	l := uint32(v >> 32)
-	r := uint32(v)
-	for round := 0; round < 16; round++ {
-		k := c.subkeys[round]
-		if decrypt {
-			k = c.subkeys[15-round]
-		}
-		l, r = r, l^feistel(r, k)
-	}
-	// The halves are swapped once more by the standard's pre-output step.
-	return permute(uint64(r)<<32|uint64(l), 64, finalPermutation[:])
 }
 
 // EncryptBlock encrypts a single 8-byte block. dst and src may overlap.

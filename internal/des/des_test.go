@@ -3,7 +3,9 @@ package des
 import (
 	"bytes"
 	stddes "crypto/des"
+	"encoding/binary"
 	"encoding/hex"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -134,16 +136,167 @@ func BenchmarkSealUnseal1K(b *testing.B) {
 	}
 }
 
+// The bit-by-bit transcription of FIPS 46: key expansion through PC-1,
+// the rotations and PC-2, and the Feistel network through E, the
+// S-boxes and P, one bit per step. It is the oracle the table-driven
+// expansion and cipher core are checked against.
+
+// referenceSubkeys expands key into the 16 48-bit round subkeys,
+// MSB-aligned in the low 48 bits.
+func referenceSubkeys(key Key) [16]uint64 {
+	var sub [16]uint64
+	k56 := permute(binary.BigEndian.Uint64(key[:]), 64, permutedChoice1[:])
+	cHalf := k56 >> 28
+	dHalf := k56 & 0x0fffffff
+	for round := 0; round < 16; round++ {
+		cHalf = rotate28(cHalf, keyRotations[round])
+		dHalf = rotate28(dHalf, keyRotations[round])
+		sub[round] = permute(cHalf<<28|dHalf, 56, permutedChoice2[:])
+	}
+	return sub
+}
+
+// referenceRoundWords is the expansion in the window-positioned form
+// Cipher.ks stores.
+func referenceRoundWords(key Key) [32]uint32 {
+	var ks [32]uint32
+	for r, k := range referenceSubkeys(key) {
+		ks[2*r] = uint32(k>>42&0x3f)<<26 | uint32(k>>30&0x3f)<<18 |
+			uint32(k>>18&0x3f)<<10 | uint32(k>>6&0x3f)<<2
+		ks[2*r+1] = uint32(k>>36&0x3f)<<26 | uint32(k>>24&0x3f)<<18 |
+			uint32(k>>12&0x3f)<<10 | uint32(k&0x3f)<<2
+	}
+	return ks
+}
+
+// feistel is the DES cipher function f(R, K).
+func feistel(r uint32, subkey uint64) uint32 {
+	x := permute(uint64(r), 32, expansion[:]) ^ subkey
+	var sOut uint64
+	for i := 0; i < 8; i++ {
+		six := byte(x>>uint(42-6*i)) & 0x3f
+		row := (six>>4)&2 | six&1
+		col := (six >> 1) & 0xf
+		sOut = sOut<<4 | uint64(sBoxes[i][row*16+col])
+	}
+	return uint32(permute(sOut, 32, roundPermutation[:]))
+}
+
+// cryptReference runs one block through the 16 rounds under the given
+// subkeys.
+func cryptReference(sub *[16]uint64, block uint64, decrypt bool) uint64 {
+	v := permute(block, 64, initialPermutation[:])
+	l := uint32(v >> 32)
+	r := uint32(v)
+	for round := 0; round < 16; round++ {
+		k := sub[round]
+		if decrypt {
+			k = sub[15-round]
+		}
+		l, r = r, l^feistel(r, k)
+	}
+	// The halves are swapped once more by the standard's pre-output step.
+	return permute(uint64(r)<<32|uint64(l), 64, finalPermutation[:])
+}
+
 // TestFastMatchesReference cross-checks the table-driven cipher core
 // against the bit-by-bit transcription of FIPS 46.
 func TestFastMatchesReference(t *testing.T) {
 	f := func(key [8]byte, block uint64) bool {
 		c := NewCipher(Key(key))
-		return c.cryptFast(block, false) == c.cryptReference(block, false) &&
-			c.cryptFast(block, true) == c.cryptReference(block, true)
+		sub := referenceSubkeys(Key(key))
+		return c.cryptFast(block, false) == cryptReference(&sub, block, false) &&
+			c.cryptFast(block, true) == cryptReference(&sub, block, true)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestExpandKeyMatchesReference is the differential test of the
+// table-driven key expansion: every weak and semi-weak key, the
+// all-zero and all-ones keys, and 10k seeded random keys (parity bits
+// included — PC-1 must ignore them) expand to exactly the schedule the
+// bit-by-bit oracle computes.
+func TestExpandKeyMatchesReference(t *testing.T) {
+	keys := []Key{{}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}
+	for _, w := range weakKeys {
+		keys = append(keys, Key(w))
+	}
+	rng := rand.New(rand.NewSource(21))
+	for i := 0; i < 10000; i++ {
+		var k Key
+		rng.Read(k[:])
+		keys = append(keys, k)
+	}
+	var c Cipher
+	for _, k := range keys {
+		c.SetKey(k)
+		if want := referenceRoundWords(k); c.ks != want {
+			t.Fatalf("key %x: table expansion %08x, reference %08x", k, c.ks, want)
+		}
+		if c.Key() != k {
+			t.Fatalf("key %x: Cipher.Key() = %x", k, c.Key())
+		}
+	}
+}
+
+// TestExpandKeyAllocs guards the caller-owned schedule: expanding a key
+// into an existing Cipher must not allocate, and the key-taking helpers
+// must keep their stack Cipher on the stack.
+func TestExpandKeyAllocs(t *testing.T) {
+	key := Key{0x13, 0x34, 0x57, 0x79, 0x9b, 0xbc, 0xdf, 0xf1}
+	var c Cipher
+	allocs := testing.AllocsPerRun(100, func() {
+		c.SetKey(key)
+		key[0]++
+	})
+	if allocs != 0 {
+		t.Errorf("SetKey allocates %.1f objects/op, want 0", allocs)
+	}
+	data := make([]byte, 64)
+	allocs = testing.AllocsPerRun(100, func() {
+		CBCChecksum(key, data)
+		key[1]++
+	})
+	if allocs != 0 {
+		t.Errorf("CBCChecksum(key, ...) allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// Benchmark results land in these so the compiler keeps the calls.
+var (
+	cipherSink *Cipher
+	sealedSink []byte
+)
+
+// BenchmarkNewCipher prices one key expansion onto the heap, as kdb's
+// entry cache makes it; a stack expansion (SetKey) skips the one
+// allocation.
+func BenchmarkNewCipher(b *testing.B) {
+	key := Key{0x13, 0x34, 0x57, 0x79, 0x9b, 0xbc, 0xdf, 0xf1}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		key[i&7]++
+		cipherSink = NewCipher(key)
+	}
+}
+
+// BenchmarkSealRotatingKeys seals a ticket-sized message under 5,000
+// rotating keys, the working set of tgs_flood's live TGT session keys:
+// each Seal expands its key on the stack, seals, and wipes.
+func BenchmarkSealRotatingKeys(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	keys := make([]Key, 5000)
+	for i := range keys {
+		rng.Read(keys[i][:])
+		keys[i] = FixParity(keys[i])
+	}
+	msg := make([]byte, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sealedSink = Seal(keys[i%len(keys)], msg)
 	}
 }
 
@@ -162,8 +315,9 @@ func BenchmarkAblationFastVsReference(b *testing.B) {
 	b.Run("reference", func(b *testing.B) {
 		b.SetBytes(8)
 		v := uint64(0x0123456789abcdef)
+		sub := referenceSubkeys(c.Key())
 		for i := 0; i < b.N; i++ {
-			v = c.cryptReference(v, false)
+			v = cryptReference(&sub, v, false)
 		}
 	})
 }

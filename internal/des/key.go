@@ -195,9 +195,13 @@ func StringToKey(password, salt string) Key {
 	}
 	k = fixWeak(FixParity(k))
 
-	c := NewCipher(k)
+	// The fold key and its schedule hold password-derived bits: expand
+	// on the stack and wipe both (§4.2).
+	var c Cipher
+	c.SetKey(k)
 	sum := c.cbcChecksum(padded, k[:])
-	clear(k[:]) // the fold buffer holds password-derived bits
+	c.wipe()
+	clear(k[:])
 	clear(padded)
 	clear(input)
 	var out Key
@@ -237,7 +241,11 @@ func (c *Cipher) CBCChecksum(data []byte) uint64 {
 }
 
 // CBCChecksum computes the DES-CBC message authentication code of data
-// under key, reusing key's cached schedule.
+// under key. The schedule is expanded on the stack and wiped before
+// returning.
 func CBCChecksum(key Key, data []byte) uint64 {
-	return sched.For(key).CBCChecksum(data)
+	var c Cipher
+	c.SetKey(key)
+	defer c.wipe()
+	return c.CBCChecksum(data)
 }

@@ -17,8 +17,10 @@ import (
 //
 // The Cipher methods are the workhorses: they perform exactly one
 // allocation (the output buffer) and reuse the cipher's expanded key
-// schedule. The package-level Seal/Unseal functions route through the
-// shared schedule cache so repeated use of the same key expands it once.
+// schedule. The package-level Seal/Unseal functions take a bare key:
+// they expand it into a stack Cipher and wipe that before returning,
+// so a key passed by value leaves no schedule behind. Callers that
+// reuse a key hold its *Cipher instead.
 
 // ErrIntegrity reports a sealed message that failed its checksum or
 // structure checks after decryption — corruption, truncation, or a wrong
@@ -77,16 +79,25 @@ func (c *Cipher) Unseal(ciphertext []byte) ([]byte, error) {
 	return plaintext, nil
 }
 
-// Seal encrypts plaintext under key and returns the sealed ciphertext,
-// reusing key's cached schedule.
+// Seal encrypts plaintext under key and returns the sealed ciphertext.
+// The schedule is expanded on the stack and wiped before returning.
 //
 //kerb:hotpath
 func Seal(key Key, plaintext []byte) []byte {
-	return sched.For(key).Seal(plaintext)
+	var c Cipher
+	c.SetKey(key)
+	defer c.wipe()
+	return c.Seal(plaintext)
 }
 
 // Unseal decrypts a sealed ciphertext under key and verifies its
-// integrity, reusing key's cached schedule.
+// integrity. The schedule is expanded on the stack and wiped before
+// returning.
+//
+//kerb:hotpath
 func Unseal(key Key, ciphertext []byte) ([]byte, error) {
-	return sched.For(key).Unseal(ciphertext)
+	var c Cipher
+	c.SetKey(key)
+	defer c.wipe()
+	return c.Unseal(ciphertext)
 }

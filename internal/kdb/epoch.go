@@ -78,7 +78,7 @@ type deltaSlot struct {
 // cold start installs the mapping and the precomputed probe table and
 // is done — no per-entry decode, no slab fill, no rehash. The first
 // time a record is actually returned it is materialized once into ents
-// (first-fill-wins CAS, the entryKeyCache discipline), so each
+// (first-fill-wins CAS, the Entry.keycache discipline), so each
 // principal pays its decode on first use and a stable *Entry identity
 // afterwards — which is also what lets the per-entry key cache stick.
 type snapBase struct {

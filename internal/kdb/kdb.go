@@ -46,8 +46,9 @@ type Entry struct {
 	ModTime time.Time // last modification
 	ModBy   string    // principal that made the last modification
 
-	// keycache caches the entry's decrypted private key and expanded
-	// schedule (*entryKeyCache), filled by Database.Key on first use.
+	// keycache caches the entry's decrypted private key as its expanded
+	// schedule (*des.Cipher, which also carries the key), filled by
+	// Database.Key or KeyCipher on first use.
 	// Stored entries are immutable-and-replaced, so a cache riding on
 	// the entry can never serve a stale key: any mutation (password
 	// change, delta install, reload) produces a new Entry with an empty
@@ -303,13 +304,6 @@ type dbShard struct {
 	preBaseDigest uint64
 }
 
-// entryKeyCache is an entry's decrypted private key and its expanded
-// schedule — the immutable value Entry.keycache points at once filled.
-type entryKeyCache struct {
-	key    des.Key
-	cipher *des.Cipher
-}
-
 // New creates a database over a fresh EpochStore (lock-free reads).
 func New(masterKey des.Key) *Database {
 	return NewWithStore(masterKey, NewEpochStore())
@@ -486,41 +480,36 @@ func notFoundErr(name, instance string) error {
 //
 //kerb:hotpath
 func (db *Database) Key(e *Entry) (des.Key, error) {
-	ck, err := db.cachedKey(e)
+	c, err := db.KeyCipher(e)
 	if err != nil {
 		return des.Key{}, err
 	}
-	return ck.key, nil
+	return c.Key(), nil
 }
 
 // KeyCipher returns the expanded schedule of an entry's decrypted
-// private key, cached alongside the key itself.
+// private key, the one copy of that key the entry cache holds. The KDC
+// seals and unseals with it directly, so a long-lived key is expanded
+// once per entry, never per request.
 func (db *Database) KeyCipher(e *Entry) (*des.Cipher, error) {
-	ck, err := db.cachedKey(e)
-	if err != nil {
-		return nil, err
-	}
-	return ck.cipher, nil
-}
-
-func (db *Database) cachedKey(e *Entry) (*entryKeyCache, error) {
 	if p := atomic.LoadPointer(&e.keycache); p != nil {
-		return (*entryKeyCache)(p), nil
+		return (*des.Cipher)(p), nil
 	}
 	plain, err := db.masterCipher.Unseal(e.EncKey)
 	// The unsealed buffer is the principal's private key in the clear;
 	// wipe it on every return path (§4.1 keyzero discipline).
 	defer clear(plain)
-	if err != nil || len(plain) != des.KeySize {
+	if err != nil {
 		return nil, ErrMasterKey
 	}
-	ck := &entryKeyCache{}
-	copy(ck.key[:], plain)
-	ck.cipher = des.NewCipher(ck.key)
+	c, err := des.NewCipherBytes(plain)
+	if err != nil {
+		return nil, ErrMasterKey
+	}
 	// First fill wins, so every caller sees one stable cache identity
 	// (losers re-load the winner and drop their duplicate).
-	atomic.CompareAndSwapPointer(&e.keycache, nil, unsafe.Pointer(ck))
-	return (*entryKeyCache)(atomic.LoadPointer(&e.keycache)), nil
+	atomic.CompareAndSwapPointer(&e.keycache, nil, unsafe.Pointer(c))
+	return (*des.Cipher)(atomic.LoadPointer(&e.keycache)), nil
 }
 
 // SetKey changes a principal's private key (password change or srvtab

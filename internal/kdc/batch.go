@@ -31,6 +31,12 @@ import (
 // direct seal, and the staging scratch is pooled, so it allocates no
 // staging arrays either. Failures are isolated per request: a corrupt
 // lane gets its error reply while its neighbours proceed.
+//
+// No stage re-expands a long-lived key: the TGS, service and client
+// keys travel as the kdb-owned *des.Cipher of their entry. The one
+// short-lived key a lane uses twice, a TGS request's TGT session key
+// (authenticator unseal, then reply seal), is expanded once into the
+// lane's scratch Cipher, which release wipes.
 
 // BatchRequest is one datagram of a HandleBatch call: the encoded
 // request, the address it arrived from, and (set by the call) the
@@ -54,7 +60,7 @@ type batchExchange struct {
 	serviceEntry *kdb.Entry
 	life         core.Lifetime
 	reqTime      core.KerberosTime
-	replyKey     des.Key // client private key (AS) or TGT session key (TGS)
+	replyCipher  *des.Cipher // client private key (AS) or TGT session key (TGS)
 	replyKVNO    uint8
 	sessionKey   des.Key
 
@@ -68,12 +74,13 @@ type batchExchange struct {
 // pipeline is one call's staging scratch. Each kind of DES batch is
 // carved from a shared backing array — TGT then authenticator unseals,
 // ticket then reply seals — and the idx slices map a batch position
-// back to its lane.
+// back to its lane. ciphers[i] is lane i's TGT session key schedule.
 type pipeline struct {
 	exs     []batchExchange
 	unseals []des.UnsealRequest
 	seals   []des.SealRequest
 	idx     []int
+	ciphers []des.Cipher
 }
 
 var pipelinePool = sync.Pool{New: func() any { return new(pipeline) }}
@@ -87,21 +94,23 @@ func getPipeline(n int) *pipeline {
 			unseals: make([]des.UnsealRequest, 2*n),
 			seals:   make([]des.SealRequest, 2*n),
 			idx:     make([]int, 3*n),
+			ciphers: make([]des.Cipher, n),
 		}
 	}
 	p.exs = p.exs[:n]
 	return p
 }
 
-// release wipes the key material the stages parked — client keys and
-// TGT session keys in the exchanges, TGS keys and session keys in the
-// unseal batches, service and reply keys in the seal batches — drops
-// every reference the batch held, and returns the scratch to the pool.
+// release wipes the key material the stages parked — the new session
+// keys in the exchanges and the lanes' TGT session key schedules —
+// drops every reference the batch held (the kdb-owned ciphers
+// included), and returns the scratch to the pool.
 func (p *pipeline) release() {
 	n := len(p.exs)
 	clear(p.exs)
 	clear(p.unseals[:2*n])
 	clear(p.seals[:2*n])
+	clear(p.ciphers[:n])
 	pipelinePool.Put(p)
 }
 
@@ -195,8 +204,11 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			ex.ev.Principal = tgt.Client.String()
 		}
 		ex.tgt = tgt
+		// Expanded once: the same schedule seals this lane's reply.
+		sessionCipher := &p.ciphers[i]
+		sessionCipher.SetKey(tgt.SessionKey)
 		authUnseals = append(authUnseals, des.UnsealRequest{
-			Key: tgt.SessionKey, Ciphertext: ex.req.APReq.Authenticator,
+			Cipher: sessionCipher, Ciphertext: ex.req.APReq.Authenticator,
 		})
 		authIdx = append(authIdx, i)
 	}
@@ -292,7 +304,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		// service" (§4.4).
 		ex.life = core.MinLife(req.Life, core.MinLife(ex.tgt.RemainingLife(now), effMaxLife(serviceEntry)))
 		ex.reqTime = req.Time
-		ex.replyKey = ex.tgt.SessionKey
+		ex.replyCipher = &p.ciphers[i]
 		ex.auth = auth
 		ex.digest = digest
 	}
@@ -305,7 +317,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		if ex.done {
 			continue
 		}
-		serviceKey, err := s.db.Key(ex.serviceEntry)
+		serviceCipher, err := s.db.KeyCipher(ex.serviceEntry)
 		if err != nil {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt key for %v", ex.service))
 			ex.done = true
@@ -326,7 +338,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			Life:       ex.life,
 			SessionKey: sessionKey,
 		}
-		ticketSeals = append(ticketSeals, des.SealRequest{Key: serviceKey, Plaintext: ticket.SealPayload()})
+		ticketSeals = append(ticketSeals, des.SealRequest{Cipher: serviceCipher, Plaintext: ticket.SealPayload()})
 		sealIdx = append(sealIdx, i)
 	}
 	des.SealBatch(ticketSeals)
@@ -346,7 +358,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			RequestTime: ex.reqTime,
 			Ticket:      ticketSeals[j].Sealed,
 		}
-		replySeals = append(replySeals, des.SealRequest{Key: ex.replyKey, Plaintext: enc.SealPayload()})
+		replySeals = append(replySeals, des.SealRequest{Cipher: ex.replyCipher, Plaintext: enc.SealPayload()})
 	}
 	des.SealBatch(replySeals)
 
@@ -429,7 +441,7 @@ func (s *Server) stageAS(msg []byte, ex *batchExchange, now time.Time) []byte {
 	if err != nil {
 		return s.fail(&ex.ev, err)
 	}
-	clientKey, err := s.db.Key(clientEntry)
+	clientCipher, err := s.db.KeyCipher(clientEntry)
 	if err != nil {
 		return s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt key for %v", client))
 	}
@@ -438,7 +450,7 @@ func (s *Server) stageAS(msg []byte, ex *batchExchange, now time.Time) []byte {
 	ex.serviceEntry = serviceEntry
 	ex.life = core.MinLife(req.Life, core.MinLife(effMaxLife(clientEntry), effMaxLife(serviceEntry)))
 	ex.reqTime = req.Time
-	ex.replyKey = clientKey // wiped by the pipeline's scratch release
+	ex.replyCipher = clientCipher
 	ex.replyKVNO = clientEntry.KVNO
 	return nil
 }
@@ -468,10 +480,10 @@ func (s *Server) stageTGSOpen(msg []byte, ex *batchExchange, now time.Time) (des
 		return des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrWrongRealm,
 			"no key shared with realm %s", issuingRealm))
 	}
-	tgsKey, err := s.db.Key(tgsEntry)
+	tgsCipher, err := s.db.KeyCipher(tgsEntry)
 	if err != nil {
 		return des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt TGS key"))
 	}
 	ex.req = req
-	return des.UnsealRequest{Key: tgsKey, Ciphertext: req.APReq.Ticket}, nil
+	return des.UnsealRequest{Cipher: tgsCipher, Ciphertext: req.APReq.Ticket}, nil
 }

@@ -105,7 +105,7 @@ go test -run '^$' -benchmem -count="$COUNT" \
 go test -run '^$' -benchmem -count="$COUNT" \
     -bench 'ReplayContention' ./internal/replay/ | tee -a "$RAW"
 go test -run '^$' -benchmem -count="$COUNT" \
-    -bench 'BitsliceDES|ScalarDES|SealBatch64|SealSerial64' ./internal/des/ | tee -a "$RAW"
+    -bench 'BitsliceDES|ScalarDES|SealBatch64|SealSerial64|NewCipher|SealRotatingKeys' ./internal/des/ | tee -a "$RAW"
 
 # S9x1000 is the scaling headline (5M principals behind a 3-instance
 # cluster): one long-setup run, fixed iteration count so runs compare.
