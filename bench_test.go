@@ -252,10 +252,8 @@ func BenchmarkKDCParallelTGS(b *testing.B) {
 
 // BenchmarkKDCBatchAS measures the KDC's batched AS pipeline: one
 // HandleBatch call carrying 64 independent requests, the shape the ring
-// transport presents under a flood. All DES work runs through the
-// bitsliced engine (64 lanes ≥ the batch threshold); the ns/req metric
-// is the per-request cost to compare against BenchmarkKDCParallelAS's
-// scalar ns/op.
+// transport presents under a flood. The ns/req metric is the
+// per-request cost to compare against BenchmarkKDCParallelAS's ns/op.
 func BenchmarkKDCBatchAS(b *testing.B) {
 	env := newBenchEnv(b)
 	req := (&core.AuthRequest{

@@ -26,7 +26,6 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/des.(*Cipher).SetKey":              {"internal/des/des_test.go", "TestExpandKeyAllocs"},
 	"internal/des.SealBatch":                     {"internal/des/batch_test.go", "TestSealBatchAllocs"},
 	"internal/des.UnsealBatch":                   {"internal/des/batch_test.go", "TestUnsealBatchAllocs"},
-	"internal/des.CBCChecksumBatch":              {"internal/des/batch_test.go", "TestCBCChecksumBatchAllocs"},
 	"internal/kdb.(*Database).Key":               {"internal/kdb/keycache_test.go", "TestKeyCacheHit"},
 	"internal/kdb.(*Database).GetRO":             {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
 	"internal/kdb.(*EpochStore).FetchSharedPair": {"internal/kdb/epoch_test.go", "TestGetROAllocs"},

@@ -4,14 +4,14 @@ package core
 // (internal/kdc.HandleBatch) stages many independent exchanges through
 // des.SealBatch and des.UnsealBatch, which need the cleartext encodings
 // that Seal, OpenTicket, NewAuthReply, and OpenAuthenticator wrap: the
-// batch gathers payloads, runs one bitsliced pass over all of them, and
+// batch gathers payloads, seals or unseals all of them in one call, and
 // reassembles the results. These helpers expose exactly those payloads
 // and their parsers; the wire formats are unchanged, so anything sealed
 // through them is byte-identical to the scalar path's output.
 
 // SealPayload returns the cleartext encoding Seal would encrypt — hand
 // it to des.SealBatch with the server key to seal many tickets in one
-// bitsliced pass.
+// call.
 func (t *Ticket) SealPayload() []byte { return t.encode() }
 
 // ParseTicketPayload parses the plaintext a batched unseal recovered
@@ -24,7 +24,7 @@ func ParseTicketPayload(plain []byte) (*Ticket, error) {
 
 // SealPayload returns the cleartext encoding NewAuthReply would seal —
 // hand it to des.SealBatch with the client key (AS) or TGT session key
-// (TGS) to seal many reply parts in one bitsliced pass. The sealed
+// (TGS) to seal many reply parts in one call. The sealed
 // result belongs in AuthReply.Sealed.
 func (m *EncTicketReply) SealPayload() []byte { return m.encode() }
 

@@ -15,8 +15,7 @@ import (
 // Handle or a drained UDP burst through HandleBatch — runs the same
 // staged logic, so each check, error, metric, log line and trace field
 // is written once. The stages put every DES operation of the batch into
-// a des.SealBatch or des.UnsealBatch call, where the bitsliced cipher
-// (internal/des) encrypts up to 64 messages per pass:
+// a des.SealBatch or des.UnsealBatch call, one call per DES phase:
 //
 //	stage 1   decode + validate every request; TGS requests queue
 //	          their TGT ciphertexts            → one UnsealBatch
@@ -26,11 +25,11 @@ import (
 //	phase C   build all reply parts            → one SealBatch
 //	phase D   encode replies, remember TGS authenticators
 //
-// Below des.bsBatchMin lanes the batch calls run the scalar Seal and
-// Unseal per message, so a lone request does exactly the DES work of a
-// direct seal, and the staging scratch is pooled, so it allocates no
-// staging arrays either. Failures are isolated per request: a corrupt
-// lane gets its error reply while its neighbours proceed.
+// The batch calls are loops over the per-message seal and unseal, so a
+// lone request does exactly the DES work of a direct seal, and the
+// staging scratch is pooled, so it allocates no staging arrays either.
+// Failures are isolated per request: a corrupt lane gets its error
+// reply while its neighbours proceed.
 //
 // No stage re-expands a long-lived key: the TGS, service and client
 // keys travel as the kdb-owned *des.Cipher of their entry. The one
@@ -116,8 +115,8 @@ func (p *pipeline) release() {
 
 // HandleBatch processes a burst of independent requests, filling in
 // each BatchRequest's Reply. It is equivalent to calling Handle once
-// per request — same replies, same metrics, same traces — but gathers
-// the burst's DES work into bitsliced batch passes.
+// per request — same replies, same metrics, same traces — but runs the
+// burst's stages together, one des batch call per DES phase.
 //
 //kerb:hotpath
 func (s *Server) HandleBatch(batch []BatchRequest) {

@@ -119,11 +119,10 @@ func TestHandleBatchMixed(t *testing.T) {
 	}
 }
 
-// TestHandleBatchLargeAS pushes a batch wide enough (48 ≥ the bitslice
-// threshold) that both seal phases run through the bitsliced engine, and
-// proves the batch-issued tickets are real: every reply opens under the
-// client key, and a TGT issued by the batch drives a scalar TGS
-// exchange end to end.
+// TestHandleBatchLargeAS pushes a 48-wide AS batch through both seal
+// phases and proves the batch-issued tickets are real: every reply opens
+// under the client key, and a TGT issued by the batch drives a scalar
+// TGS exchange end to end.
 func TestHandleBatchLargeAS(t *testing.T) {
 	r := newRealm(t, testRealm)
 	tgs := core.TGSPrincipal(testRealm, testRealm)
@@ -138,12 +137,7 @@ func TestHandleBatchLargeAS(t *testing.T) {
 		}
 		batch[i] = BatchRequest{Msg: r.asReqBytes("jis", service), From: wsAddr}
 	}
-	passesBefore, _ := des.BatchCounters()
 	r.server.HandleBatch(batch)
-	passesAfter, _ := des.BatchCounters()
-	if passesAfter == passesBefore {
-		t.Errorf("batch of %d did not run any bitsliced passes", n)
-	}
 
 	var tgtEnc *core.EncTicketReply
 	for i := range batch {
@@ -201,20 +195,15 @@ func TestHandleBatchLargeTGS(t *testing.T) {
 	}
 }
 
-// TestHandleBatchDepth1FastPath checks a batch of one runs no bitsliced
-// pass: below the bitslice threshold the pipeline's batch crypto calls
-// seal and unseal each message with the scalar cipher, so a lone
-// request costs what a direct seal does.
+// TestHandleBatchDepth1FastPath checks a batch of one is answered like
+// a direct request and observed once in the batch-size histogram, and
+// that an empty batch is a no-op that is still observed.
 func TestHandleBatchDepth1FastPath(t *testing.T) {
 	r := newRealm(t, testRealm)
 	svc := core.Principal{Name: "rlogin", Instance: "priam", Realm: testRealm}
 	batch := []BatchRequest{{Msg: r.asReqBytes("jis", svc), From: wsAddr}}
 
-	passesBefore, _ := des.BatchCounters()
 	r.server.HandleBatch(batch)
-	if passesAfter, _ := des.BatchCounters(); passesAfter != passesBefore {
-		t.Errorf("depth-1 batch ran bitsliced passes: %d→%d", passesBefore, passesAfter)
-	}
 	if enc := openBatchReply(t, batch[0].Reply, r.userKey); enc.Server != svc {
 		t.Errorf("server = %v, want %v", enc.Server, svc)
 	}
@@ -268,10 +257,9 @@ func TestHandleBatchMetrics(t *testing.T) {
 // TestHandleBatchAllocs bounds the pipeline's allocation budget:
 // per-request work (decode, payload buffers, seal outputs, the encoded
 // reply) is allowed, but nothing superlinear — the staging scratch is
-// pooled and so is the bitsliced scratch. At width 1 the budget is the
-// per-request work alone (12 allocs for AS, 24 for TGS) plus the five
-// staging allocations an empty pool costs, since the race detector's
-// pool drops objects at random.
+// pooled. At width 1 the budget is the per-request work alone (12
+// allocs for AS, 24 for TGS) plus the five staging allocations an empty
+// pool costs, since the race detector's pool drops objects at random.
 func TestHandleBatchAllocs(t *testing.T) {
 	r := newRealm(t, testRealm)
 	tgs := core.TGSPrincipal(testRealm, testRealm)
@@ -440,9 +428,8 @@ func sweepKinds(t *testing.T, r *realm) []laneKind {
 }
 
 // TestHandleBatchWidthSweep asserts every lane kind alone through
-// Handle, then batches that cycle through all kinds at widths around
-// the bitslice threshold (40 lanes) and the 64-lane pass split, so
-// lanes of every kind share bitsliced and scalar passes: each lane must
+// Handle, then batches that cycle through all kinds at widths from 1
+// to 130, so lanes of every kind share one batch call: each lane must
 // get exactly the reply it gets alone.
 func TestHandleBatchWidthSweep(t *testing.T) {
 	r := newRealm(t, testRealm)

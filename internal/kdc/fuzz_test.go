@@ -39,9 +39,9 @@ func joinDatagrams(msgs ...[]byte) []byte {
 
 // FuzzHandleBatch drives the request pipeline with bursts of arbitrary
 // datagrams, seeded with valid AS and TGS requests (alone, mixed with
-// garbage, duplicated, and wide enough for bitsliced passes). Every
-// lane must get a reply a client would accept as a KDC message, and no
-// input may panic the server.
+// garbage, duplicated, and 48 lanes wide). Every lane must get a reply
+// a client would accept as a KDC message, and no input may panic the
+// server.
 func FuzzHandleBatch(f *testing.F) {
 	r := newRealm(f, testRealm)
 	tgs := core.TGSPrincipal(testRealm, testRealm)

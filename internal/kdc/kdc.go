@@ -68,13 +68,8 @@ func (m *Metrics) register(reg *obs.Registry) {
 	reg.RegisterHistogram("kdc_tgs_latency", &m.TGSLatency)
 	reg.RegisterSizeHistogram("kdc_batch_size", &m.BatchSizes)
 	reg.RegisterSizeHistogram("kdc_batch_gather_occupancy", &m.GatherOccupancy)
-	// Library-wide crypto counters: how often batched seal/unseal work
-	// went through the bitsliced cipher versus falling back to scalar
-	// per-message operations (below-threshold batches).
-	reg.GaugeFunc("kdc_batch_bitslice_passes", func() int64 {
-		p, _ := des.BatchCounters()
-		return int64(p)
-	})
+	// Library-wide crypto counter: messages sealed or unsealed through
+	// the des batch entry points.
 	reg.GaugeFunc("kdc_batch_scalar_ops", func() int64 {
 		_, s := des.BatchCounters()
 		return int64(s)

@@ -351,6 +351,39 @@ func TestTGSReplayDetected(t *testing.T) {
 	}
 }
 
+// TestTGSReplayAtWindowEdge pins §4.3's single-use promise at the exact
+// edge of the replay window. An authenticator stamped ClockSkew ahead of
+// the server clock passes the skew check, and passes it again exactly
+// 2×ClockSkew later, when it is ClockSkew behind. At that instant the
+// server must still remember it: the same authenticator on another
+// request, here for a fresh TGT, is refused, and the byte-identical
+// retransmission gets the original reply.
+func TestTGSReplayAtWindowEdge(t *testing.T) {
+	r := newRealm(t, testRealm)
+	tgt := r.asExchange(t, core.TGSPrincipal(testRealm, testRealm), core.DefaultTGTLife)
+	svc := core.Principal{Name: "rlogin", Instance: "priam", Realm: testRealm}
+
+	stamp := t0.Add(core.ClockSkew)
+	req := r.tgsReqBytes(tgt, svc, stamp)
+	first := r.server.Handle(req, wsAddr)
+	if err := core.IfErrorMessage(first); err != nil {
+		t.Fatalf("first request failed: %v", err)
+	}
+
+	r.clock.now = stamp.Add(core.ClockSkew)
+	forged, err := core.DecodeTGSRequest(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Service = core.TGSPrincipal(testRealm, testRealm)
+	if c := protoCode(t, r.server.Handle(forged.Encode(), wsAddr)); c != core.ErrRepeat {
+		t.Errorf("replay at the window edge: code = %v, want %v", c, core.ErrRepeat)
+	}
+	if again := r.server.Handle(req, wsAddr); !bytes.Equal(again, first) {
+		t.Errorf("retransmission at the window edge was not answered with the original reply")
+	}
+}
+
 // TestTGSAddressCheck: a request arriving from a host other than the
 // one the ticket was issued to is refused (§4.3).
 func TestTGSAddressCheck(t *testing.T) {

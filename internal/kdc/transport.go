@@ -24,15 +24,14 @@ import (
 // The UDP path is a two-stage ring: one reader goroutine drains the
 // socket into a fixed ring of packet slots, and one handler goroutine
 // drains the ring in bursts through Server.HandleBatch, so a loaded
-// socket naturally presents multi-request batches to the bitsliced
-// crypto engine. The handler never waits for a burst to fill: batch
-// width comes only from arrival concurrency, and a lone datagram is a
-// batch of one, whose DES work the batch calls run scalar, so idle-load
-// latency is that of a direct dispatch. Replies are written back, one
-// sendto per datagram — portable stdlib I/O; without golang.org/x/sys
-// there is no recvmmsg/sendmmsg, so the batching win here is in the
-// crypto and the handoff, not in syscall count. If the handler falls
-// behind and the ring fills, the reader serves datagrams inline through
+// socket presents multi-request batches to the staged pipeline. The
+// handler never waits for a burst to fill: batch width comes only from
+// arrival concurrency, and a lone datagram is a batch of one, so
+// idle-load latency is that of a direct dispatch. Replies are written
+// back, one sendto per datagram — portable stdlib I/O; without
+// golang.org/x/sys there is no recvmmsg/sendmmsg, so batching saves
+// per-request handoff, not syscalls. If the handler falls behind and
+// the ring fills, the reader serves datagrams inline through
 // Server.Handle — the kernel socket buffer, not an unbounded queue, is
 // the backpressure.
 // TCP connections are capped by a semaphore and every read carries a
@@ -57,7 +56,6 @@ var (
 	// shrink it to force the oversized path with ordinary messages.
 	maxUDPReply = MaxUDPMessage
 	// maxUDPBatch caps how many ring slots one HandleBatch call drains;
-	// des batches beyond 64 lanes split into multiple passes anyway, and
 	// a bounded drain keeps first-reply latency flat under floods.
 	maxUDPBatch = 64
 )

@@ -11,7 +11,7 @@ import (
 // distribution of small counts (batch sizes, gather-window occupancy,
 // queue drains) rather than durations. Buckets are powers of two from 1
 // to 1024 plus an overflow bucket, matching the shapes the KDC's batch
-// pipeline produces (1..64 lanes per bitsliced pass). Observation is a
+// pipeline produces (1..64 requests per UDP ring drain). Observation is a
 // few atomic adds — no locks, no allocation — and the zero value is
 // ready to use, like the other metric kinds.
 

@@ -59,7 +59,7 @@ func modelKeyOf(auth *core.Authenticator) modelKey {
 
 func (m *model) seenWithReply(auth *core.Authenticator, digest uint64, now time.Time) ([]byte, bool) {
 	k := modelKeyOf(auth)
-	if got, ok := m.seen[k]; ok && now.Before(got.deadline) {
+	if got, ok := m.seen[k]; ok && !now.After(got.deadline) {
 		if got.reply != nil && got.digest == digest {
 			return got.reply, true
 		}
@@ -71,7 +71,7 @@ func (m *model) seenWithReply(auth *core.Authenticator, digest uint64, now time.
 
 func (m *model) remember(auth *core.Authenticator, digest uint64, reply []byte, now time.Time) {
 	k := modelKeyOf(auth)
-	if got, ok := m.seen[k]; ok && now.Before(got.deadline) {
+	if got, ok := m.seen[k]; ok && !now.After(got.deadline) {
 		got.digest = digest
 		got.reply = reply
 		m.seen[k] = got

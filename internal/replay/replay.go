@@ -53,11 +53,11 @@ type key struct {
 	checksum uint32
 }
 
-// expiring is one FIFO-queue element: a key and when it may be
-// forgotten, in Unix nanoseconds. Expiry times come from the caller's
-// now at insert, so the queue is ordered while that clock runs forward;
-// if it steps back, sweeps stop at the later front entry and the
-// entries behind it live longer, never shorter.
+// expiring is one FIFO-queue element: a key and the last instant it
+// must be held, in Unix nanoseconds. Expiry times come from the
+// caller's now at insert, so the queue is ordered while that clock runs
+// forward; if it steps back, sweeps stop at the later front entry and
+// the entries behind it live longer, never shorter.
 type expiring struct {
 	k      key
 	expiry int64
@@ -80,6 +80,14 @@ type entry struct {
 	digest   uint64 // Digest of the full request the reply answers
 	reply    []byte // nil until Remember attaches the server's answer
 }
+
+// live reports whether an entry with the given deadline still guards
+// its authenticator at now. The deadline itself is inclusive: the skew
+// check accepts both ends of its ±ClockSkew range, so an authenticator
+// first accepted ClockSkew early is still skew-valid exactly one window
+// later and must still be held then. SeenWithReply, Remember and sweep
+// all decide through this one comparison.
+func live(now, deadline int64) bool { return now <= deadline }
 
 // shard is one lock domain: the seen map plus the FIFO expiry queue.
 type shard struct {
@@ -209,7 +217,7 @@ func (s *shard) sweep(now int64) (swept int) {
 	s.peak = max(s.peak, len(s.seen))
 	for n := 0; n < sweepBatch && s.head < len(s.queue); n++ {
 		e := &s.queue[s.head]
-		if now < e.expiry {
+		if live(now, e.expiry) {
 			break
 		}
 		if got, ok := s.seen[e.k]; ok && got.deadline == e.expiry {
@@ -291,7 +299,7 @@ func (c *Cache) SeenWithReply(auth *core.Authenticator, reqDigest uint64, now ti
 	if n := s.sweep(ns); n > 0 {
 		c.metrics.Swept.Add(uint64(n))
 	}
-	if got, dup := s.seen[k]; dup && ns < got.deadline {
+	if got, dup := s.seen[k]; dup && live(ns, got.deadline) {
 		c.metrics.Hits.Inc()
 		if got.reply != nil && got.digest == reqDigest {
 			c.metrics.Memoized.Inc()
@@ -315,7 +323,7 @@ func (c *Cache) Remember(auth *core.Authenticator, reqDigest uint64, reply []byt
 	s := &c.shards[shardIndex(auth)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if got, ok := s.seen[k]; ok && now.UnixNano() < got.deadline {
+	if got, ok := s.seen[k]; ok && live(now.UnixNano(), got.deadline) {
 		got.digest = reqDigest
 		got.reply = reply
 		s.seen[k] = got

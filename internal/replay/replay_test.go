@@ -92,6 +92,37 @@ func TestWindowExpiry(t *testing.T) {
 	}
 }
 
+// TestReplayWindowEdge pins the exact end of the replay window (§4.3).
+// The skew check accepts an authenticator stamped ClockSkew ahead of the
+// server clock, and accepts it again exactly 2×ClockSkew later, so the
+// cache must still hold it at that instant: Remember attaches to it, the
+// shard's sweep keeps it, and a presentation is a duplicate. One
+// nanosecond later the skew check rejects the stamp, and the entry is
+// gone.
+func TestReplayWindowEdge(t *testing.T) {
+	stamp := t0.Add(core.ClockSkew)
+	first, edge := t0, t0.Add(2*core.ClockSkew)
+	if !core.WithinSkew(stamp, first) || !core.WithinSkew(stamp, edge) {
+		t.Fatal("both ends of the window must pass the skew check")
+	}
+	c := New()
+	a := auth("jis", stamp, 12)
+	d := Digest([]byte("req"))
+	if _, dup := c.SeenWithReply(a, d, first); dup {
+		t.Fatal("first presentation flagged")
+	}
+	c.Remember(a, d, []byte("reply"), edge)
+	if got, dup := c.SeenWithReply(a, d, edge); !dup || string(got) != "reply" {
+		t.Errorf("at the window edge: reply=%q dup=%v, want \"reply\"/true", got, dup)
+	}
+	if !c.Seen(a, edge) {
+		t.Error("replay at the window edge accepted")
+	}
+	if c.Seen(a, edge.Add(time.Nanosecond)) {
+		t.Error("entry outlived the window")
+	}
+}
+
 func TestSweepEviction(t *testing.T) {
 	c := New()
 	for i := 0; i < 100; i++ {

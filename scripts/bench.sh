@@ -105,7 +105,7 @@ go test -run '^$' -benchmem -count="$COUNT" \
 go test -run '^$' -benchmem -count="$COUNT" \
     -bench 'ReplayContention' ./internal/replay/ | tee -a "$RAW"
 go test -run '^$' -benchmem -count="$COUNT" \
-    -bench 'BitsliceDES|ScalarDES|SealBatch64|SealSerial64|NewCipher|SealRotatingKeys' ./internal/des/ | tee -a "$RAW"
+    -bench 'EncryptBlock|NewCipher|SealRotatingKeys' ./internal/des/ | tee -a "$RAW"
 
 # S9x1000 is the scaling headline (5M principals behind a 3-instance
 # cluster): one long-setup run, fixed iteration count so runs compare.
@@ -151,24 +151,14 @@ END {
 echo "== wrote $OUT"
 cat "$OUT"
 
-# Headline ratios for the bitsliced-DES work: cipher-core speedup, the
-# batched seal win, and the per-request win of the batched KDC pipeline
-# (a 64-wide HandleBatch) over the scalar path.
+# Headline ratio: the per-request cost of the batched KDC pipeline (a
+# 64-wide HandleBatch) against the parallel single-request path.
 awk -F'[:,]' '
 /"ns_op"/ {
     name = $1; gsub(/[" ]/, "", name)
     ns[name] = $3 + 0
 }
 END {
-    if (ns["BenchmarkScalarDES"] && ns["BenchmarkBitsliceDES"])
-        # BitsliceDES ns/op covers one full 64-block pass; per block is /64.
-        printf "== bitslice vs scalar DES:  %.2fx  (%d -> %d ns per block)\n",
-            ns["BenchmarkScalarDES"] / (ns["BenchmarkBitsliceDES"] / 64),
-            ns["BenchmarkScalarDES"], ns["BenchmarkBitsliceDES"] / 64
-    if (ns["BenchmarkSealSerial64"] && ns["BenchmarkSealBatch64"])
-        printf "== batched vs serial Seal:  %.2fx  (%d -> %d ns/op per 64-message batch)\n",
-            ns["BenchmarkSealSerial64"] / ns["BenchmarkSealBatch64"],
-            ns["BenchmarkSealSerial64"], ns["BenchmarkSealBatch64"]
     if (ns["BenchmarkKDCParallelAS"] && ns["BenchmarkKDCBatchAS"])
         printf "== batched KDC AS pipeline: %.2fx per request  (%d ns/op scalar vs %d ns/req batched)\n",
             ns["BenchmarkKDCParallelAS"] / (ns["BenchmarkKDCBatchAS"] / 64),
