@@ -34,24 +34,93 @@ func reqKey(r *SealRequest) Key {
 	return r.Key
 }
 
-// TestSealBatchMatchesSeal is the batch differential: at every width
+// TestSealBatchMatchesSeal is the seal differential: at every width
 // 0..130, with ragged plaintexts and every third lane named by Cipher,
-// SealBatch must produce exactly Seal's bytes, and UnsealBatch must give
-// each lane exactly Unseal's plaintext and error, with corrupt,
-// truncated and wrong-key lanes failing alone among good neighbours.
+// SealBatch must produce exactly Seal's bytes.
 func TestSealBatchMatchesSeal(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
+	for n := 0; n <= 130; n++ {
+		reqs := randomSealReqs(rng, n)
+		SealBatch(reqs)
+		for i := range reqs {
+			r := &reqs[i]
+			if want := Seal(reqKey(r), r.Plaintext); !bytes.Equal(r.Sealed, want) {
+				t.Fatalf("n=%d lane %d: SealBatch %x, Seal %x", n, i, r.Sealed, want)
+			}
+		}
+	}
+}
+
+// TestSealBatchScalarFallback checks that every lane of a batch, thin or
+// wide, is served by the scalar core: BatchCounters reports no bitsliced
+// pass and exactly one lane-op per sealed or unsealed request.
+func TestSealBatchScalarFallback(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 8, 64, 130} {
+		passes0, ops0 := BatchCounters()
+		sreqs := randomSealReqs(rng, n)
+		SealBatch(sreqs)
+		ureqs := make([]UnsealRequest, n)
+		for i := range ureqs {
+			ureqs[i].Key, ureqs[i].Cipher = sreqs[i].Key, sreqs[i].Cipher
+			ureqs[i].Ciphertext = sreqs[i].Sealed
+		}
+		UnsealBatch(ureqs)
+		passes, ops := BatchCounters()
+		if passes != passes0 || passes != 0 {
+			t.Fatalf("n=%d: bitslice passes %d -> %d, want 0", n, passes0, passes)
+		}
+		if got := ops - ops0; got != uint64(2*n) {
+			t.Fatalf("n=%d: %d lane-ops counted, want %d", n, got, 2*n)
+		}
+		for i := range ureqs {
+			if ureqs[i].Err != nil || !bytes.Equal(ureqs[i].Plaintext, sreqs[i].Plaintext) {
+				t.Fatalf("n=%d lane %d: got (%x, %v), want %x", n, i, ureqs[i].Plaintext, ureqs[i].Err, sreqs[i].Plaintext)
+			}
+		}
+	}
+}
+
+// TestSealBatchChunks checks a batch far wider than a UDP drain, with
+// runs of lanes sharing one caller-owned Cipher (as a KDC's lanes share
+// the TGS key), seals every lane correctly and leaves the shared
+// schedules usable.
+func TestSealBatchChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	shared := randomSealReqs(rng, 3)
+	for i := range shared {
+		if shared[i].Cipher == nil {
+			shared[i].Cipher = NewCipher(shared[i].Key)
+		}
+	}
+	reqs := randomSealReqs(rng, 1000)
+	for i := range reqs {
+		if i%4 == 0 {
+			reqs[i].Cipher = shared[(i/4)%len(shared)].Cipher
+		}
+	}
+	SealBatch(reqs)
+	for i := range reqs {
+		r := &reqs[i]
+		if want := Seal(reqKey(r), r.Plaintext); !bytes.Equal(r.Sealed, want) {
+			t.Fatalf("lane %d: SealBatch %x, Seal %x", i, r.Sealed, want)
+		}
+	}
+}
+
+// TestUnsealBatch is the unseal differential: at every width 0..130,
+// UnsealBatch must give each lane exactly Unseal's plaintext and error,
+// with corrupt, truncated and wrong-key lanes failing alone among good
+// neighbours.
+func TestUnsealBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
 	for n := 0; n <= 130; n++ {
 		sreqs := randomSealReqs(rng, n)
 		SealBatch(sreqs)
 		ureqs := make([]UnsealRequest, n)
 		bad := make([]bool, n)
 		for i := range sreqs {
-			s := &sreqs[i]
-			if want := Seal(reqKey(s), s.Plaintext); !bytes.Equal(s.Sealed, want) {
-				t.Fatalf("n=%d lane %d: SealBatch %x, Seal %x", n, i, s.Sealed, want)
-			}
-			u := &ureqs[i]
+			s, u := &sreqs[i], &ureqs[i]
 			u.Key, u.Cipher, u.Ciphertext = s.Key, s.Cipher, s.Sealed
 			// Sabotage some lanes: flipped byte, truncation (to any
 			// length, aligned or not), wrong key.
