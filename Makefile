@@ -14,27 +14,33 @@ race:
 
 # The concurrency regressions (FileStore lost-update, segment-log crash
 # recovery, sharded propagation, the KDC cluster, the KDC request
-# pipeline entered at once from the UDP ring, the ring-full fallback and
-# TCP goroutines over one replay cache, the replay cache itself entered
-# concurrently, a Selector's idle sockets shared by concurrent
-# exchanges) under the race
-# detector with forced parallelism — GOMAXPROCS=4 surfaces the
-# interleavings these tests exist for even on single-CPU boxes.
+# pipeline entered at once by the UDP burst workers and TCP goroutines
+# over one replay cache, a duplicated TGS datagram split across
+# workers, listener shutdown with workers parked, the replay cache
+# itself entered concurrently, a Selector's idle sockets shared by
+# concurrent exchanges) under the race detector with forced
+# parallelism — GOMAXPROCS=4 surfaces the interleavings these tests
+# exist for even on single-CPU boxes, and starts four burst workers.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPRing|TestConcurrentClients|TestSelector|TestPooled' \
+		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestReplay|TestConcurrentUse|TestSweep' \
 		./internal/replay/
 
 # Cross-compile for the other platforms the module builds on, so the
-# build-tagged socket drain (internal/kdc/drain_*.go) and its fallback
-# both keep compiling.
+# build-tagged socket code and its fallbacks keep compiling: the client's
+# socket drain (internal/kdc/drain_*.go) and the KDC's UDP burst
+# syscalls (internal/kdc/udpburst_*.go — recvmmsg/sendmmsg on
+# linux/amd64 and linux/arm64, whose syscall numbers differ; a burst of
+# one everywhere else, 32-bit linux included).
 cross:
 	GOOS=windows go build ./...
 	GOOS=darwin go build ./...
 	GOOS=freebsd go build ./...
+	GOOS=linux GOARCH=386 go build ./...
+	GOOS=linux GOARCH=arm64 go build ./...
 
 # Cold-start budget gate: a 100k-principal, 8-shard realm must come up
 # well under a second (the 1M realm benchmarks ~10x that headroom).

@@ -251,8 +251,8 @@ func BenchmarkKDCParallelTGS(b *testing.B) {
 }
 
 // BenchmarkKDCBatchAS measures the KDC's batched AS pipeline: one
-// HandleBatch call carrying 64 independent requests, the shape the ring
-// transport presents under a flood. The ns/req metric is the
+// HandleBatch call carrying 64 independent requests, the shape a UDP
+// burst worker presents under a flood. The ns/req metric is the
 // per-request cost to compare against BenchmarkKDCParallelAS's ns/op.
 func BenchmarkKDCBatchAS(b *testing.B) {
 	env := newBenchEnv(b)
@@ -283,8 +283,8 @@ func BenchmarkKDCBatchAS(b *testing.B) {
 
 // BenchmarkKDCBatchedUDP measures AS throughput over the real loopback
 // UDP path with a bounded in-flight window: 32 clients each keep one
-// request outstanding, so the ring transport sees genuine arrival
-// concurrency and coalesces it into multi-request batches. One
+// request outstanding, so the burst workers see genuine arrival
+// concurrency and read it as multi-request bursts. One
 // iteration is one completed request/reply round trip.
 func BenchmarkKDCBatchedUDP(b *testing.B) {
 	env := newBenchEnv(b)

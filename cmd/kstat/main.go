@@ -217,8 +217,8 @@ func render(w io.Writer, addr string, cur, prev *sample) {
 		}
 	}
 
-	// Size histograms: batch widths, gather-window occupancy — unitless
-	// counts, so the quantiles and bounds render as plain integers.
+	// Size histograms: batch widths — unitless counts, so the quantiles
+	// and bounds render as plain integers.
 	for _, base := range sizeBases {
 		count := cur.scalars[base+"_count"]
 		fmt.Fprintf(w, "\n  %s  (n=%d)\n", base, count)

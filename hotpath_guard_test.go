@@ -31,6 +31,8 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/kdb.(*EpochStore).FetchSharedPair": {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
 	"internal/kdc.(*Server).HandleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
 	"internal/kdc.(*Server).handleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
+	"internal/kdc.(*udpWorker).recv":             {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
+	"internal/kdc.(*udpWorker).send":             {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
 	"internal/replay.(*Cache).Seen":              {"internal/replay/replay_test.go", "TestSeenReplayCheckAllocs"},
 	"internal/obs.(*Counter).Inc":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
 	"internal/obs.(*Counter).Add":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},

@@ -8,12 +8,13 @@ import (
 	"kerberos/internal/core"
 )
 
-// splitDatagrams cuts fuzz input into 1..maxUDPBatch datagrams: a run
-// of records, each a 2-byte big-endian length and that many bytes, and
-// whatever does not form a whole record as the last datagram.
+// splitDatagrams cuts fuzz input into 1..udpBurst datagrams, at most
+// one UDP burst: a run of records, each a 2-byte big-endian length and
+// that many bytes, and whatever does not form a whole record as the
+// last datagram.
 func splitDatagrams(data []byte) [][]byte {
 	var out [][]byte
-	for len(out) < maxUDPBatch-1 && len(data) >= 2 {
+	for len(out) < udpBurst-1 && len(data) >= 2 {
 		n := int(binary.BigEndian.Uint16(data))
 		if n > len(data)-2 {
 			break

@@ -43,6 +43,9 @@ type Metrics struct {
 	// UDPOverflows counts replies that exceeded the UDP datagram bound
 	// and were replaced by the "retry over TCP" signal.
 	UDPOverflows obs.Counter
+	// UDPSendErrors counts UDP replies the socket refused to send. Each
+	// is skipped; the rest of its burst is still sent.
+	UDPSendErrors obs.Counter
 	// ASLatency and TGSLatency distribute per-request service time,
 	// including requests answered with an error reply.
 	ASLatency  obs.Histogram
@@ -51,9 +54,6 @@ type Metrics struct {
 	// each drained burst actually carried (a lone datagram is a batch of
 	// one).
 	BatchSizes obs.SizeHistogram
-	// GatherOccupancy distributes the UDP ring's depth at each drain,
-	// before the maxUDPBatch cap was applied.
-	GatherOccupancy obs.SizeHistogram
 }
 
 // register attaches every field to reg under the kdc_ prefix.
@@ -64,10 +64,10 @@ func (m *Metrics) register(reg *obs.Registry) {
 	reg.RegisterCounter("kdc_skew_errors", &m.SkewErrors)
 	reg.RegisterCounter("kdc_tgs_retransmits", &m.TGSRetransmits)
 	reg.RegisterCounter("kdc_udp_overflows", &m.UDPOverflows)
+	reg.RegisterCounter("kdc_udp_send_errors", &m.UDPSendErrors)
 	reg.RegisterHistogram("kdc_as_latency", &m.ASLatency)
 	reg.RegisterHistogram("kdc_tgs_latency", &m.TGSLatency)
 	reg.RegisterSizeHistogram("kdc_batch_size", &m.BatchSizes)
-	reg.RegisterSizeHistogram("kdc_batch_gather_occupancy", &m.GatherOccupancy)
 	// Library-wide crypto counter: messages sealed or unsealed through
 	// the des batch entry points.
 	reg.GaugeFunc("kdc_batch_scalar_ops", func() int64 {
@@ -144,8 +144,8 @@ func (s *Server) ReplayLen() int { return s.replays.Len() }
 
 // Handle processes one encoded request from the given address and
 // returns the encoded reply. It is transport-independent: the TCP
-// listener, the UDP reader's ring-full fallback, in-process tests, and
-// benchmarks all call it. It runs the request pipeline HandleBatch runs,
+// listener, in-process tests, and benchmarks call it; UDP bursts go
+// through HandleBatch. It runs the request pipeline HandleBatch runs,
 // on a batch of one. It never returns nil; protocol failures become
 // MsgError replies.
 func (s *Server) Handle(msg []byte, from core.Addr) []byte {

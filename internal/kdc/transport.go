@@ -8,8 +8,8 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"kerberos/internal/core"
@@ -21,19 +21,21 @@ import (
 // clients behind stream-only paths. Both feed the one request pipeline:
 // TCP frames through Server.Handle, datagrams through Server.HandleBatch.
 //
-// The UDP path is a two-stage ring: one reader goroutine drains the
-// socket into a fixed ring of packet slots, and one handler goroutine
-// drains the ring in bursts through Server.HandleBatch, so a loaded
-// socket presents multi-request batches to the staged pipeline. The
-// handler never waits for a burst to fill: batch width comes only from
-// arrival concurrency, and a lone datagram is a batch of one, so
-// idle-load latency is that of a direct dispatch. Replies are written
-// back, one sendto per datagram — portable stdlib I/O; without
-// golang.org/x/sys there is no recvmmsg/sendmmsg, so batching saves
-// per-request handoff, not syscalls. If the handler falls behind and
-// the ring fills, the reader serves datagrams inline through
-// Server.Handle — the kernel socket buffer, not an unbounded queue, is
-// the backpressure.
+// The UDP path is runtime.GOMAXPROCS(0) burst workers on the one socket.
+// A capacity-1 read token lets one worker read at a time. The holder
+// reads a burst — on linux/amd64 and linux/arm64 every datagram queued,
+// up to udpBurst, with one recvmmsg — and, when the burst held at least
+// udpHandOff datagrams, passes the token to a sibling before handling
+// it, so a loaded socket is drained by one worker while others run the
+// pipeline. A thinner burst keeps the token: at light load one worker
+// reads, handles and replies with no wake-up of a sibling in between.
+// The worker runs its burst through HandleBatch and writes every reply
+// with one sendmmsg, addressed to the sockaddr recvmmsg filled in.
+// Batch width comes only from arrival concurrency: no worker waits for
+// a burst to fill. Other platforms run the same loop with a burst of
+// one through ReadFromUDPAddrPort/WriteToUDPAddrPort, so they never
+// hand off and serve datagrams serially. The kernel socket buffer, not
+// an unbounded queue, is the backpressure.
 // TCP connections are capped by a semaphore and every read carries a
 // deadline, so a stalled or hostile client can neither pin a goroutine
 // forever nor exhaust the server's slot budget.
@@ -43,6 +45,18 @@ const MaxUDPMessage = 8192
 
 // maxTCPMessage bounds a framed stream message.
 const maxTCPMessage = 1 << 20
+
+// udpBurst caps the datagrams one worker reads per burst and hands to
+// one HandleBatch call; a bounded burst keeps first-reply latency flat
+// under floods.
+const udpBurst = 64
+
+// udpHandOff is the smallest burst whose reader hands the read token to
+// a sibling before handling it. Each hand-off wakes a sibling: on a
+// lightly loaded KDC, handing off the occasional burst of two or three
+// more than doubled the p99 latency of a login, while a flood's bursts
+// run about a dozen wide (DESIGN.md §12).
+const udpHandOff = 4
 
 // Tunables, variables so tests can tighten them. Read once at Serve.
 var (
@@ -55,36 +69,7 @@ var (
 	// datagram; larger replies become the "retry over TCP" signal. Tests
 	// shrink it to force the oversized path with ordinary messages.
 	maxUDPReply = MaxUDPMessage
-	// maxUDPBatch caps how many ring slots one HandleBatch call drains;
-	// a bounded drain keeps first-reply latency flat under floods.
-	maxUDPBatch = 64
 )
-
-// udpRingSize is the slot count of the reader→handler ring (a power of
-// two). 256 slots of MaxUDPMessage is 2 MiB of packet buffers, owned
-// for the listener's lifetime.
-const (
-	udpRingSize = 256
-	udpRingMask = udpRingSize - 1
-)
-
-// udpSlot is one ring entry: a received datagram and where it came from.
-type udpSlot struct {
-	n    int
-	from *net.UDPAddr
-	buf  [MaxUDPMessage]byte
-}
-
-// udpRing is the single-producer single-consumer queue between the
-// socket reader and the batch handler. The reader owns head, the
-// handler owns tail; both are plain atomics, so neither side ever takes
-// a lock. Slot contents are published by the head store and released by
-// the tail store.
-type udpRing struct {
-	head  atomic.Uint64
-	tail  atomic.Uint64
-	slots [udpRingSize]udpSlot
-}
 
 // udpOverflowReply is the pre-encoded "response too big, use TCP" error
 // the UDP path sends in place of a reply that exceeds maxUDPReply.
@@ -97,10 +82,9 @@ var udpOverflowReply = (&core.ErrorMessage{
 type Listener struct {
 	server *Server
 
-	udp     *net.UDPConn
-	tcp     net.Listener
-	ring    *udpRing
-	udpWake chan struct{} // cap 1; reader nudges, closes on exit
+	udp       *net.UDPConn
+	tcp       net.Listener
+	readToken chan struct{} // cap 1: held by the one worker reading udp
 
 	tcpSem      chan struct{} // counting semaphore: live TCP conns
 	readTimeout time.Duration
@@ -135,23 +119,40 @@ func Serve(server *Server, addr string) (*Listener, error) {
 			return nil, fmt.Errorf("kdc: binding tcp: %w", err)
 		}
 	}
+	l := newListener(server, udp)
+	l.tcp = tcp
+	workers := make([]*udpWorker, runtime.GOMAXPROCS(0))
+	for i := range workers {
+		if workers[i], err = newUDPWorker(l); err != nil {
+			l.cancel()
+			udp.Close()
+			tcp.Close()
+			return nil, fmt.Errorf("kdc: udp worker: %w", err)
+		}
+	}
+	l.wg.Add(len(workers) + 1)
+	for _, w := range workers {
+		go l.serveUDP(w)
+	}
+	go l.serveTCP()
+	return l, nil
+}
+
+// newListener returns a Listener on udp with the read token in hand and
+// no goroutine started.
+func newListener(server *Server, udp *net.UDPConn) *Listener {
 	ctx, cancel := context.WithCancel(context.Background())
 	l := &Listener{
 		server:      server,
 		udp:         udp,
-		tcp:         tcp,
-		ring:        new(udpRing),
-		udpWake:     make(chan struct{}, 1),
+		readToken:   make(chan struct{}, 1),
 		tcpSem:      make(chan struct{}, maxTCPConns),
 		readTimeout: tcpReadTimeout,
 		ctx:         ctx,
 		cancel:      cancel,
 	}
-	l.wg.Add(3)
-	go l.udpReader()
-	go l.udpHandler()
-	go l.serveTCP()
-	return l, nil
+	l.readToken <- struct{}{}
+	return l
 }
 
 // Addr returns the bound address, suitable for clients.
@@ -166,98 +167,63 @@ func (l *Listener) Close() error {
 	return nil
 }
 
-// udpReader is the ring's single producer: it reads each datagram
-// directly into the next free slot's buffer — no copy between the
-// socket and the batch — publishes it with the head store, and nudges
-// the handler. When the ring is full the handler is saturated, so the
-// reader serves the datagram inline through Handle instead of dropping
-// it or queueing without bound; while it does, the kernel socket buffer
-// absorbs the burst.
-func (l *Listener) udpReader() {
+// udpWorker is one burst worker's state. The platform part, burstIO,
+// holds the receive buffers and whatever the burst syscalls need, all
+// built once in newUDPWorker so a steady-state burst allocates nothing.
+type udpWorker struct {
+	l     *Listener
+	batch [udpBurst]BatchRequest
+	burstIO
+}
+
+// serveUDP is one burst worker. It waits for the read token, reads a
+// burst, and hands the token on when the burst held at least
+// udpHandOff datagrams — the socket is evidently busy, so a sibling
+// should read while this worker runs the pipeline. A thinner burst
+// keeps the token and the worker reads again after replying. There is
+// exactly one token, so the send never blocks.
+func (l *Listener) serveUDP(w *udpWorker) {
 	defer l.wg.Done()
-	defer close(l.udpWake)
-	spare := make([]byte, MaxUDPMessage)
 	for {
-		h := l.ring.head.Load()
-		if h-l.ring.tail.Load() < udpRingSize {
-			slot := &l.ring.slots[h&udpRingMask]
-			n, from, err := l.udp.ReadFromUDP(slot.buf[:])
+		select {
+		case <-l.readToken:
+		case <-l.ctx.Done():
+			return
+		}
+		for held := true; held; {
+			n, err := w.recv()
 			if err != nil {
 				if l.ctx.Err() != nil {
 					return
 				}
 				continue
 			}
-			slot.n, slot.from = n, from
-			l.ring.head.Store(h + 1)
-			select {
-			case l.udpWake <- struct{}{}:
-			default:
+			if n >= udpHandOff {
+				l.readToken <- struct{}{}
+				held = false
 			}
-			continue
+			l.server.HandleBatch(w.batch[:n])
+			w.send(n)
 		}
-		n, from, err := l.udp.ReadFromUDP(spare)
-		if err != nil {
-			if l.ctx.Err() != nil {
-				return
-			}
-			continue
-		}
-		l.writeUDPReply(l.server.Handle(spare[:n], addrOf(from.IP)), from)
 	}
 }
 
-// udpHandler is the ring's single consumer: it drains whatever burst
-// has accumulated — up to maxUDPBatch slots — into one HandleBatch
-// call, writes the replies back, and releases the slots. Batch width is
-// set by arrival concurrency alone; the ring depth at each drain is
-// observed so the operator can see how wide the bursts actually run.
-func (l *Listener) udpHandler() {
-	defer l.wg.Done()
-	batch := make([]BatchRequest, maxUDPBatch)
-	for {
-		t := l.ring.tail.Load()
-		avail := l.ring.head.Load() - t
-		if avail == 0 {
-			if _, ok := <-l.udpWake; !ok && l.ring.head.Load() == t {
-				return // reader gone and ring drained
-			}
-			continue
-		}
-		l.server.metrics.GatherOccupancy.Observe(int64(avail))
-		n := int(avail)
-		if n > maxUDPBatch {
-			n = maxUDPBatch
-		}
-		for i := 0; i < n; i++ {
-			slot := &l.ring.slots[(t+uint64(i))&udpRingMask]
-			batch[i] = BatchRequest{Msg: slot.buf[:slot.n], From: addrOf(slot.from.IP)}
-		}
-		l.server.HandleBatch(batch[:n])
-		for i := 0; i < n; i++ {
-			slot := &l.ring.slots[(t+uint64(i))&udpRingMask]
-			l.writeUDPReply(batch[i].Reply, slot.from)
-			batch[i] = BatchRequest{} // drop buffer references before release
-		}
-		l.ring.tail.Store(t + uint64(n))
-	}
-}
-
-// writeUDPReply sends one reply datagram, applying the shared rules:
-// never emit an empty datagram (a zero-length UDP write is delivered
-// and would confuse the client's read loop into parsing an empty
-// message), and replace an answer that cannot travel as a datagram with
-// the explicit "retry over TCP" signal — historically the reply was
-// silently dropped and the client burned its whole timeout.
-func (l *Listener) writeUDPReply(reply []byte, to *net.UDPAddr) {
+// udpDatagram applies the shared rules to one reply and returns the
+// datagram to send, or nil for none: never emit an empty datagram (a
+// zero-length UDP write is delivered and would confuse the client's
+// read loop into parsing an empty message), and replace an answer that
+// cannot travel as a datagram with the explicit "retry over TCP" signal
+// — historically the reply was silently dropped and the client burned
+// its whole timeout.
+func (l *Listener) udpDatagram(reply []byte) []byte {
 	if len(reply) == 0 {
-		return
+		return nil
 	}
 	if len(reply) > maxUDPReply {
 		l.server.metrics.UDPOverflows.Inc()
-		reply = udpOverflowReply
+		return udpOverflowReply
 	}
-	l.udp.WriteToUDP(reply, to)
+	return reply
 }
 
 // serveTCP accepts connections, each occupying one semaphore slot for
@@ -554,11 +520,9 @@ func ExchangeAny(addrs []string, req []byte, timeout time.Duration) ([]byte, err
 	return s.Exchange(req, timeout)
 }
 
-func addrOf(ip net.IP) core.Addr { return core.AddrFromIP(ip) }
-
 func addrOfConn(c net.Conn) core.Addr {
 	if t, ok := c.RemoteAddr().(*net.TCPAddr); ok {
-		return addrOf(t.IP)
+		return core.AddrFromIP(t.IP)
 	}
 	return core.Addr{}
 }

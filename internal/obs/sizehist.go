@@ -8,10 +8,10 @@ import (
 )
 
 // SizeHistogram is the unitless sibling of Histogram: a fixed-bucket
-// distribution of small counts (batch sizes, gather-window occupancy,
-// queue drains) rather than durations. Buckets are powers of two from 1
-// to 1024 plus an overflow bucket, matching the shapes the KDC's batch
-// pipeline produces (1..64 requests per UDP ring drain). Observation is a
+// distribution of small counts (batch sizes, queue drains) rather than
+// durations. Buckets are powers of two from 1 to 1024 plus an overflow
+// bucket, matching the shapes the KDC's batch pipeline produces (1..64
+// requests per UDP burst). Observation is a
 // few atomic adds — no locks, no allocation — and the zero value is
 // ready to use, like the other metric kinds.
 
