@@ -16,14 +16,15 @@ race:
 # recovery, sharded propagation, the KDC cluster, the KDC request
 # pipeline entered at once by the UDP burst workers and TCP goroutines
 # over one replay cache, a duplicated TGS datagram split across
-# workers, listener shutdown with workers parked, the replay cache
-# itself entered concurrently, a Selector's idle sockets shared by
-# concurrent exchanges) under the race detector with forced
+# workers, a TGS retransmit rebuilt from its replay memo, listener
+# shutdown with workers parked, the replay cache itself entered
+# concurrently, a Selector's idle sockets shared by concurrent
+# exchanges) under the race detector with forced
 # parallelism — GOMAXPROCS=4 surfaces the interleavings these tests
 # exist for even on single-CPU boxes, and starts four burst workers.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled' \
+		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled|TestTGSRetransmit' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestReplay|TestConcurrentUse|TestSweep' \

@@ -34,6 +34,8 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/kdc.(*udpWorker).recv":             {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
 	"internal/kdc.(*udpWorker).send":             {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
 	"internal/replay.(*Cache).Seen":              {"internal/replay/replay_test.go", "TestSeenReplayCheckAllocs"},
+	"internal/replay.(*Cache).SeenWithMemo":      {"internal/replay/replay_test.go", "TestMemoPathAllocs"},
+	"internal/replay.(*Cache).Remember":          {"internal/replay/replay_test.go", "TestMemoPathAllocs"},
 	"internal/obs.(*Counter).Inc":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
 	"internal/obs.(*Counter).Add":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
 	"internal/obs.(*Gauge).Set":                  {"internal/obs/metrics_test.go", "TestHotPathAllocs"},

@@ -93,6 +93,10 @@ type SegmentStore struct {
 	compactMu  sync.Mutex // one compaction at a time
 	compactErr error
 	compacts   int // completed compactions (tests)
+
+	// dirSync, when set, replaces syncDir's directory fsync. Only tests
+	// set it, to make the fsync fail at a chosen point.
+	dirSync func() error
 }
 
 // SegmentOptions tunes a SegmentStore.
@@ -199,26 +203,40 @@ func decodeOneChange(data []byte) (Change, error) {
 }
 
 // OpenSegmentStore opens (or creates) a segment-log store in dir.
-//
-//kerb:clockadapter -- measures wall-clock startup cost for the kdb_startup_ms gauge; no protocol time derives from it
 func OpenSegmentStore(dir string, opt SegmentOptions) (*SegmentStore, error) {
-	start := time.Now()
-	opt.defaults()
-	if err := os.MkdirAll(dir, 0o700); err != nil {
-		return nil, fmt.Errorf("kdb: opening segment store: %w", err)
+	s := newSegmentStore(dir, opt)
+	if err := s.open(); err != nil {
+		return nil, err
 	}
-	s := &SegmentStore{
+	return s, nil
+}
+
+// newSegmentStore returns an unopened store for dir.
+func newSegmentStore(dir string, opt SegmentOptions) *SegmentStore {
+	opt.defaults()
+	return &SegmentStore{
 		dir:       dir,
 		opt:       opt,
 		mem:       NewEpochStore(),
 		compactCh: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
+}
+
+// open creates the directory if needed, loads the store, and starts
+// its compactor.
+//
+//kerb:clockadapter -- measures wall-clock startup cost for the kdb_startup_ms gauge; no protocol time derives from it
+func (s *SegmentStore) open() error {
+	start := time.Now()
+	if err := os.MkdirAll(s.dir, 0o700); err != nil {
+		return fmt.Errorf("kdb: opening segment store: %w", err)
+	}
 	if err := s.load(); err != nil {
 		if s.snap != nil {
 			s.snap.Close()
 		}
-		return nil, err
+		return err
 	}
 	s.startupNS = time.Since(start).Nanoseconds()
 	s.wg.Add(1)
@@ -226,7 +244,7 @@ func OpenSegmentStore(dir string, opt SegmentOptions) (*SegmentStore, error) {
 	if len(s.sealed) >= s.opt.CompactAfter {
 		s.kickCompactor()
 	}
-	return s, nil
+	return nil
 }
 
 // load replays base + segments into memory and opens the active segment.
@@ -286,7 +304,11 @@ func (s *SegmentStore) load() error {
 	if err != nil {
 		return fmt.Errorf("kdb: opening active segment: %w", err)
 	}
-	s.syncDir() // the active segment's directory entry must be durable
+	// The active segment's directory entry must be durable.
+	if err := s.syncDir(); err != nil {
+		f.Close()
+		return fmt.Errorf("kdb: syncing %s after opening active segment: %w", s.dir, err)
+	}
 	size, err := f.Seek(0, 2)
 	if err != nil {
 		f.Close()
@@ -422,6 +444,9 @@ func (s *SegmentStore) StartupStats() StartupStats {
 // syncDir fsyncs the store directory, making renames, creations, and
 // unlinks durable in order. Skipped under NoFsync.
 func (s *SegmentStore) syncDir() error {
+	if s.dirSync != nil {
+		return s.dirSync()
+	}
 	if s.opt.NoFsync {
 		return nil
 	}
@@ -523,7 +548,8 @@ func (s *SegmentStore) maybeSealLocked() {
 		return
 	}
 	next := s.activeSeq + 1
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(next)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	path := filepath.Join(s.dir, segName(next))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
 		// Keep appending to the oversized segment; sealing retries on the
 		// next append.
@@ -531,8 +557,13 @@ func (s *SegmentStore) maybeSealLocked() {
 	}
 	// Make the new segment's directory entry durable before records
 	// land in it; otherwise a power cut could keep the records' blocks
-	// while losing the file that names them.
-	s.syncDir()
+	// while losing the file that names them. If that fails, drop the
+	// new segment and keep appending to the current one, as above.
+	if err := s.syncDir(); err != nil {
+		f.Close()
+		os.Remove(path)
+		return
+	}
 	s.active.Close()
 	s.sealed = append(s.sealed, s.activeSeq)
 	s.active, s.activeSeq, s.activeSize = f, next, 0
@@ -822,7 +853,10 @@ func (s *SegmentStore) ReplaceAll(entries []*Entry) {
 	if err != nil {
 		panic(fmt.Errorf("kdb: rolling segment: %w", err))
 	}
-	s.syncDir()
+	if err := s.syncDir(); err != nil {
+		f.Close()
+		panic(fmt.Errorf("kdb: syncing %s after rolling segment: %w", s.dir, err))
+	}
 	old := append(append([]uint64(nil), s.sealed...), s.activeSeq)
 	s.active.Close()
 	s.active, s.activeSeq, s.activeSize = f, next, 0

@@ -1,6 +1,7 @@
 package kdb
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -328,4 +329,98 @@ func TestSegmentStoreReplaceAllStartsFresh(t *testing.T) {
 	if db2.Len() != 7 || db2.Serial() != src.Serial() || db2.Digest() != src.Digest() {
 		t.Fatalf("after LoadDump+reopen: len %d lineage (%d, %x)", db2.Len(), db2.Serial(), db2.Digest())
 	}
+}
+
+// errDirSync is the failure the dirSync seam injects.
+var errDirSync = errors.New("injected directory fsync failure")
+
+// failOnceExists is a dirSync seam that fails while path exists: the
+// directory fsync that would make path's creation durable fails, and
+// every other one succeeds.
+func failOnceExists(path string) func() error {
+	return func() error {
+		if _, err := os.Stat(path); err == nil {
+			return errDirSync
+		}
+		return nil
+	}
+}
+
+// TestSegmentStoreOpenDirSyncError: when the fsync that makes the new
+// active segment durable fails, open returns the error instead of
+// serving from a segment a power cut could lose, and a later open of
+// the same directory succeeds.
+func TestSegmentStoreOpenDirSyncError(t *testing.T) {
+	dir := t.TempDir()
+	s := newSegmentStore(dir, SegmentOptions{})
+	s.dirSync = failOnceExists(filepath.Join(dir, segName(1)))
+	if err := s.open(); !errors.Is(err, errDirSync) {
+		t.Fatalf("open with failing directory fsync: err = %v, want %v", err, errDirSync)
+	}
+	if s.active != nil {
+		t.Error("failed open kept the active segment")
+	}
+	s2, err := OpenSegmentStore(dir, SegmentOptions{})
+	if err != nil {
+		t.Fatalf("reopen after the failure: %v", err)
+	}
+	s2.Close()
+}
+
+// TestSegmentStoreRollDirSyncError: when the fsync that makes a new
+// segment durable fails, the roll is abandoned — the new file removed —
+// and records keep landing in the current segment; the next roll after
+// the fsync recovers succeeds, and nothing is lost across a reopen.
+func TestSegmentStoreRollDirSyncError(t *testing.T) {
+	dir := t.TempDir()
+	opt := SegmentOptions{SegmentBytes: 512, CompactAfter: 100, NoFsync: true}
+	db, segs := openSegDB(t, dir, 1, opt)
+	s := segs[0]
+	next := filepath.Join(s.dir, segName(2))
+	s.dirSync = failOnceExists(next)
+	addN(t, db, 30)
+	if s.activeSeq != 1 || len(s.sealed) != 0 {
+		t.Fatalf("rolled to segment %d (sealed %v) with a failing directory fsync", s.activeSeq, s.sealed)
+	}
+	if s.activeSize < opt.SegmentBytes {
+		t.Fatalf("active segment holds %d bytes; the test never reached a roll", s.activeSize)
+	}
+	if _, err := os.Stat(next); !os.IsNotExist(err) {
+		t.Fatalf("abandoned segment left behind: %v", err)
+	}
+
+	s.dirSync = nil
+	key := des.StringToKey("pw", "R")
+	if err := db.Add("late", "", key, core.DefaultTGTLife, "test", t0); err != nil {
+		t.Fatal(err)
+	}
+	if s.activeSeq != 2 {
+		t.Fatalf("active segment %d after the fsync recovered, want 2", s.activeSeq)
+	}
+	serial, digest := db.Serial(), db.Digest()
+	s.Close()
+	db2, _ := openSegDB(t, dir, 1, SegmentOptions{})
+	if db2.Len() != 31 || db2.Serial() != serial || db2.Digest() != digest {
+		t.Fatalf("after reopen: len %d lineage (%d, %x), want 31 (%d, %x)",
+			db2.Len(), db2.Serial(), db2.Digest(), serial, digest)
+	}
+}
+
+// TestSegmentStoreReplaceAllDirSyncError: ReplaceAll has no error
+// return, so a failing fsync of its fresh segment panics with the
+// wrapped error, as its other file failures do.
+func TestSegmentStoreReplaceAllDirSyncError(t *testing.T) {
+	dir := t.TempDir()
+	db, segs := openSegDB(t, dir, 1, SegmentOptions{NoFsync: true})
+	addN(t, db, 5)
+	s := segs[0]
+	s.dirSync = failOnceExists(filepath.Join(s.dir, segName(s.activeSeq+1)))
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.Is(err, errDirSync) {
+			t.Fatalf("ReplaceAll with failing directory fsync: panic %v, want %v", err, errDirSync)
+		}
+	}()
+	s.ReplaceAll(nil)
+	t.Fatal("ReplaceAll did not panic")
 }

@@ -23,7 +23,7 @@ import (
 //	stage 3   verify authenticators, replay checks, service lookups
 //	phase B   build all tickets                → one SealBatch
 //	phase C   build all reply parts            → one SealBatch
-//	phase D   encode replies, remember TGS authenticators
+//	phase D   encode replies, remember how each TGS reply was built
 //
 // The batch calls are loops over the per-message seal and unseal, so a
 // lone request does exactly the DES work of a direct seal, and the
@@ -51,7 +51,7 @@ type BatchRequest struct {
 type batchExchange struct {
 	kind obs.Kind // zero until classified as AS or TGS
 	ev   obs.Event
-	done bool // reply already written (error, retransmit, or unknown type)
+	done bool // reply already written (error or unknown type)
 
 	// Staged inputs for the seal phases.
 	client       core.Principal
@@ -62,12 +62,15 @@ type batchExchange struct {
 	replyCipher  *des.Cipher // client private key (AS) or TGT session key (TGS)
 	replyKVNO    uint8
 	sessionKey   des.Key
+	issued       core.KerberosTime
+	addr         core.Addr // the address the ticket is bound to
 
 	// TGS extras.
-	req    *core.TGSRequest
-	tgt    *core.Ticket
-	auth   *core.Authenticator
-	digest uint64
+	req     *core.TGSRequest
+	tgt     *core.Ticket
+	auth    *core.Authenticator
+	digest  uint64
+	rebuild bool // a retransmit: session key, issue time, address and life come from its memo
 }
 
 // pipeline is one call's staging scratch. Each kind of DES batch is
@@ -235,23 +238,18 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		}
 		// The replay rule. A byte-identical re-presentation of an
 		// authenticator whose request was already answered is almost
-		// always the client retransmitting after a lost reply: it gets
-		// the remembered reply, with no fresh work and no new session
-		// key. A duplicate with no remembered reply — a true replay, or
-		// a twin still in flight, including one in this same batch,
-		// since Remember runs only after the seal phases — is rejected
-		// with ErrRepeat, as two concurrent requests would be.
+		// always the client retransmitting after a lost reply. The
+		// cache hands back a memo of how that reply was built, and the
+		// lane rebuilds the identical reply from it: the memo's session
+		// key, issue time, address and lifetime instead of fresh ones,
+		// through the same checks and seal phases as a fresh lane. A
+		// duplicate with no memo — a true replay, or a twin still in
+		// flight, including one in this same batch, since Remember runs
+		// only after the seal phases — is rejected with ErrRepeat, as
+		// two concurrent requests would be.
 		digest := replay.Digest(batch[i].Msg)
-		if cached, dup := s.replays.SeenWithReply(auth, digest, now); dup {
-			if cached != nil {
-				s.metrics.TGSRetransmits.Inc()
-				ex.ev.Detail = "retransmit"
-				if s.logger != nil {
-					s.logger.Printf("kdc %s: TGS resending reply to retransmit from %v", s.realm, auth.Client)
-				}
-				batch[i].Reply, ex.done = cached, true
-				continue
-			}
+		memo, verdict := s.replays.SeenWithMemo(auth, digest, now)
+		if verdict == replay.Replay {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrRepeat,
 				"authenticator from %v already presented", auth.Client))
 			ex.done = true
@@ -293,15 +291,31 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			batch[i].Reply, ex.done = s.fail(&ex.ev, err), true
 			continue
 		}
+		if verdict == replay.Retransmit {
+			m := unpackMemo(memo)
+			// The original ticket was sealed under a service key that has
+			// since been replaced: the identical reply cannot be rebuilt,
+			// and a fresh one would be new work for an old authenticator.
+			if m.kvno != serviceEntry.KVNO {
+				batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrRepeat,
+					"authenticator from %v already presented; key of %v changed since", auth.Client, service))
+				ex.done = true
+				continue
+			}
+			ex.rebuild = true
+			ex.issued, ex.addr, ex.life = m.issued, m.addr, m.life
+			p.ciphers[i].DecryptBlock(ex.sessionKey[:], m.sealedKey[:])
+		} else {
+			// "The lifetime of the new ticket is the minimum of the
+			// remaining life for the ticket-granting ticket and the
+			// default for the service" (§4.4).
+			ex.life = core.MinLife(req.Life, core.MinLife(ex.tgt.RemainingLife(now), effMaxLife(serviceEntry)))
+		}
 		// The client's realm in the new ticket is where the client was
 		// originally authenticated (§7.2), carried over from the TGT.
 		ex.client = ex.tgt.Client
 		ex.service = service
 		ex.serviceEntry = serviceEntry
-		// "The lifetime of the new ticket is the minimum of the remaining
-		// life for the ticket-granting ticket and the default for the
-		// service" (§4.4).
-		ex.life = core.MinLife(req.Life, core.MinLife(ex.tgt.RemainingLife(now), effMaxLife(serviceEntry)))
 		ex.reqTime = req.Time
 		ex.replyCipher = &p.ciphers[i]
 		ex.auth = auth
@@ -309,7 +323,8 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 	}
 
 	// Phase B: build every surviving request's ticket and seal them all
-	// under their service keys in one batch.
+	// under their service keys in one batch. A rebuilt lane already
+	// holds its memo's session key, issue time and address.
 	ticketSeals, sealIdx := p.seals[:0:n], p.idx[2*n:2*n:3*n]
 	for i := range exs {
 		ex := &exs[i]
@@ -322,20 +337,24 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			ex.done = true
 			continue
 		}
-		sessionKey, err := des.NewRandomKey()
-		if err != nil {
-			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrGeneric, "session key generation failed"))
-			ex.done = true
-			continue
+		if !ex.rebuild {
+			sessionKey, err := des.NewRandomKey()
+			if err != nil {
+				batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrGeneric, "session key generation failed"))
+				ex.done = true
+				continue
+			}
+			ex.sessionKey = sessionKey
+			ex.issued = core.TimeFromGo(now)
+			ex.addr = batch[i].From
 		}
-		ex.sessionKey = sessionKey
 		ticket := core.Ticket{
 			Server:     ex.service,
 			Client:     ex.client,
-			Addr:       batch[i].From,
-			Issued:     core.TimeFromGo(now),
+			Addr:       ex.addr,
+			Issued:     ex.issued,
 			Life:       ex.life,
-			SessionKey: sessionKey,
+			SessionKey: ex.sessionKey,
 		}
 		ticketSeals = append(ticketSeals, des.SealRequest{Cipher: serviceCipher, Plaintext: ticket.SealPayload()})
 		sealIdx = append(sealIdx, i)
@@ -353,7 +372,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			Server:      ex.service,
 			Life:        ex.life,
 			KVNO:        ex.serviceEntry.KVNO,
-			Issued:      core.TimeFromGo(now),
+			Issued:      ex.issued,
 			RequestTime: ex.reqTime,
 			Ticket:      ticketSeals[j].Sealed,
 		}
@@ -361,22 +380,30 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 	}
 	des.SealBatch(replySeals)
 
-	// Phase D: encode the replies. A TGS exchange attaches its reply to
-	// the recorded authenticator so a retransmission of this exact
-	// request is answered idempotently; the reply buffer is immutable
-	// once returned, so retention without a copy is safe.
+	// Phase D: encode the replies. A fresh TGS exchange attaches a memo
+	// of how its reply was built to the recorded authenticator, so a
+	// retransmission of this exact request is answered with the same
+	// reply; a rebuilt one is that answer.
 	for j, i := range sealIdx {
 		ex := &exs[i]
-		reply := (&core.AuthReply{Client: ex.client, KVNO: ex.replyKVNO, Sealed: replySeals[j].Sealed}).Encode()
-		batch[i].Reply = reply
+		batch[i].Reply = (&core.AuthReply{Client: ex.client, KVNO: ex.replyKVNO, Sealed: replySeals[j].Sealed}).Encode()
 		ex.ev.KVNO = ex.serviceEntry.KVNO
-		if ex.kind == obs.ExchangeTGS {
+		switch {
+		case ex.rebuild:
+			s.metrics.TGSRetransmits.Inc()
+			ex.ev.Detail = "retransmit"
+			if s.logger != nil {
+				s.logger.Printf("kdc %s: TGS resending reply to retransmit from %v", s.realm, ex.client)
+			}
+		case ex.kind == obs.ExchangeTGS:
 			if s.logger != nil {
 				s.logger.Printf("kdc %s: TGS issued %v ticket to %v (authenticated by %s)",
 					s.realm, ex.service, ex.client, ex.client.Realm)
 			}
-			s.replays.Remember(ex.auth, ex.digest, reply, now)
-		} else if s.logger != nil {
+			m := tgsMemo{issued: ex.issued, addr: ex.addr, life: ex.life, kvno: ex.serviceEntry.KVNO}
+			ex.replyCipher.EncryptBlock(m.sealedKey[:], ex.sessionKey[:])
+			s.replays.Remember(ex.auth, ex.digest, m.pack(), now)
+		case s.logger != nil:
 			s.logger.Printf("kdc %s: AS issued %v ticket to %v at %v", s.realm, ex.service, ex.client, batch[i].From)
 		}
 	}

@@ -22,10 +22,12 @@ func heapLive() int64 {
 }
 
 // TestReplayEntryFootprint pins the bookkeeping cost per remembered
-// authenticator. Every principal string is freshly allocated, as the
-// wire decoder allocates them, so a key that retained them would pay
-// for them here. 160 B covers the 24-byte key, the 40-byte entry, the
-// 32-byte queue element and the map's and slice's growth slack.
+// authenticator, with a memo attached to each as the KDC attaches one to
+// every TGS exchange. Every principal string is freshly allocated, as
+// the wire decoder allocates them, so a key that retained them would pay
+// for them here. 160 B covers the 24-byte key, the 40-byte entry (memo
+// included), the 32-byte queue element and the map's and slice's growth
+// slack.
 func TestReplayEntryFootprint(t *testing.T) {
 	const n = 200_000
 	c := New()
@@ -36,12 +38,18 @@ func TestReplayEntryFootprint(t *testing.T) {
 			Instance: "i" + strconv.Itoa(i%7),
 			Realm:    strings.Clone("ATHENA.MIT.EDU"),
 		}
-		if c.Seen(core.NewAuthenticator(p, core.Addr{18, 72, 0, 3}, t0, 0), t0) {
+		a := core.NewAuthenticator(p, core.Addr{18, 72, 0, 3}, t0, 0)
+		if c.Seen(a, t0) {
 			t.Fatalf("authenticator %d reported as replay", i)
 		}
+		memo := Memo{byte(i), byte(i >> 8), byte(i >> 16)}
+		c.Remember(a, uint64(i), memo, t0)
 	}
 	perEntry := float64(heapLive()-before) / n
 	runtime.KeepAlive(c)
+	if got := c.Metrics().Remembered.Load(); got != n {
+		t.Fatalf("remembered %d memos, want %d", got, n)
+	}
 	t.Logf("%.1f B per entry", perEntry)
 	if perEntry > 160 {
 		t.Errorf("replay cache holds %.1f B per entry, want <= 160", perEntry)

@@ -5,12 +5,11 @@ package replay
 // defines the correct verdict for every presentation; the sharded cache
 // must agree with it across randomized interleavings of fresh requests,
 // replays, retransmissions, and clock advances. A second test hammers
-// the memoized-reply path concurrently under -race: however the
-// goroutines interleave, exactly one wins "fresh" per authenticator and
-// every retransmission reads a byte-identical reply.
+// the memoized path concurrently under -race: however the goroutines
+// interleave, exactly one wins "fresh" per authenticator and every
+// retransmission reads the memo remembered for it.
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -39,7 +38,7 @@ type modelKey struct {
 type modelEntry struct {
 	deadline time.Time
 	digest   uint64
-	reply    []byte
+	memo     *Memo // nil until remembered
 }
 
 func newModel() *model {
@@ -57,23 +56,23 @@ func modelKeyOf(auth *core.Authenticator) modelKey {
 	}
 }
 
-func (m *model) seenWithReply(auth *core.Authenticator, digest uint64, now time.Time) ([]byte, bool) {
+func (m *model) seenWithMemo(auth *core.Authenticator, digest uint64, now time.Time) (Memo, Verdict) {
 	k := modelKeyOf(auth)
 	if got, ok := m.seen[k]; ok && !now.After(got.deadline) {
-		if got.reply != nil && got.digest == digest {
-			return got.reply, true
+		if got.memo != nil && got.digest == digest {
+			return *got.memo, Retransmit
 		}
-		return nil, true
+		return Memo{}, Replay
 	}
 	m.seen[k] = modelEntry{deadline: now.Add(m.window)}
-	return nil, false
+	return Memo{}, Fresh
 }
 
-func (m *model) remember(auth *core.Authenticator, digest uint64, reply []byte, now time.Time) {
+func (m *model) remember(auth *core.Authenticator, digest uint64, memo Memo, now time.Time) {
 	k := modelKeyOf(auth)
 	if got, ok := m.seen[k]; ok && !now.After(got.deadline) {
 		got.digest = digest
-		got.reply = reply
+		got.memo = &memo
 		m.seen[k] = got
 	}
 }
@@ -91,7 +90,7 @@ func propAuth(client int, stamp time.Time, seq uint32) *core.Authenticator {
 // TestReplayCacheMatchesModel runs randomized operation sequences and
 // demands verdict-for-verdict agreement with the reference model. The
 // interleaving mixes re-presentations (replays and retransmits), fresh
-// authenticators, reply attachment, and clock advances that expire
+// authenticators, memo attachment, and clock advances that expire
 // entries mid-sequence.
 func TestReplayCacheMatchesModel(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
@@ -107,26 +106,26 @@ func TestReplayCacheMatchesModel(t *testing.T) {
 				auth := propAuth(rng.Intn(4), clk.Now(), uint32(rng.Intn(6)))
 				digest := uint64(rng.Intn(3))
 				now := clk.Now()
-				gotReply, gotDup := cache.SeenWithReply(auth, digest, now)
-				wantReply, wantDup := ref.seenWithReply(auth, digest, now)
-				if gotDup != wantDup {
+				gotMemo, gotVerdict := cache.SeenWithMemo(auth, digest, now)
+				wantMemo, wantVerdict := ref.seenWithMemo(auth, digest, now)
+				if gotVerdict != wantVerdict {
 					t.Fatalf("seed %d op %d: verdict = %v, model says %v (auth %+v)",
-						seed, op, gotDup, wantDup, auth)
+						seed, op, gotVerdict, wantVerdict, auth)
 				}
-				if !bytes.Equal(gotReply, wantReply) {
-					t.Fatalf("seed %d op %d: reply = %q, model says %q", seed, op, gotReply, wantReply)
+				if gotMemo != wantMemo {
+					t.Fatalf("seed %d op %d: memo = %q, model says %q", seed, op, gotMemo[:], wantMemo[:])
 				}
 				checks++
-				if gotDup {
+				if gotVerdict != Fresh {
 					hits++
 				}
-			case r < 8: // attach a reply to a (probably known) authenticator
+			case r < 8: // attach a memo to a (probably known) authenticator
 				auth := propAuth(rng.Intn(4), clk.Now(), uint32(rng.Intn(6)))
 				digest := uint64(rng.Intn(3))
-				reply := []byte(fmt.Sprintf("reply-%d-%d", seed, op))
+				memo := memoOf(fmt.Sprintf("memo-%d-%d", seed, op))
 				now := clk.Now()
-				cache.Remember(auth, digest, reply, now)
-				ref.remember(auth, digest, reply, now)
+				cache.Remember(auth, digest, memo, now)
+				ref.remember(auth, digest, memo, now)
 			case r < 9: // small step — stays inside the window
 				clk.Advance(time.Duration(rng.Intn(60)) * time.Second)
 			default: // jump past the window — everything expires
@@ -158,15 +157,15 @@ func TestReplayCachesAgreeAcrossSeeds(t *testing.T) {
 		auth := propAuth(rng.Intn(40), clk.Now(), uint32(rng.Intn(200)))
 		digest := uint64(rng.Intn(3))
 		now := clk.Now()
-		ra, da := a.SeenWithReply(auth, digest, now)
-		rb, db := b.SeenWithReply(auth, digest, now)
-		if da != db || !bytes.Equal(ra, rb) {
-			t.Fatalf("op %d: caches disagree: (%q, %v) vs (%q, %v)", op, ra, da, rb, db)
+		ma, va := a.SeenWithMemo(auth, digest, now)
+		mb, vb := b.SeenWithMemo(auth, digest, now)
+		if va != vb || ma != mb {
+			t.Fatalf("op %d: caches disagree: (%q, %v) vs (%q, %v)", op, ma[:], va, mb[:], vb)
 		}
-		if !da {
-			reply := []byte(fmt.Sprintf("reply-%d", op))
-			a.Remember(auth, digest, reply, now)
-			b.Remember(auth, digest, reply, now)
+		if va == Fresh {
+			memo := memoOf(fmt.Sprintf("memo-%d", op))
+			a.Remember(auth, digest, memo, now)
+			b.Remember(auth, digest, memo, now)
 		}
 	}
 	for i := range a.shards {
@@ -203,7 +202,7 @@ func TestReplayConcurrentFirstPresentation(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < auths; i++ {
 				auth := propAuth(i, now, uint32(i))
-				if _, dup := cache.SeenWithReply(auth, uint64(i), now); !dup {
+				if _, v := cache.SeenWithMemo(auth, uint64(i), now); v == Fresh {
 					mu.Lock()
 					fresh[i]++
 					mu.Unlock()
@@ -220,7 +219,7 @@ func TestReplayConcurrentFirstPresentation(t *testing.T) {
 }
 
 // TestReplayConcurrentMemoizedReplies: concurrent retransmissions of a
-// remembered request always read the complete, byte-identical reply —
+// remembered request always read the complete memo remembered for it —
 // never a torn or foreign one — while fresh traffic hashes into the
 // same shards.
 func TestReplayConcurrentMemoizedReplies(t *testing.T) {
@@ -228,14 +227,16 @@ func TestReplayConcurrentMemoizedReplies(t *testing.T) {
 	now := time.Unix(567705600, 0)
 	const auths = 16
 
-	replies := make([][]byte, auths)
+	memos := make([]Memo, auths)
 	for i := 0; i < auths; i++ {
 		auth := propAuth(i, now, uint32(i))
-		if _, dup := cache.SeenWithReply(auth, uint64(i), now); dup {
+		if _, v := cache.SeenWithMemo(auth, uint64(i), now); v != Fresh {
 			t.Fatalf("authenticator %d unexpectedly dup", i)
 		}
-		replies[i] = bytes.Repeat([]byte{byte(i)}, 64)
-		cache.Remember(auth, uint64(i), replies[i], now)
+		for j := range memos[i] {
+			memos[i][j] = byte(i)
+		}
+		cache.Remember(auth, uint64(i), memos[i], now)
 	}
 
 	var wg sync.WaitGroup
@@ -246,24 +247,24 @@ func TestReplayConcurrentMemoizedReplies(t *testing.T) {
 			for round := 0; round < 200; round++ {
 				i := (g + round) % auths
 				auth := propAuth(i, now, uint32(i))
-				reply, dup := cache.SeenWithReply(auth, uint64(i), now)
-				if !dup {
-					t.Errorf("remembered authenticator %d reported fresh", i)
+				memo, v := cache.SeenWithMemo(auth, uint64(i), now)
+				if v != Retransmit {
+					t.Errorf("remembered authenticator %d: verdict %v, want Retransmit", i, v)
 					return
 				}
-				if !bytes.Equal(reply, replies[i]) {
-					t.Errorf("authenticator %d: reply corrupted", i)
+				if memo != memos[i] {
+					t.Errorf("authenticator %d: memo corrupted", i)
 					return
 				}
 				// The same authenticator stapled to a different request
-				// body is a true replay: dup, but no reply.
-				if r, dup := cache.SeenWithReply(auth, uint64(i)+1000, now); !dup || r != nil {
-					t.Errorf("authenticator %d: foreign digest got reply %q (dup=%v)", i, r, dup)
+				// body is a true replay: dup, but no memo.
+				if m, v := cache.SeenWithMemo(auth, uint64(i)+1000, now); v != Replay || m != (Memo{}) {
+					t.Errorf("authenticator %d: foreign digest got memo %q (verdict %v)", i, m[:], v)
 					return
 				}
 				// Unrelated fresh traffic on the same shards.
 				noise := propAuth(i, now.Add(time.Duration(g*1000+round)*time.Second), uint32(i))
-				cache.SeenWithReply(noise, 0, now)
+				cache.SeenWithMemo(noise, 0, now)
 			}
 		}(g)
 	}

@@ -11,12 +11,15 @@
 // request ever waits behind a full-map sweep, and a busy shard never
 // blocks an unrelated one.
 //
-// Entries are fixed-size and pointer-free apart from a remembered reply:
-// the client's name, instance and realm are folded into a keyed 64-bit
-// fingerprint, so the cache never retains the decoded name strings.
+// Entries are fixed-size and pointer-free: the client's name, instance
+// and realm are folded into a keyed 64-bit fingerprint, and what a
+// server remembers about its answer is a fixed-size Memo, so the cache
+// never retains the decoded name strings or any caller memory, and the
+// collector never scans its maps.
 package replay
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/maphash"
 	"sync"
@@ -63,13 +66,36 @@ type expiring struct {
 	expiry int64
 }
 
+// memoSize is the length of a Memo: what the KDC needs to rebuild a
+// ticket-granting reply (see kdc's tgsMemo).
+const memoSize = 18
+
+// Memo is what a server attaches to an authenticator it answered: a
+// fixed-size record of how it built the reply, from which it can build
+// the byte-identical reply again for a retransmission. Its layout
+// belongs to the caller; the cache only stores it and hands it back.
+type Memo [memoSize]byte
+
+// Verdict is the outcome of presenting an authenticator.
+type Verdict uint8
+
+const (
+	// Fresh: first presentation within the window, now recorded.
+	Fresh Verdict = iota
+	// Replay: presented before, and no memo answers this request —
+	// a true replay, an authenticator stapled to a different request,
+	// or a twin whose original is still in flight.
+	Replay
+	// Retransmit: presented before with a byte-identical request
+	// (same Digest) whose answer was remembered; the memo comes back.
+	Retransmit
+)
+
 // entry is what the cache remembers per authenticator: the expiry
-// deadline, plus (optionally) the reply the server sent — so a
+// deadline, plus (optionally) a memo of the server's answer — so a
 // retransmitted request can be answered idempotently instead of being
-// rejected as a replay. A genuine attacker replaying a captured
-// authenticator from a different request body still gains nothing: it
-// only ever receives a byte-identical copy of a reply already sent to
-// the legitimate client, sealed in keys the attacker lacks.
+// rejected as a replay. The memo is only handed back for a request
+// whose Digest matches the one it answered.
 //
 // The deadline is Unix nanoseconds of the caller's now: the wall clock
 // the ±5 min skew check reads. A monotonic deadline would let a
@@ -77,22 +103,23 @@ type expiring struct {
 // back.
 type entry struct {
 	deadline int64
-	digest   uint64 // Digest of the full request the reply answers
-	reply    []byte // nil until Remember attaches the server's answer
+	digest   uint64 // Digest of the full request the memo answers
+	memo     Memo
+	memoized bool // set once Remember attaches memo
 }
 
 // live reports whether an entry with the given deadline still guards
 // its authenticator at now. The deadline itself is inclusive: the skew
 // check accepts both ends of its ±ClockSkew range, so an authenticator
 // first accepted ClockSkew early is still skew-valid exactly one window
-// later and must still be held then. SeenWithReply, Remember and sweep
+// later and must still be held then. SeenWithMemo, Remember and sweep
 // all decide through this one comparison.
 func live(now, deadline int64) bool { return now <= deadline }
 
 // shard is one lock domain: the seen map plus the FIFO expiry queue.
 type shard struct {
 	mu    sync.Mutex
-	seen  map[key]entry // value: expiry deadline plus remembered reply
+	seen  map[key]entry // value: expiry deadline plus remembered memo
 	queue []expiring    // insertion-ordered expiry schedule
 	head  int           // index of the oldest queue element
 	peak  int           // largest len(seen) since seen was last allocated
@@ -101,10 +128,10 @@ type shard struct {
 // Metrics counts cache activity. All fields are lock-free; a scrape
 // never takes a shard lock.
 type Metrics struct {
-	Checks     obs.Counter // presentations examined (Seen/SeenWithReply)
+	Checks     obs.Counter // presentations examined (Seen/SeenWithMemo)
 	Hits       obs.Counter // duplicates detected within the window
-	Memoized   obs.Counter // duplicates answered with a remembered reply
-	Remembered obs.Counter // replies attached for idempotent retransmits
+	Memoized   obs.Counter // duplicates answered with a remembered memo
+	Remembered obs.Counter // memos attached for idempotent retransmits
 	Swept      obs.Counter // expired entries retired by incremental sweeps
 }
 
@@ -263,33 +290,34 @@ func (s *shard) rebuild() {
 //
 //kerb:hotpath
 func (c *Cache) Seen(auth *core.Authenticator, now time.Time) bool {
-	_, dup := c.SeenWithReply(auth, 0, now)
-	return dup
+	_, v := c.SeenWithMemo(auth, 0, now)
+	return v != Fresh
 }
 
 // Digest folds a full request message into the fingerprint that gates
-// idempotent reply replay (FNV-1a 64). It is not cryptographic — the
-// authenticator's sealed checksum provides the integrity — it only
-// distinguishes "the same datagram again" from "the same authenticator
-// stapled to a different request".
+// idempotent answers: the first 8 bytes of its SHA-256. A matching
+// digest authorizes a server to reissue the remembered answer's session
+// key into a ticket built from the retransmitted body, so the digest
+// must resist second preimages: a forged body colliding with a captured
+// one would otherwise get the victim's session key sealed into a ticket
+// of the forger's choosing.
 func Digest(msg []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, b := range msg {
-		h = (h ^ uint64(b)) * 1099511628211
-	}
-	return h
+	sum := sha256.Sum256(msg)
+	return binary.BigEndian.Uint64(sum[:8])
 }
 
-// SeenWithReply is Seen for idempotent request/reply servers: like
-// Seen, but on a duplicate it also returns the reply previously
-// attached via Remember — provided the full request digest matches the
-// one the reply answered. A KDC uses this to answer a retransmitted
-// ticket-granting request — byte-identical because the client resent
-// the same datagram after losing the reply — with the original answer
-// instead of a replay error, while still refusing both fresh work and
-// any answer for a replayed authenticator stapled to a different
-// request body.
-func (c *Cache) SeenWithReply(auth *core.Authenticator, reqDigest uint64, now time.Time) ([]byte, bool) {
+// SeenWithMemo is Seen for idempotent request/reply servers: like Seen,
+// it records a first presentation (Fresh) and flags any later one, but
+// a duplicate whose full request digest matches the one a memo was
+// remembered for is a Retransmit and gets that memo back. A KDC uses
+// this to answer a retransmitted ticket-granting request —
+// byte-identical because the client resent the same datagram after
+// losing the reply — with the original answer instead of a replay
+// error, while still refusing both fresh work and any answer for a
+// replayed authenticator stapled to a different request body (Replay).
+//
+//kerb:hotpath
+func (c *Cache) SeenWithMemo(auth *core.Authenticator, reqDigest uint64, now time.Time) (Memo, Verdict) {
 	c.metrics.Checks.Inc()
 	k := c.keyOf(auth)
 	s := &c.shards[shardIndex(auth)]
@@ -301,31 +329,34 @@ func (c *Cache) SeenWithReply(auth *core.Authenticator, reqDigest uint64, now ti
 	}
 	if got, dup := s.seen[k]; dup && live(ns, got.deadline) {
 		c.metrics.Hits.Inc()
-		if got.reply != nil && got.digest == reqDigest {
+		if got.memoized && got.digest == reqDigest {
 			c.metrics.Memoized.Inc()
-			return got.reply, true
+			return got.memo, Retransmit
 		}
-		return nil, true
+		return Memo{}, Replay
 	}
 	deadline := ns + int64(c.window)
 	s.seen[k] = entry{deadline: deadline}
 	s.queue = append(s.queue, expiring{k: k, expiry: deadline})
-	return nil, false
+	return Memo{}, Fresh
 }
 
-// Remember attaches the server's reply (and the digest of the request
-// it answers) to an authenticator the cache is already holding,
-// making future byte-identical duplicates answerable idempotently. The
-// reply slice is retained, not copied; callers must not mutate it
-// afterwards. Unknown or expired authenticators are ignored.
-func (c *Cache) Remember(auth *core.Authenticator, reqDigest uint64, reply []byte, now time.Time) {
+// Remember attaches a memo of the server's answer (and the digest of
+// the request it answers) to an authenticator the cache is already
+// holding, making future byte-identical duplicates answerable
+// idempotently. The memo is copied; nothing of the caller's is
+// retained. Unknown or expired authenticators are ignored.
+//
+//kerb:hotpath
+func (c *Cache) Remember(auth *core.Authenticator, reqDigest uint64, memo Memo, now time.Time) {
 	k := c.keyOf(auth)
 	s := &c.shards[shardIndex(auth)]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if got, ok := s.seen[k]; ok && live(now.UnixNano(), got.deadline) {
 		got.digest = reqDigest
-		got.reply = reply
+		got.memo = memo
+		got.memoized = true
 		s.seen[k] = got
 		c.metrics.Remembered.Inc()
 	}

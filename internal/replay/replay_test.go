@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"reflect"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -108,12 +109,12 @@ func TestReplayWindowEdge(t *testing.T) {
 	c := New()
 	a := auth("jis", stamp, 12)
 	d := Digest([]byte("req"))
-	if _, dup := c.SeenWithReply(a, d, first); dup {
+	if _, v := c.SeenWithMemo(a, d, first); v != Fresh {
 		t.Fatal("first presentation flagged")
 	}
-	c.Remember(a, d, []byte("reply"), edge)
-	if got, dup := c.SeenWithReply(a, d, edge); !dup || string(got) != "reply" {
-		t.Errorf("at the window edge: reply=%q dup=%v, want \"reply\"/true", got, dup)
+	c.Remember(a, d, memoOf("memo"), edge)
+	if got, v := c.SeenWithMemo(a, d, edge); v != Retransmit || got != memoOf("memo") {
+		t.Errorf("at the window edge: memo=%q verdict=%v, want \"memo\"/Retransmit", got[:], v)
 	}
 	if !c.Seen(a, edge) {
 		t.Error("replay at the window edge accepted")
@@ -309,6 +310,19 @@ func BenchmarkReplayCache(b *testing.B) {
 	}
 }
 
+// BenchmarkDigest prices the request digest every TGS request pays: a
+// SHA-256 over a datagram the size of a typical TGS request.
+func BenchmarkDigest(b *testing.B) {
+	msg := make([]byte, 170)
+	for i := range msg {
+		msg[i] = byte(i)
+	}
+	b.SetBytes(int64(len(msg)))
+	for i := 0; i < b.N; i++ {
+		Digest(msg)
+	}
+}
+
 // BenchmarkReplayContention hammers the cache from all cores at once —
 // the §9 login-storm shape. With a single global lock this serialized
 // every authenticated request in the KDC; sharding lets checks on
@@ -336,46 +350,53 @@ func BenchmarkReplayContention(b *testing.B) {
 	})
 }
 
+// memoOf is a memo holding s (truncated to memoSize).
+func memoOf(s string) Memo {
+	var m Memo
+	copy(m[:], s)
+	return m
+}
+
 // TestRememberedReplyReturned: a byte-identical duplicate (a client
 // retransmission after a lost reply) is answered with the remembered
-// reply; the same authenticator on a different request body is not.
+// memo; the same authenticator on a different request body is not.
 func TestRememberedReplyReturned(t *testing.T) {
 	c := New()
 	a := auth("jis", t0, 7)
 	req := []byte("the exact request datagram")
-	reply := []byte("the original reply")
-	if _, dup := c.SeenWithReply(a, Digest(req), t0); dup {
+	memo := memoOf("the original memo")
+	if _, v := c.SeenWithMemo(a, Digest(req), t0); v != Fresh {
 		t.Fatal("first presentation flagged")
 	}
-	c.Remember(a, Digest(req), reply, t0)
+	c.Remember(a, Digest(req), memo, t0)
 
-	got, dup := c.SeenWithReply(a, Digest(req), t0.Add(time.Second))
-	if !dup {
-		t.Fatal("retransmit not flagged as duplicate")
+	got, v := c.SeenWithMemo(a, Digest(req), t0.Add(time.Second))
+	if v != Retransmit {
+		t.Fatalf("retransmit verdict = %v, want Retransmit", v)
 	}
-	if string(got) != string(reply) {
-		t.Errorf("retransmit reply = %q, want %q", got, reply)
+	if got != memo {
+		t.Errorf("retransmit memo = %q, want %q", got[:], memo[:])
 	}
 	// Same authenticator, different request body: a true replay — seen,
-	// but no reply handed out.
-	got, dup = c.SeenWithReply(a, Digest([]byte("forged request")), t0.Add(time.Second))
-	if !dup || got != nil {
-		t.Errorf("forged duplicate: reply=%v dup=%v, want nil/true", got, dup)
+	// but no memo handed out.
+	got, v = c.SeenWithMemo(a, Digest([]byte("forged request")), t0.Add(time.Second))
+	if v != Replay || got != (Memo{}) {
+		t.Errorf("forged duplicate: memo=%q verdict=%v, want zero/Replay", got[:], v)
 	}
 }
 
 // TestRememberBeforeReplyAttached: a duplicate racing in before the
-// server finished the first request finds no remembered reply.
+// server finished the first request finds no remembered memo.
 func TestRememberBeforeReplyAttached(t *testing.T) {
 	c := New()
 	a := auth("jis", t0, 9)
 	d := Digest([]byte("req"))
-	c.SeenWithReply(a, d, t0)
-	if got, dup := c.SeenWithReply(a, d, t0); !dup || got != nil {
-		t.Errorf("concurrent duplicate: reply=%v dup=%v, want nil/true", got, dup)
+	c.SeenWithMemo(a, d, t0)
+	if got, v := c.SeenWithMemo(a, d, t0); v != Replay || got != (Memo{}) {
+		t.Errorf("concurrent duplicate: memo=%q verdict=%v, want zero/Replay", got[:], v)
 	}
 	// Remember for an expired or never-seen authenticator is a no-op.
-	c.Remember(auth("ghost", t0, 1), d, []byte("r"), t0)
+	c.Remember(auth("ghost", t0, 1), d, memoOf("r"), t0)
 	if c.Seen(auth("ghost", t0, 1), t0) {
 		t.Error("Remember inserted an unseen authenticator")
 	}
@@ -387,10 +408,83 @@ func TestRememberedReplyExpires(t *testing.T) {
 	c := New()
 	a := auth("jis", t0, 11)
 	d := Digest([]byte("req"))
-	c.SeenWithReply(a, d, t0)
-	c.Remember(a, d, []byte("reply"), t0)
+	c.SeenWithMemo(a, d, t0)
+	c.Remember(a, d, memoOf("memo"), t0)
 	late := t0.Add(2*core.ClockSkew + time.Minute)
-	if got, dup := c.SeenWithReply(a, d, late); dup || got != nil {
-		t.Errorf("expired entry: reply=%v dup=%v, want nil/false", got, dup)
+	if got, v := c.SeenWithMemo(a, d, late); v != Fresh || got != (Memo{}) {
+		t.Errorf("expired entry: memo=%q verdict=%v, want zero/Fresh", got[:], v)
 	}
+}
+
+// TestMemoPathAllocs guards the idempotent-retransmit path: once an
+// authenticator's entry exists, attaching a memo and every duplicate
+// lookup — memoized or not — allocate nothing.
+func TestMemoPathAllocs(t *testing.T) {
+	c := New()
+	a := auth("jis", t0, 7)
+	d := Digest([]byte("req"))
+	c.SeenWithMemo(a, d, t0)
+	memo := memoOf("memo")
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Remember(a, d, memo, t0)
+		if got, v := c.SeenWithMemo(a, d, t0); v != Retransmit || got != memo {
+			t.Fatal("memo not returned")
+		}
+		if _, v := c.SeenWithMemo(a, d+1, t0); v != Replay {
+			t.Fatal("foreign digest not a replay")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("memo path allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestDigestKnownAnswer pins Digest to the first 8 bytes of SHA-256,
+// big-endian, with the FIPS 180-2 test vectors.
+func TestDigestKnownAnswer(t *testing.T) {
+	for _, tc := range []struct {
+		msg  string
+		want uint64
+	}{
+		{"", 0xe3b0c44298fc1c14},
+		{"abc", 0xba7816bf8f01cfea},
+		{"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq", 0x248d6a61d20638b8},
+	} {
+		if got := Digest([]byte(tc.msg)); got != tc.want {
+			t.Errorf("Digest(%q) = %#016x, want %#016x", tc.msg, got, tc.want)
+		}
+	}
+}
+
+// TestReplayEntryPointerFree walks the cache's per-entry types and
+// fails on any pointer-holding kind: with none, the shard maps and
+// queues are noscan memory the collector never walks, and the cache
+// cannot retain caller memory.
+func TestReplayEntryPointerFree(t *testing.T) {
+	for _, v := range []any{key{}, entry{}, expiring{}, Memo{}} {
+		typ := reflect.TypeOf(v)
+		if path := pointerPath(typ); path != "" {
+			t.Errorf("%v holds a pointer at %s", typ, path)
+		}
+	}
+}
+
+// pointerPath returns where t holds a pointer kind, or "" if nowhere.
+func pointerPath(t reflect.Type) string {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.String, reflect.Interface, reflect.Chan, reflect.Func:
+		return t.Kind().String()
+	case reflect.Array:
+		if p := pointerPath(t.Elem()); p != "" {
+			return "[]" + p
+		}
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if p := pointerPath(t.Field(i).Type); p != "" {
+				return "." + t.Field(i).Name + p
+			}
+		}
+	}
+	return ""
 }
