@@ -12,8 +12,9 @@ test:
 race:
 	go test -race ./...
 
-# The concurrency regressions (FileStore lost-update, segment-log crash
-# recovery, sharded propagation, the KDC cluster, the KDC request
+# The concurrency regressions (FileStore lost-update under concurrent
+# ApplyLogged/ReplaceAll, segment-log crash recovery, the sharded/flat
+# database equivalence, sharded propagation, the KDC cluster, the KDC request
 # pipeline entered at once by the UDP burst workers and TCP goroutines
 # over one replay cache, a duplicated TGS datagram split across
 # workers, a TGS retransmit rebuilt from its replay memo, listener

@@ -980,7 +980,7 @@ func s9x1000Setup() error {
 		newSharded := func() *kdb.Database {
 			stores := make([]kdb.Store, shards)
 			for i := range stores {
-				stores[i] = kdb.NewMemStore()
+				stores[i] = kdb.NewEpochStore()
 			}
 			return kdb.NewSharded(client.PasswordKey(
 				core.Principal{Name: "K", Instance: "M", Realm: benchRealm}, "master"), stores)

@@ -32,9 +32,6 @@ func main() {
 		aclPath = flag.String("acl", "kadm.acl", "access control list file")
 		addr    = flag.String("addr", "127.0.0.1:7510", "listen address (tcp)")
 	)
-	// -save-interval is accepted for compatibility; the store is
-	// write-through so there is nothing left to save periodically.
-	flag.Int("save-interval", 0, "obsolete: the database is write-through")
 	flag.Parse()
 
 	fmt.Fprint(os.Stderr, "Master database password: ")

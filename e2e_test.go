@@ -137,8 +137,7 @@ func TestEndToEndBinaries(t *testing.T) {
 		"-admin", "127.0.0.1:0")
 	adminAddr, kdcAddr := kdcAddrs[0], kdcAddrs[1] // admin is announced first
 	kdbmAddr := daemon(t, bins["kadmind"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-acl", aclPath, "-addr", "127.0.0.1:0",
-		"-save-interval", "1")
+		"-realm", e2eRealm, "-db", dbPath, "-acl", aclPath, "-addr", "127.0.0.1:0")
 
 	// --- kadmin: the administrator registers a user and a service -----
 	out, err = run(t, bins["kadmin"], "admin-pw\nuser-pw-1\n",
@@ -322,8 +321,7 @@ func TestIncrementalPropagationE2E(t *testing.T) {
 	kdcAddr := daemon(t, bins["kerberosd"], masterPw+"\n",
 		"-realm", e2eRealm, "-db", dbPath, "-addr", "127.0.0.1:0")
 	kdbmAddr := daemon(t, bins["kadmind"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-acl", aclPath, "-addr", "127.0.0.1:0",
-		"-save-interval", "1")
+		"-realm", e2eRealm, "-db", dbPath, "-acl", aclPath, "-addr", "127.0.0.1:0")
 
 	addUser := func(name string) {
 		t.Helper()

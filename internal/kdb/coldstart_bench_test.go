@@ -13,18 +13,14 @@ import (
 )
 
 // buildColdStartDir seeds a segment database directory with n
-// principals in the base (installed through LoadDump, which writes the
-// base file directly) plus `tail` journaled rekeys left in the active
-// segment, so a subsequent open exercises both the snapshot load and
-// the replay path.
+// principals in the base plus `tail` journaled rekeys left in the active
+// segment, so a subsequent open exercises both the base load and the
+// replay path. The KDB4 base is installed through LoadDump, which writes
+// it directly; a legacy flat base (base.kdb, the read-and-decode
+// baseline) is written per shard with EncodeEntriesAt.
 func buildColdStartDir(tb testing.TB, dir string, shards, n, tail int, legacy bool) {
 	tb.Helper()
 	master := des.StringToKey("master-password", "ATHENA.MIT.EDU")
-	opt := SegmentOptions{NoFsync: true, LegacyBase: legacy}
-	db, segs, err := OpenSegmentDB(master, dir, shards, opt)
-	if err != nil {
-		tb.Fatal(err)
-	}
 	entries := make([]*Entry, n)
 	for i := range entries {
 		entries[i] = &Entry{
@@ -39,9 +35,18 @@ func buildColdStartDir(tb testing.TB, dir string, shards, n, tail int, legacy bo
 		}
 	}
 	entries = sortedEntriesByID(entries)
-	dump := EncodeEntriesAt(entries, DumpMeta{Serial: uint64(n), Digest: 1})
-	if err := db.LoadDump(dump); err != nil {
+	meta := DumpMeta{Serial: uint64(n), Digest: 1}
+	if legacy {
+		seedBases(tb, dir, shards, entries, meta, false)
+	}
+	db, segs, err := OpenSegmentDB(master, dir, shards, SegmentOptions{NoFsync: true})
+	if err != nil {
 		tb.Fatal(err)
+	}
+	if !legacy {
+		if err := db.LoadDump(EncodeEntriesAt(entries, meta)); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	rekey := des.StringToKey("tailpw", "R")
 	for i := 0; i < tail; i++ {
@@ -86,7 +91,7 @@ func BenchmarkColdStart1M(b *testing.B) {
 			b.ResetTimer()
 			var startupNS int64
 			for i := 0; i < b.N; i++ {
-				db, segs, err := OpenSegmentDB(master, dir, shards, SegmentOptions{NoFsync: true, LegacyBase: bc.legacy})
+				db, segs, err := OpenSegmentDB(master, dir, shards, SegmentOptions{NoFsync: true})
 				if err != nil {
 					b.Fatal(err)
 				}

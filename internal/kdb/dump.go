@@ -38,6 +38,11 @@ var (
 // validation, not a design limit).
 const maxDumpShards = 1 << 12
 
+// minEntrySize is the smallest possible encoded dump entry: three
+// zero-length strings and a zero-length key (one varint byte each), the
+// KVNO and lifetime bytes, and the two eight-byte timestamps.
+const minEntrySize = 22
+
 // ErrBadDump reports a dump that failed structural validation.
 var ErrBadDump = errors.New("kdb: malformed database dump")
 
@@ -264,6 +269,11 @@ func parseEntryList(body []byte) ([]*Entry, error) {
 		return nil, ErrBadDump
 	}
 	count := binary.BigEndian.Uint32(body)
+	// Reject a count the payload cannot hold before pre-allocating for
+	// it, so a few hostile bytes cannot reserve gigabytes.
+	if uint64(count) > uint64(len(body)-4)/minEntrySize {
+		return nil, fmt.Errorf("%w: implausible entry count %d", ErrBadDump, count)
+	}
 	r := dumpReader{data: body[4:]}
 	entries := make([]*Entry, 0, count)
 	for i := uint32(0); i < count; i++ {
@@ -291,9 +301,9 @@ func parseEntryList(body []byte) ([]*Entry, error) {
 // of a re-sharded master heal with one full resync). The journal
 // restarts either way — a full load is a new delta horizon.
 //
-// Per shard, the lineage reset happens before the store swap: a
-// persisting store stamps its rewrite with the new metadata, never a
-// stale serial next to new entries.
+// Per shard, the store swap carries the reset lineage: a persisting
+// store stamps its rewrite with the new metadata, never a stale serial
+// next to new entries.
 func (db *Database) LoadDump(dump []byte) error {
 	entries, metas, err := ParseDumpSharded(dump)
 	if err != nil {
@@ -315,7 +325,7 @@ func (db *Database) LoadDump(dump []byte) error {
 	for i, sh := range db.shards {
 		sh.wmu.Lock()
 		sh.resetJournalLocked(metas[i].Serial, metas[i].Digest)
-		sh.store.ReplaceAll(parts[i])
+		sh.store.ReplaceAll(parts[i], metas[i])
 		sh.wmu.Unlock()
 	}
 	// No key-cache invalidation needed: the replacement installed fresh
@@ -343,7 +353,7 @@ func (db *Database) LoadDumpShard(i int, dump []byte) error {
 	sh := db.shards[i]
 	sh.wmu.Lock()
 	sh.resetJournalLocked(meta.Serial, meta.Digest)
-	sh.store.ReplaceAll(entries)
+	sh.store.ReplaceAll(entries, meta)
 	sh.wmu.Unlock()
 	return nil
 }

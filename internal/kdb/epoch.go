@@ -6,12 +6,13 @@ import (
 	"sync/atomic"
 )
 
-// EpochStore is the lock-free-read Store the KDC serves from. The
-// RWMutex stores (MemStore) make every read take a shared lock; at
-// high core counts the lock word itself becomes the contention point —
-// every GetRO bounces the cache line even though readers conflict with
-// nothing. EpochStore removes the read-side lock entirely with
-// epoch-style publication:
+// EpochStore is the one in-memory Store: a Database serves from it
+// directly, and FileStore and SegmentStore persist one. A map behind an
+// RWMutex would make every read take a shared lock; at high core counts
+// the lock word itself becomes the contention point — every GetRO
+// bounces the cache line even though readers conflict with nothing.
+// EpochStore removes the read-side lock entirely with epoch-style
+// publication:
 //
 //   - The whole index lives behind one atomic.Pointer. A reader loads
 //     the pointer once and works on an immutable snapshot; it takes no
@@ -36,7 +37,7 @@ import (
 //
 // A batch (ApplyBatch, the kprop delta install) mutates one private
 // copy and publishes once, so concurrent readers observe none or all
-// of the batch, exactly like MemStore's single lock window.
+// of the batch.
 type EpochStore struct {
 	mu  sync.Mutex // writers only; readers never touch it
 	idx atomic.Pointer[epochIndex]
@@ -158,9 +159,13 @@ func NewEpochStore() *EpochStore {
 	return s
 }
 
-// hashID is the FNV-1a hash of a rendered "name.instance" ID — the
-// same stream ShardIndexID runs, kept separate so the table hash and
-// the shard router can evolve independently.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashID is the FNV-1a hash of a rendered "name.instance" ID, the
+// probe-table hash.
 func hashID(id string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(id); i++ {
@@ -171,7 +176,7 @@ func hashID(id string) uint64 {
 }
 
 // hashPair is hashID over the ID the (name, instance) pair would
-// render to, without materializing it.
+// render to, without materializing it. ShardIndex routes by it too.
 func hashPair(name, instance string) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(name); i++ {
@@ -336,24 +341,14 @@ func (ix *epochIndex) baseLookup(h uint64, id string) (*Entry, bool) {
 	}
 }
 
-// Fetch implements Store.
-func (s *EpochStore) Fetch(id string) (*Entry, bool) {
-	e, ok := s.FetchShared(id)
-	if !ok {
-		return nil, false
-	}
-	return e.clone(), true
-}
-
 // FetchShared implements Store: one atomic load, zero locks, zero
 // allocations. Entries are immutable-and-replaced, so sharing is safe.
 func (s *EpochStore) FetchShared(id string) (*Entry, bool) {
 	return s.idx.Load().lookup(hashID(id), id)
 }
 
-// FetchSharedPair is FetchShared keyed by the un-joined (name,
-// instance) pair — the KDC's GetRO path, which must not allocate even
-// for the ID string.
+// FetchSharedPair implements Store — the KDC's GetRO path, which must
+// not allocate even for the ID string.
 //
 //kerb:hotpath
 func (s *EpochStore) FetchSharedPair(name, instance string) (*Entry, bool) {
@@ -363,7 +358,18 @@ func (s *EpochStore) FetchSharedPair(name, instance string) (*Entry, bool) {
 // Len implements Store.
 func (s *EpochStore) Len() int { return s.idx.Load().live }
 
-// Put implements Store.
+// LoadedMeta implements Store: memory carries no lineage across a
+// restart.
+func (s *EpochStore) LoadedMeta() DumpMeta { return DumpMeta{} }
+
+// ApplyLogged implements Store: the batch lands in one publication and
+// the records are not kept (the Database journals them itself).
+func (s *EpochStore) ApplyLogged(_ []LogRec, upserts []*Entry, deletes []string) error {
+	s.ApplyBatch(upserts, deletes)
+	return nil
+}
+
+// Put inserts or replaces one entry (segment replay).
 func (s *EpochStore) Put(e *Entry) {
 	c := e.clone()
 	s.mu.Lock()
@@ -371,15 +377,15 @@ func (s *EpochStore) Put(e *Entry) {
 	s.applyLocked([]*Entry{c}, nil)
 }
 
-// Delete implements Store.
+// Delete removes one entry; deleting a missing entry is a no-op.
 func (s *EpochStore) Delete(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.applyLocked(nil, []string{id})
 }
 
-// ApplyBatch implements Store: the whole batch lands in one
-// publication, so readers see none or all of it.
+// ApplyBatch applies upserts and deletes in one publication, so readers
+// see none or all of them.
 func (s *EpochStore) ApplyBatch(upserts []*Entry, deletes []string) {
 	clones := make([]*Entry, len(upserts))
 	for i, e := range upserts {
@@ -390,8 +396,9 @@ func (s *EpochStore) ApplyBatch(upserts []*Entry, deletes []string) {
 	s.applyLocked(clones, deletes)
 }
 
-// ReplaceAll implements Store: a fresh slab, published once.
-func (s *EpochStore) ReplaceAll(entries []*Entry) {
+// ReplaceAll implements Store: a fresh slab, published once. The
+// lineage is the Database's to keep.
+func (s *EpochStore) ReplaceAll(entries []*Entry, _ DumpMeta) {
 	slab := make([]Entry, len(entries))
 	for i, e := range entries {
 		slab[i] = *e.clone()
@@ -682,9 +689,7 @@ func (ix *epochIndex) fold() *epochIndex {
 }
 
 // Range implements Store: a clone per entry in globally sorted ID
-// order, merging the sorted slab with the sorted overlay (identical
-// output to MemStore.Range over the same contents, so dumps stay
-// byte-identical).
+// order, merging the sorted slab with the sorted overlay.
 func (s *EpochStore) Range(fn func(*Entry) bool) {
 	ix := s.idx.Load()
 	overlay := ix.sortedOverlay()

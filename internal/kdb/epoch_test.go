@@ -11,7 +11,7 @@ import (
 	"kerberos/internal/des"
 )
 
-// TestEpochStoreBasics exercises Put/Fetch/Delete/Len through the
+// TestEpochStoreBasics exercises Put/FetchShared/Delete/Len through the
 // delta trie: a slab entry shadowed by a tombstone, a deleted entry
 // resurrected by a later Put, and batch atomicity of ApplyBatch.
 func TestEpochStoreBasics(t *testing.T) {
@@ -26,21 +26,21 @@ func TestEpochStoreBasics(t *testing.T) {
 		t.Fatalf("Len = %d, want 10", s.Len())
 	}
 	e5 := mkEntry(5, 0)
-	got, ok := s.Fetch(e5.ID())
+	got, ok := s.FetchShared(e5.ID())
 	if !ok || got.Name != e5.Name || got.KVNO != e5.KVNO {
-		t.Fatalf("Fetch(%q) = %+v, %v", e5.ID(), got, ok)
+		t.Fatalf("FetchShared(%q) = %+v, %v", e5.ID(), got, ok)
 	}
 
 	// Tombstone shadows, then a later Put resurrects with new bits.
 	s.Delete(e5.ID())
-	if _, ok := s.Fetch(e5.ID()); ok {
+	if _, ok := s.FetchShared(e5.ID()); ok {
 		t.Fatal("deleted entry still fetchable")
 	}
 	if s.Len() != 9 {
 		t.Fatalf("Len after delete = %d, want 9", s.Len())
 	}
 	s.Put(mkEntry(5, 3))
-	got, ok = s.Fetch(e5.ID())
+	got, ok = s.FetchShared(e5.ID())
 	if !ok || got.KVNO != mkEntry(5, 3).KVNO {
 		t.Fatalf("resurrected entry = %+v, %v", got, ok)
 	}
@@ -58,17 +58,17 @@ func TestEpochStoreBasics(t *testing.T) {
 
 	// ApplyBatch: an upsert and a delete land together.
 	s.ApplyBatch([]*Entry{mkEntry(20, 1)}, []string{mkEntry(1, 0).ID()})
-	if _, ok := s.Fetch(mkEntry(1, 0).ID()); ok {
+	if _, ok := s.FetchShared(mkEntry(1, 0).ID()); ok {
 		t.Fatal("batched delete missed")
 	}
-	if _, ok := s.Fetch(mkEntry(20, 1).ID()); !ok {
+	if _, ok := s.FetchShared(mkEntry(20, 1).ID()); !ok {
 		t.Fatal("batched upsert missed")
 	}
 }
 
-// TestEpochStoreFetchIsolation verifies Fetch hands back clones:
-// mutating the result must not leak into the store, and mutating the
-// caller's entry after Put must not either.
+// TestEpochStoreFetchIsolation verifies the store never aliases caller
+// memory: mutating the caller's entry after Put, or an entry Range
+// handed out, must not leak into what FetchShared serves.
 func TestEpochStoreFetchIsolation(t *testing.T) {
 	s := NewEpochStore()
 	in := mkEntry(1, 0)
@@ -76,14 +76,17 @@ func TestEpochStoreFetchIsolation(t *testing.T) {
 	in.EncKey[0] ^= 0xff
 	in.ModBy = "tampered"
 
-	a, _ := s.Fetch(mkEntry(1, 0).ID())
+	a, _ := s.FetchShared(mkEntry(1, 0).ID())
 	if a.ModBy == "tampered" || a.EncKey[0] != mkEntry(1, 0).EncKey[0] {
 		t.Fatal("Put did not clone its argument")
 	}
-	a.EncKey[0] ^= 0xff
-	b, _ := s.Fetch(mkEntry(1, 0).ID())
+	s.Range(func(e *Entry) bool {
+		e.EncKey[0] ^= 0xff
+		return true
+	})
+	b, _ := s.FetchShared(mkEntry(1, 0).ID())
 	if b.EncKey[0] != mkEntry(1, 0).EncKey[0] {
-		t.Fatal("Fetch result aliases store memory")
+		t.Fatal("Range result aliases store memory")
 	}
 }
 
@@ -174,9 +177,9 @@ func TestEpochStoreFold(t *testing.T) {
 		t.Fatalf("Range saw %d entries, want %d", seen, len(live))
 	}
 	for id, kvno := range live {
-		e, ok := s.Fetch(id)
+		e, ok := s.FetchShared(id)
 		if !ok || e.KVNO != kvno {
-			t.Fatalf("Fetch(%q) after folds = %+v, %v", id, e, ok)
+			t.Fatalf("FetchShared(%q) after folds = %+v, %v", id, e, ok)
 		}
 	}
 }
@@ -279,18 +282,18 @@ func TestSnapshotBaseStore(t *testing.T) {
 			t.Fatalf("FetchShared(%q) returned two identities", want.ID())
 		}
 	}
-	if _, ok := s.Fetch("no.such"); ok {
+	if _, ok := s.FetchShared("no.such"); ok {
 		t.Fatal("missing ID resolved against snapshot base")
 	}
 
 	// Delta over the mapped base: update, tombstone, resurrect.
 	upd := mkEntry(7, 4)
 	s.Put(upd)
-	if e, _ := s.Fetch(upd.ID()); e == nil || e.KVNO != upd.KVNO {
+	if e, _ := s.FetchShared(upd.ID()); e == nil || e.KVNO != upd.KVNO {
 		t.Fatalf("update over snapshot base not visible: %+v", e)
 	}
 	s.Delete(mkEntry(9, 0).ID())
-	if _, ok := s.Fetch(mkEntry(9, 0).ID()); ok {
+	if _, ok := s.FetchShared(mkEntry(9, 0).ID()); ok {
 		t.Fatal("tombstone does not shadow mapped record")
 	}
 	if s.Len() != n-1 {
@@ -349,9 +352,9 @@ func TestSnapshotBaseStore(t *testing.T) {
 		} else if i == 9 {
 			want = mkEntry(9, 2)
 		}
-		e, ok := s.Fetch(want.ID())
+		e, ok := s.FetchShared(want.ID())
 		if !ok || e.KVNO != want.KVNO {
-			t.Fatalf("post-fold Fetch(%q) = %+v, %v", want.ID(), e, ok)
+			t.Fatalf("post-fold FetchShared(%q) = %+v, %v", want.ID(), e, ok)
 		}
 	}
 }

@@ -12,19 +12,18 @@ import (
 // a single shared source of truth on the master machine. kadmind runs
 // over a FileStore so password changes are durable immediately, and
 // kerberosd (its own process) re-reads the file when its modification
-// time changes.
+// time changes. Reads are served by the EpochStore it wraps.
 type FileStore struct {
-	mem  *MemStore
+	mem  *EpochStore
 	path string
 
-	mu         sync.Mutex // serializes file writes
-	loadedMeta DumpMeta
-	metaSource func() DumpMeta
+	mu   sync.Mutex // serializes mutations and file writes
+	meta DumpMeta   // lineage of the newest file write (or the one read)
 }
 
 // OpenFileStore opens (or creates) a file-backed store at path.
 func OpenFileStore(path string) (*FileStore, error) {
-	fs := &FileStore{mem: NewMemStore(), path: path}
+	fs := &FileStore{mem: NewEpochStore(), path: path}
 	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
@@ -36,83 +35,46 @@ func OpenFileStore(path string) (*FileStore, error) {
 		if err != nil {
 			return nil, fmt.Errorf("kdb: parsing %s: %w", path, err)
 		}
-		fs.mem.ReplaceAll(entries)
-		fs.loadedMeta = meta
+		fs.mem.ReplaceAll(entries, meta)
+		fs.meta = meta
 	}
 	return fs, nil
 }
 
-// LoadedMeta reports the propagation metadata found in the file at open
-// time, so the Database seeds its serial and digest from disk instead of
+// LoadedMeta implements Store: the propagation metadata found in the
+// file, so the Database resumes its serial and digest instead of
 // starting a new lineage on every restart.
 func (fs *FileStore) LoadedMeta() DumpMeta {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.loadedMeta
+	return fs.meta
 }
 
-// SetMetaSource installs the callback persist() uses to stamp the
-// current serial and digest into every file write. The Database wires
-// this up so writes are recorded as meta-then-entries atomically.
-func (fs *FileStore) SetMetaSource(fn func() DumpMeta) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	fs.metaSource = fn
-}
-
-// persist writes the full store to disk atomically (temp+fsync+rename:
-// a crash mid-write leaves the previous file intact).
-//
-// The in-memory snapshot is taken INSIDE the fs.mu window. Snapshotting
-// before acquiring the lock loses updates: writer A snapshots, writer B
-// mutates, snapshots, and persists, then A acquires the lock and writes
-// its older snapshot over B's newer file — and the serial/digest stamped
-// from metaSource under the lock would disagree with the stale entries
-// beside them. Under the lock, the last file write always reflects the
-// newest memory state (and at least one of any set of racing writers
-// snapshots after all their mutations, so the final file is current).
-func (fs *FileStore) persist() error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var entries []*Entry
+// persistLocked writes the full store to disk atomically
+// (temp+fsync+rename: a crash mid-write leaves the previous file
+// intact), stamped with fs.meta. Callers hold fs.mu across both the
+// in-memory change and this write, so the file always reflects the
+// newest memory state: a writer can never publish an older snapshot
+// over a newer one, and the stamped lineage always matches the entries
+// beside it.
+func (fs *FileStore) persistLocked() error {
+	entries := make([]*Entry, 0, fs.mem.Len())
 	fs.mem.Range(func(e *Entry) bool {
 		entries = append(entries, e)
 		return true
 	})
-	var meta DumpMeta
-	if fs.metaSource != nil {
-		meta = fs.metaSource()
-	} else {
-		meta = fs.loadedMeta
-	}
-	if err := WriteFileAtomic(fs.path, EncodeEntriesAt(entries, meta), 0o600); err != nil {
+	if err := WriteFileAtomic(fs.path, EncodeEntriesAt(entries, fs.meta), 0o600); err != nil {
 		return fmt.Errorf("kdb: persisting: %w", err)
 	}
 	return nil
 }
 
-// Fetch implements Store.
-func (fs *FileStore) Fetch(id string) (*Entry, bool) { return fs.mem.Fetch(id) }
-
 // FetchShared implements Store.
 func (fs *FileStore) FetchShared(id string) (*Entry, bool) { return fs.mem.FetchShared(id) }
 
-// Put implements Store, persisting before returning. A persistence
-// failure panics: continuing with a diverged file would silently violate
-// the single-definitive-copy rule of §5.
-func (fs *FileStore) Put(e *Entry) {
-	fs.mem.Put(e)
-	if err := fs.persist(); err != nil {
-		panic(err)
-	}
-}
-
-// Delete implements Store.
-func (fs *FileStore) Delete(id string) {
-	fs.mem.Delete(id)
-	if err := fs.persist(); err != nil {
-		panic(err)
-	}
+// FetchSharedPair implements Store.
+func (fs *FileStore) FetchSharedPair(name, instance string) (*Entry, bool) {
+	return fs.mem.FetchSharedPair(name, instance)
 }
 
 // Range implements Store.
@@ -121,25 +83,34 @@ func (fs *FileStore) Range(fn func(*Entry) bool) { fs.mem.Range(fn) }
 // Len implements Store.
 func (fs *FileStore) Len() int { return fs.mem.Len() }
 
-// ReplaceAll implements Store.
-func (fs *FileStore) ReplaceAll(entries []*Entry) {
-	fs.mem.ReplaceAll(entries)
-	if err := fs.persist(); err != nil {
-		panic(err)
+// ApplyLogged implements Store: one in-memory batch and one file write
+// stamped with the last record's lineage.
+func (fs *FileStore) ApplyLogged(recs []LogRec, upserts []*Entry, deletes []string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.mem.ApplyBatch(upserts, deletes)
+	if n := len(recs); n > 0 {
+		fs.meta = DumpMeta{Serial: recs[n-1].Serial, Digest: recs[n-1].Digest}
 	}
+	return fs.persistLocked()
 }
 
-// ApplyBatch implements Store: one in-memory batch, one file write.
-func (fs *FileStore) ApplyBatch(upserts []*Entry, deletes []string) {
-	fs.mem.ApplyBatch(upserts, deletes)
-	if err := fs.persist(); err != nil {
+// ReplaceAll implements Store. A persistence failure panics: continuing
+// with a diverged file would silently violate the single-definitive-copy
+// rule of §5.
+func (fs *FileStore) ReplaceAll(entries []*Entry, meta DumpMeta) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.mem.ReplaceAll(entries, meta)
+	fs.meta = meta
+	if err := fs.persistLocked(); err != nil {
 		panic(err)
 	}
 }
 
 // EncodeEntries serializes entries in the v1 dump format (sorted input
-// is not required; output follows input order, and MemStore.Range
-// already sorts).
+// is not required; output follows input order, and Range already
+// sorts).
 func EncodeEntries(entries []*Entry) []byte {
 	return encodeEntriesMagic(entries, dumpMagic, DumpMeta{})
 }

@@ -15,24 +15,25 @@ import (
 )
 
 // TestFileStorePersistRace is the regression test for the lost-update
-// race in FileStore.persist: the snapshot used to be taken OUTSIDE
-// fs.mu, so two concurrent mutators could interleave as
+// race in FileStore's file write: the snapshot used to be taken OUTSIDE
+// the file lock, so two concurrent mutators could interleave as
 //
 //	A: snapshot (has A's write, not B's)
 //	B: snapshot + persist (file has both)
 //	A: persist           (file overwritten with the stale snapshot)
 //
 // publishing a file that is missing a mutation the in-memory store
-// already holds. With the snapshot taken inside the same fs.mu window
-// as the write, every published file reflects the memory state at its
-// write time, so a value observed in the file can never regress.
+// already holds. With the memory change, the snapshot and the write in
+// one fs.mu window, every published file reflects the memory state at
+// its write time, so a value observed in the file can never regress.
 //
 // The test drives one principal's KVNO monotonically upward under heavy
-// unrelated Put/Delete contention while a reader polls the (atomically
+// unrelated ApplyLogged contention while a reader polls the (atomically
 // renamed) file: any KVNO regression is exactly a stale snapshot
-// overwriting a newer one. A final file==memory comparison closes the
-// round. Run under -race in CI; the monotonicity probe also fails
-// against the pre-fix snapshot placement without the race detector.
+// overwriting a newer one. Each counter write carries a record whose
+// serial is the new KVNO, so every file must also stamp the lineage
+// that matches the counter beside it. A final file==memory comparison
+// closes the round. Run under -race in CI.
 func TestFileStorePersistRace(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	path := filepath.Join(t.TempDir(), "race.db")
@@ -51,7 +52,7 @@ func TestFileStorePersistRace(t *testing.T) {
 			EncKey: append([]byte(nil), k[:]...),
 		})
 	}
-	fs.ReplaceAll(bulk)
+	fs.ReplaceAll(bulk, DumpMeta{})
 
 	const steps = 120
 	const churners = 4
@@ -71,11 +72,16 @@ func TestFileStorePersistRace(t *testing.T) {
 				default:
 				}
 				name := fmt.Sprintf("churn%d-%d", w, i%3)
+				var err error
 				if i%4 == 3 {
-					fs.Delete(ID(name, ""))
-					continue
+					err = fs.ApplyLogged(nil, nil, []string{ID(name, "")})
+				} else {
+					err = fs.ApplyLogged(nil, []*Entry{{Name: name, KVNO: uint8(i%250 + 1), EncKey: append([]byte(nil), k[:]...)}}, nil)
 				}
-				fs.Put(&Entry{Name: name, KVNO: uint8(i%250 + 1), EncKey: append([]byte(nil), k[:]...)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}(w)
 	}
@@ -98,7 +104,7 @@ func TestFileStorePersistRace(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			ents, _, err := ParseDumpFull(data)
+			ents, meta, err := ParseDumpFull(data)
 			if err != nil {
 				t.Errorf("reader: published file unparseable: %v", err)
 				return
@@ -108,6 +114,10 @@ func TestFileStorePersistRace(t *testing.T) {
 					if e.KVNO < last {
 						regressed.CompareAndSwap(0, int64(last)<<8|int64(e.KVNO))
 					}
+					if meta.Serial != uint64(e.KVNO) {
+						t.Errorf("file stamps serial %d beside ctr KVNO %d", meta.Serial, e.KVNO)
+						return
+					}
 					last = e.KVNO
 				}
 			}
@@ -116,7 +126,11 @@ func TestFileStorePersistRace(t *testing.T) {
 
 	ck := des.StringToKey("ctr", "R")
 	for v := 1; v <= steps; v++ {
-		fs.Put(&Entry{Name: "ctr", KVNO: uint8(v), EncKey: append([]byte(nil), ck[:]...)})
+		rec := []LogRec{{Serial: uint64(v)}}
+		if err := fs.ApplyLogged(rec, []*Entry{{Name: "ctr", KVNO: uint8(v), EncKey: append([]byte(nil), ck[:]...)}}, nil); err != nil {
+			t.Error(err)
+			break
+		}
 	}
 	close(done)
 	wg.Wait()

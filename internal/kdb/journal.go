@@ -40,6 +40,15 @@ type Change struct {
 	Entry  *Entry
 }
 
+// LogRec is one durable change record: the canonical encoding plus the
+// lineage coordinates it moves the shard to. Store.ApplyLogged receives
+// the records of every mutation it applies.
+type LogRec struct {
+	Enc    []byte // appendChange encoding (op, serial, id, body)
+	Serial uint64
+	Digest uint64
+}
+
 // journalRec pairs a change with the database digest after applying it.
 type journalRec struct {
 	change Change
@@ -216,12 +225,10 @@ func (db *Database) JournalLen() int {
 }
 
 // apply journals one mutation and applies it to the shard store
-// durably. Callers hold sh.wmu. The serial and digest are advanced
-// before the store mutation so a persisting Store (FileStore via its
-// meta source, SegmentStore via the log record) writes the post-change
-// lineage alongside the data. A store that persists via a change log
-// receives the already-encoded record, so the mutation appends O(change)
-// bytes instead of rewriting the database.
+// durably. Callers hold sh.wmu. The store receives the already-encoded
+// record, so a persisting Store writes the post-change lineage alongside
+// the data — and SegmentStore appends O(change) bytes instead of
+// rewriting the database.
 func (sh *dbShard) apply(op ChangeOp, e *Entry) {
 	c := Change{Serial: sh.serial.Load() + 1, Op: op, Entry: e.clone()}
 	enc := encodeChange(c)
@@ -230,25 +237,17 @@ func (sh *dbShard) apply(op ChangeOp, e *Entry) {
 	sh.digest.Store(digest)
 	sh.journal = append(sh.journal, journalRec{change: c, digest: digest})
 	sh.trimJournalLocked(false)
-	if sh.clog != nil {
-		rec := LogRec{Enc: enc, Serial: c.Serial, Digest: digest}
-		var err error
-		if op == ChangeDelete {
-			err = sh.clog.ApplyLogged([]LogRec{rec}, nil, []string{c.Entry.ID()})
-		} else {
-			err = sh.clog.ApplyLogged([]LogRec{rec}, []*Entry{c.Entry}, nil)
-		}
-		if err != nil {
-			// Same discipline as FileStore: continuing with a diverged
-			// log would silently violate the single-definitive-copy rule.
-			panic(fmt.Errorf("kdb: appending change: %w", err))
-		}
-		return
-	}
+	recs := []LogRec{{Enc: enc, Serial: c.Serial, Digest: digest}}
+	var err error
 	if op == ChangeDelete {
-		sh.store.Delete(c.Entry.ID())
+		err = sh.store.ApplyLogged(recs, nil, []string{c.Entry.ID()})
 	} else {
-		sh.store.Put(e)
+		err = sh.store.ApplyLogged(recs, []*Entry{c.Entry}, nil)
+	}
+	if err != nil {
+		// Continuing with a diverged file or log would silently violate
+		// the single-definitive-copy rule of §5.
+		panic(fmt.Errorf("kdb: appending change: %w", err))
 	}
 }
 
@@ -440,12 +439,8 @@ func (sh *dbShard) applyChanges(changes []Change, wantDigest uint64) error {
 	if wantDigest != 0 && digest != wantDigest {
 		return fmt.Errorf("%w: digest mismatch after serial %d", ErrSerialGap, changes[len(changes)-1].Serial)
 	}
-	if sh.clog != nil {
-		if err := sh.clog.ApplyLogged(recs, upserts, deletes); err != nil {
-			return fmt.Errorf("kdb: appending delta: %w", err)
-		}
-	} else {
-		sh.store.ApplyBatch(upserts, deletes)
+	if err := sh.store.ApplyLogged(recs, upserts, deletes); err != nil {
+		return fmt.Errorf("kdb: appending delta: %w", err)
 	}
 	for i, c := range changes {
 		sh.journal = append(sh.journal, journalRec{change: c, digest: digests[i]})

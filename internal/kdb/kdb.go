@@ -4,18 +4,19 @@
 // information."
 //
 // Like the Athena implementation — which moved from INGRES to ndbm — the
-// storage layer is a replaceable module behind the Store interface; the
-// provided MemStore keeps records in memory and serializes to a binary
-// dump for file persistence and for the hourly full-database propagation
-// of §5.3. All private keys are encrypted in the master database key
-// ("All passwords in the Kerberos database are encrypted in the master
-// database key"), so dumps and slave transfers never expose raw keys.
+// storage layer is a replaceable module behind the Store interface. The
+// in-memory EpochStore serves lock-free reads; FileStore and SegmentStore
+// wrap one and persist it (a rewritten dump file, or an append-only
+// segment log over a KDB4 snapshot). Dumps serialize the records for
+// the hourly full-database propagation of §5.3. All private keys are
+// encrypted in the master database key ("All passwords in the Kerberos
+// database are encrypted in the master database key"), so dumps and
+// slave transfers never expose raw keys.
 package kdb
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,141 +111,35 @@ func copyEntry(e *Entry) Entry {
 	return c
 }
 
-// Store is the replaceable storage module. Implementations must be safe
-// for concurrent use.
+// Store is the replaceable storage module: one narrow contract that
+// every backend implements whole. Implementations must be safe for
+// concurrent use. Stored entries are immutable (mutation replaces the
+// whole entry), so the shared fetches hand out the stored pointer and
+// callers must treat it as read-only.
 type Store interface {
-	// Fetch returns the entry for the key, or false.
-	Fetch(id string) (*Entry, bool)
-	// FetchShared returns the stored entry without copying it. The
-	// caller must treat the result as read-only: stored entries are
-	// immutable (mutation replaces the whole entry), so sharing is safe
-	// and the KDC's per-request lookups avoid a clone.
+	// FetchShared returns the stored entry for the rendered ID, or false.
 	FetchShared(id string) (*Entry, bool)
-	// Put inserts or replaces an entry.
-	Put(e *Entry)
-	// Delete removes an entry; deleting a missing entry is a no-op.
-	Delete(id string)
-	// Range calls fn for every entry in unspecified order until fn
-	// returns false.
+	// FetchSharedPair is FetchShared keyed by the un-joined (name,
+	// instance) pair, so the KDC's per-request lookup never renders
+	// (allocates) the ID string.
+	FetchSharedPair(name, instance string) (*Entry, bool)
+	// Range calls fn for a copy of every entry, in ID-sorted order,
+	// until fn returns false.
 	Range(fn func(*Entry) bool)
 	// Len returns the number of entries.
 	Len() int
-	// ReplaceAll atomically swaps the whole contents (propagation).
-	ReplaceAll(entries []*Entry)
-	// ApplyBatch applies a set of upserts and deletes in one atomic
-	// step: readers see either none or all of the batch (incremental
-	// propagation installs a delta this way).
-	ApplyBatch(upserts []*Entry, deletes []string)
-}
-
-// PairFetcher is the optional fast-read extension a Store may provide:
-// a shared fetch keyed by the un-joined (name, instance) pair, so the
-// KDC's per-request lookup never renders (allocates) the ID string.
-// EpochStore and SegmentStore implement it.
-type PairFetcher interface {
-	FetchSharedPair(name, instance string) (*Entry, bool)
-}
-
-// MemStore is the in-memory Store, the reproduction's stand-in for ndbm.
-type MemStore struct {
-	mu sync.RWMutex
-	m  map[string]*Entry
-}
-
-// NewMemStore returns an empty store.
-func NewMemStore() *MemStore {
-	return &MemStore{m: make(map[string]*Entry)}
-}
-
-// Fetch implements Store.
-func (s *MemStore) Fetch(id string) (*Entry, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.m[id]
-	if !ok {
-		return nil, false
-	}
-	return e.clone(), true
-}
-
-// FetchShared implements Store. Entries in the map are never mutated in
-// place (Put stores a fresh clone), so handing out the pointer is safe
-// as long as the caller does not write through it.
-func (s *MemStore) FetchShared(id string) (*Entry, bool) {
-	s.mu.RLock()
-	e, ok := s.m[id]
-	s.mu.RUnlock()
-	return e, ok
-}
-
-// Put implements Store.
-func (s *MemStore) Put(e *Entry) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.m[e.ID()] = e.clone()
-}
-
-// Delete implements Store.
-func (s *MemStore) Delete(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.m, id)
-}
-
-// Range implements Store. Entries are cloned; iteration order is sorted
-// by ID for determinism (dumps must be byte-identical across runs).
-func (s *MemStore) Range(fn func(*Entry) bool) {
-	s.mu.RLock()
-	ids := make([]string, 0, len(s.m))
-	for id := range s.m {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	entries := make([]*Entry, len(ids))
-	for i, id := range ids {
-		entries[i] = s.m[id].clone()
-	}
-	s.mu.RUnlock()
-	for _, e := range entries {
-		if !fn(e) {
-			return
-		}
-	}
-}
-
-// Len implements Store.
-func (s *MemStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.m)
-}
-
-// ReplaceAll implements Store.
-func (s *MemStore) ReplaceAll(entries []*Entry) {
-	m := make(map[string]*Entry, len(entries))
-	for _, e := range entries {
-		m[e.ID()] = e.clone()
-	}
-	s.mu.Lock()
-	s.m = m
-	s.mu.Unlock()
-}
-
-// ApplyBatch implements Store: one lock window for the whole batch, so
-// concurrent readers never observe a half-applied delta.
-func (s *MemStore) ApplyBatch(upserts []*Entry, deletes []string) {
-	clones := make([]*Entry, len(upserts))
-	for i, e := range upserts {
-		clones[i] = e.clone()
-	}
-	s.mu.Lock()
-	for _, e := range clones {
-		s.m[e.ID()] = e
-	}
-	for _, id := range deletes {
-		delete(s.m, id)
-	}
-	s.mu.Unlock()
+	// ApplyLogged applies a set of upserts and deletes in one atomic
+	// step — readers see none or all of it — together with the journal
+	// records that describe it, in order. A persisting store makes the
+	// records (or the lineage of the last one) durable before returning;
+	// an in-memory store ignores them.
+	ApplyLogged(recs []LogRec, upserts []*Entry, deletes []string) error
+	// ReplaceAll atomically swaps the whole contents (propagation, a
+	// dump load); meta is the lineage the new contents start at.
+	ReplaceAll(entries []*Entry, meta DumpMeta)
+	// LoadedMeta reports the lineage the store already holds when a
+	// Database is built over it (zero for a fresh or in-memory store).
+	LoadedMeta() DumpMeta
 }
 
 // Errors returned by Database operations.
@@ -273,8 +168,7 @@ var (
 // the principal space by FNV-1a hash of ID(name, instance) into N
 // independent shards, each with its own store, lock domain, and change
 // journal (per-shard serial + digest), so mutations and kprop deltas on
-// different shards never contend — and reads over an EpochStore-backed
-// shard take no lock at all.
+// different shards never contend — and reads take no lock at all.
 type Database struct {
 	masterKey    des.Key
 	masterCipher *des.Cipher // master key expanded once
@@ -288,13 +182,9 @@ type Database struct {
 // dbShard is one independent slice of the principal space: a store and
 // the incremental-propagation state of journal.go. wmu serializes
 // mutations so the journal order is the store apply order; serial and
-// digest are atomics so reads never contend with writers. pair caches
-// the store's PairFetcher extension so the per-request lookup skips
-// the interface assertion.
+// digest are atomics so reads never contend with writers.
 type dbShard struct {
 	store Store
-	pair  PairFetcher    // non-nil when store supports pair reads
-	clog  ChangeLogStore // non-nil when store persists via a change log
 
 	wmu           sync.Mutex
 	serial        atomic.Uint64
@@ -312,8 +202,7 @@ func New(masterKey des.Key) *Database {
 // NewWithStore creates a single-shard database over a caller-provided
 // Store. A store that carries propagation metadata (FileStore or
 // SegmentStore re-opening an existing database) seeds the serial and
-// digest, and is handed a source for persisting them alongside the
-// entries.
+// digest.
 func NewWithStore(masterKey des.Key, store Store) *Database {
 	return NewSharded(masterKey, []Store{store})
 }
@@ -332,24 +221,10 @@ func NewSharded(masterKey des.Key, stores []Store) *Database {
 		shards:       make([]*dbShard, len(stores)),
 	}
 	for i, store := range stores {
-		sh := &dbShard{store: store}
-		if pf, ok := store.(PairFetcher); ok {
-			sh.pair = pf
-		}
-		if cs, ok := store.(ChangeLogStore); ok {
-			sh.clog = cs
-		}
-		if ms, ok := store.(interface{ LoadedMeta() DumpMeta }); ok {
-			meta := ms.LoadedMeta()
-			sh.serial.Store(meta.Serial)
-			sh.digest.Store(meta.Digest)
-			sh.preBaseDigest = meta.Digest
-		}
-		if ms, ok := store.(interface{ SetMetaSource(func() DumpMeta) }); ok {
-			ms.SetMetaSource(func() DumpMeta {
-				return DumpMeta{Serial: sh.serial.Load(), Digest: sh.digest.Load()}
-			})
-		}
+		meta := store.LoadedMeta()
+		sh := &dbShard{store: store, preBaseDigest: meta.Digest}
+		sh.serial.Store(meta.Serial)
+		sh.digest.Store(meta.Digest)
 		db.shards[i] = sh
 	}
 	return db
@@ -438,32 +313,29 @@ func (db *Database) Add(name, instance string, key des.Key, maxLife core.Lifetim
 // Get fetches a principal's entry as a private copy the caller may
 // mutate.
 func (db *Database) Get(name, instance string) (*Entry, error) {
-	e, ok := db.shard(name, instance).store.Fetch(ID(name, instance))
+	return db.shard(name, instance).get(name, instance)
+}
+
+// get clones the stored entry for (name, instance).
+func (sh *dbShard) get(name, instance string) (*Entry, error) {
+	e, ok := sh.store.FetchShared(ID(name, instance))
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
 	}
-	return e, nil
+	return e.clone(), nil
 }
 
 // GetRO fetches a principal's entry without copying it. The caller must
 // treat the entry as read-only. This is the KDC's per-request lookup
-// path: no clone, no lock (over an EpochStore), no allocation — the
-// pair fetch never even renders the ID string.
+// path: no clone, no lock, no allocation — the pair fetch never even
+// renders the ID string.
 //
 //kerb:hotpath
 func (db *Database) GetRO(name, instance string) (*Entry, error) {
-	sh := db.shard(name, instance)
-	if sh.pair != nil {
-		if e, ok := sh.pair.FetchSharedPair(name, instance); ok {
-			return e, nil
-		}
-		return nil, notFoundErr(name, instance)
+	if e, ok := db.shard(name, instance).store.FetchSharedPair(name, instance); ok {
+		return e, nil
 	}
-	e, ok := sh.store.FetchShared(ID(name, instance))
-	if !ok {
-		return nil, notFoundErr(name, instance)
-	}
-	return e, nil
+	return nil, notFoundErr(name, instance)
 }
 
 // notFoundErr builds the miss-path error off the hot path (the miss
@@ -521,9 +393,9 @@ func (db *Database) SetKey(name, instance string, key des.Key, modBy string, now
 	sh := db.shard(name, instance)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	e, ok := sh.store.Fetch(ID(name, instance))
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
+	e, err := sh.get(name, instance)
+	if err != nil {
+		return err
 	}
 	e.EncKey = db.masterCipher.Seal(key[:])
 	e.KVNO++
@@ -543,9 +415,9 @@ func (db *Database) SetExpiration(name, instance string, expiration time.Time, m
 	sh := db.shard(name, instance)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	e, ok := sh.store.Fetch(ID(name, instance))
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
+	e, err := sh.get(name, instance)
+	if err != nil {
+		return err
 	}
 	e.Expiration = expiration
 	e.ModTime = now

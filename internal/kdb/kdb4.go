@@ -221,11 +221,11 @@ func readFallback(f *os.File, size int64) (data []byte, unmap func() error, mapp
 // materialized from a Snapshot alias its memory; the Snapshot must not
 // be closed while they are referenced.
 type Snapshot struct {
-	data    []byte
-	unmap   func() error
-	mapped  bool
-	meta    DumpMeta
-	count   int
+	data   []byte
+	unmap  func() error
+	mapped bool
+	meta   DumpMeta
+	count  int
 	recs   []byte
 	arena  []byte
 	idx    []byte
@@ -365,7 +365,7 @@ func parseKDB4(data []byte) (*Snapshot, error) {
 }
 
 // Index returns the snapshot's precomputed probe table (int32 record
-// indices, -1 empty), zero-copy on little-endian hosts: the returned
+// indices, negative empty), zero-copy on little-endian hosts: the returned
 // slice aliases the snapshot like materialized entries do, and is
 // invalid after Close. Returns nil for an empty snapshot.
 func (sn *Snapshot) Index() ([]int32, error) {
@@ -382,10 +382,21 @@ func (sn *Snapshot) Index() ([]int32, error) {
 			table[i] = int32(binary.LittleEndian.Uint32(sn.idx[i*4:]))
 		}
 	}
+	// No more slots filled than there are records: with at least twice
+	// as many slots as records, half the table then stays empty, so every
+	// probe sequence meets an empty slot. A full table would spin lookups
+	// of a missing principal forever.
+	filled := 0
 	for _, v := range table {
 		if int(v) >= sn.count {
 			return nil, fmt.Errorf("%w: index slot out of range", ErrBadSnapshot)
 		}
+		if v >= 0 {
+			filled++
+		}
+	}
+	if filled > sn.count {
+		return nil, fmt.Errorf("%w: index fills %d slots for %d records", ErrBadSnapshot, filled, sn.count)
 	}
 	return table, nil
 }

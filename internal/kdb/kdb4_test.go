@@ -2,6 +2,7 @@ package kdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -160,20 +161,84 @@ func TestKDB4CorruptionDetected(t *testing.T) {
 	}
 }
 
+// TestKDB4IndexRejectsFullTable: a CRC-valid snapshot whose probe
+// table names one record in every slot has no empty slot, so a lookup
+// of a missing principal would probe forever. Index refuses it.
+func TestKDB4IndexRejectsFullTable(t *testing.T) {
+	data, err := EncodeKDB4(kdb4TestEntries(1), DumpMeta{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idxOff := binary.BigEndian.Uint64(data[68:76])
+	idxCount := binary.BigEndian.Uint64(data[76:84])
+	for i := uint64(0); i < idxCount; i++ {
+		binary.LittleEndian.PutUint32(data[idxOff+4*i:], 0)
+	}
+	fixKDB4CRCs(data)
+	sn, err := ParseKDB4(data)
+	if err != nil {
+		t.Fatalf("re-checksummed snapshot rejected before Index: %v", err)
+	}
+	if _, err := sn.Index(); !errors.Is(err, ErrBadSnapshot) {
+		t.Fatalf("full probe table: Index err = %v, want ErrBadSnapshot", err)
+	}
+}
+
+// seedBases lays out a segment database root whose shards hold only a
+// base, no segments: entries are routed by ShardIndex, and every
+// shard's base stamps meta. kdb4 picks the format — a KDB4 snapshot, or
+// the legacy v2 dump (base.kdb) that pre-KDB4 stores wrote and that
+// SegmentStore still imports.
+func seedBases(tb testing.TB, dir string, shards int, entries []*Entry, meta DumpMeta, kdb4 bool) {
+	tb.Helper()
+	parts := make([][]*Entry, shards)
+	for _, e := range sortedEntriesByID(entries) {
+		i := ShardIndex(e.Name, e.Instance, shards)
+		parts[i] = append(parts[i], e)
+	}
+	for i, part := range parts {
+		sub := filepath.Join(dir, shardDirName(i))
+		if err := os.MkdirAll(sub, 0o700); err != nil {
+			tb.Fatal(err)
+		}
+		name, data := segBaseName, EncodeEntriesAt(part, meta)
+		if kdb4 {
+			var err error
+			if data, err = EncodeKDB4(part, meta); err != nil {
+				tb.Fatal(err)
+			}
+			name = segBase4Name
+		}
+		if err := os.WriteFile(filepath.Join(sub, name), data, 0o600); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
 // TestFlatKDB4Equivalence is the format-equivalence property test: the
-// same mutation history driven through a legacy flat-base store and a
-// KDB4-base store must produce byte-identical dumps and identical
-// serial/digest lineage, before and after compaction and reopen.
+// same seed contents imported from legacy flat bases and from KDB4
+// bases, then driven through the same mutation history, must produce
+// byte-identical dumps and identical serial/digest lineage, before and
+// after compaction and reopen — and compaction upgrades the flat bases
+// to KDB4.
 func TestFlatKDB4Equivalence(t *testing.T) {
 	dirs := []string{t.TempDir(), t.TempDir()}
-	opts := []SegmentOptions{
-		{SegmentBytes: 512, NoFsync: true, LegacyBase: true},
-		{SegmentBytes: 512, NoFsync: true},
+	opt := SegmentOptions{SegmentBytes: 512, NoFsync: true}
+	seed := make([]*Entry, 40)
+	for i := range seed {
+		seed[i] = mkEntry(i, 0)
+		seed[i].Instance = "" // the history below touches these principals
+	}
+	for i, dir := range dirs {
+		seedBases(t, dir, 2, seed, DumpMeta{Serial: 40, Digest: 0x5eed}, i == 1)
 	}
 	dbs := make([]*Database, 2)
 	stores := make([][]*SegmentStore, 2)
 	for i := range dbs {
-		dbs[i], stores[i] = openSegDB(t, dirs[i], 2, opts[i])
+		dbs[i], stores[i] = openSegDB(t, dirs[i], 2, opt)
+		if dbs[i].Len() != len(seed) || dbs[i].Serial() != 2*40 {
+			t.Fatalf("db %d seeded with %d entries at serial %d", i, dbs[i].Len(), dbs[i].Serial())
+		}
 	}
 
 	// A deterministic interleaving of adds, rekeys, deletes, and
@@ -220,19 +285,25 @@ func TestFlatKDB4Equivalence(t *testing.T) {
 	}
 	check("post-compaction")
 
-	// The bases on disk are different formats, as configured.
-	if _, err := os.Stat(filepath.Join(dirs[0], shardDirName(0), segBaseName)); err != nil {
-		t.Fatalf("legacy store has no flat base: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dirs[1], shardDirName(0), segBase4Name)); err != nil {
-		t.Fatalf("KDB4 store has no KDB4 base: %v", err)
+	// Compaction upgraded the imported flat bases: every shard of both
+	// stores now holds a KDB4 base and no flat one.
+	for _, dir := range dirs {
+		for i := 0; i < 2; i++ {
+			sub := filepath.Join(dir, shardDirName(i))
+			if _, err := os.Stat(filepath.Join(sub, segBase4Name)); err != nil {
+				t.Fatalf("%s has no KDB4 base after compaction: %v", sub, err)
+			}
+			if _, err := os.Stat(filepath.Join(sub, segBaseName)); !os.IsNotExist(err) {
+				t.Fatalf("%s kept its flat base after compaction: %v", sub, err)
+			}
+		}
 	}
 
 	for i := range stores {
 		for _, s := range stores[i] {
 			s.Close()
 		}
-		dbs[i], stores[i] = openSegDB(t, dirs[i], 2, opts[i])
+		dbs[i], stores[i] = openSegDB(t, dirs[i], 2, opt)
 	}
 	check("post-reopen")
 }

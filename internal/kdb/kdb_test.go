@@ -1,7 +1,9 @@
 package kdb
 
 import (
+	"encoding/binary"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -237,6 +239,45 @@ func TestParseDumpRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ParseDump(append(append([]byte(nil), dump...), 1, 2, 3)); err == nil {
 		t.Error("trailing garbage accepted")
+	}
+}
+
+// TestParseDumpImplausibleCount proves a hostile entry count cannot
+// turn a few header bytes into a huge pre-allocation: every encoded
+// entry needs at least minEntrySize bytes, so a count the rest of the
+// dump cannot hold is rejected before anything is reserved — for every
+// header version.
+func TestParseDumpImplausibleCount(t *testing.T) {
+	u32 := func(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+	meta := make([]byte, 16)
+	headers := map[string][]byte{
+		"v1": dumpMagic[:],
+		"v2": append(dumpMagicV2[:], meta...),
+		"v3": append(append(dumpMagicV3[:], u32(1)...), meta...),
+	}
+	for name, hdr := range headers {
+		for _, count := range []uint32{1 << 24, 1<<32 - 1, 2} {
+			dump := append(append(append([]byte(nil), hdr...), u32(count)...), make([]byte, 2*minEntrySize-1)...)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			_, err := ParseDump(dump)
+			runtime.ReadMemStats(&after)
+			if !errors.Is(err, ErrBadDump) {
+				t.Errorf("%s count %d: err = %v, want ErrBadDump", name, count, err)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("%s count %d: parsing allocated %d bytes", name, count, alloc)
+			}
+		}
+	}
+	// The bound is exact: a dump holding two minimal entries parses.
+	minimal := &Entry{Expiration: time.Unix(0, 0).UTC(), ModTime: time.Unix(0, 0).UTC()}
+	dump := EncodeEntriesAt([]*Entry{minimal, minimal}, DumpMeta{})
+	if len(dump) != 4+16+4+2*minEntrySize {
+		t.Fatalf("two minimal entries encode to %d bytes", len(dump))
+	}
+	if got, err := ParseDump(dump); err != nil || len(got) != 2 {
+		t.Fatalf("minimal two-entry dump: %d entries, %v", len(got), err)
 	}
 }
 

@@ -38,9 +38,9 @@ func flatResidentEstimate(entries []*Entry) int64 {
 //	seg-00000001.log  framed change records after the base
 //	seg-00000002.log  ...
 //
-// (Pre-KDB4 databases carry a base.kdb v2 dump instead; both load, and
-// the first compaction upgrades the base to KDB4 unless the LegacyBase
-// option pins the old format.)
+// (Pre-KDB4 databases carry a base.kdb v2 dump instead. It still loads,
+// read once as an import, and the first compaction or ReplaceAll
+// upgrades it to KDB4, the only base format the store writes.)
 //
 // A mutation appends one framed record — the same canonical appendChange
 // encoding the journal digest and the kprop delta plane already use — to
@@ -81,10 +81,7 @@ type SegmentStore struct {
 	activeSize int64
 	sealed     []uint64 // sealed segment seqs, ascending, not yet compacted
 
-	baseMeta   DumpMeta // meta of the current base.kdb
-	lastMeta   DumpMeta // meta of the newest appended record
-	loadedMeta DumpMeta // meta observed at open time (after replay)
-	metaSource func() DumpMeta
+	lastMeta DumpMeta // meta of the newest durable record (or the base)
 
 	compactCh  chan struct{}
 	done       chan struct{}
@@ -110,10 +107,6 @@ type SegmentOptions struct {
 	// NoFsync skips the fsync after each append (benchmarks; a crash may
 	// lose the tail but never corrupts — torn records truncate away).
 	NoFsync bool
-	// LegacyBase writes v2 dump bases (base.kdb) instead of KDB4
-	// snapshots — the pre-KDB4 on-disk form, kept selectable for the
-	// cold-start baseline benchmark and format-compat tests.
-	LegacyBase bool
 }
 
 func (o *SegmentOptions) defaults() {
@@ -125,31 +118,13 @@ func (o *SegmentOptions) defaults() {
 	}
 }
 
-// LogRec is one durable change record: the canonical encoding plus the
-// lineage coordinates it moves the database to.
-type LogRec struct {
-	Enc    []byte // appendChange encoding (op, serial, id, body)
-	Serial uint64
-	Digest uint64
-}
-
-// ChangeLogStore is a Store that persists via a change log: the Database
-// hands it already-encoded journal records so a mutation's durable cost
-// is O(change), not O(database).
-type ChangeLogStore interface {
-	Store
-	// ApplyLogged durably appends recs and applies the corresponding
-	// upserts/deletes to memory as one atomic step.
-	ApplyLogged(recs []LogRec, upserts []*Entry, deletes []string) error
-}
-
 // ErrBadSegment reports a segment log that failed structural validation
 // somewhere other than its tail.
 var ErrBadSegment = errors.New("kdb: corrupt segment log")
 
 const (
-	segBaseName  = "base.kdb"  // legacy v2 dump base
-	segBase4Name = "base.kdb4" // KDB4 snapshot base (preferred)
+	segBaseName  = "base.kdb"  // legacy v2 dump base (read-only import)
+	segBase4Name = "base.kdb4" // KDB4 snapshot base
 	segPrefix    = "seg-"
 	segSuffix    = ".log"
 	recHeader    = 4 + 4 + 8 + 8 // len + crc + serial + digest
@@ -263,7 +238,6 @@ func (s *SegmentStore) load() error {
 		// first fetch. Startup cost is validation, not decoding.
 		s.mem.installSnapshot(sn, table)
 		s.snap = sn
-		s.baseMeta = sn.Meta()
 		s.lastMeta = sn.Meta()
 		// Mapping plus the lazy-materialization pointer array; decoded
 		// entries accrete on top as principals are first touched.
@@ -275,8 +249,7 @@ func (s *SegmentStore) load() error {
 		if perr != nil {
 			return fmt.Errorf("kdb: parsing %s: %w", segBaseName, perr)
 		}
-		s.mem.ReplaceAll(entries)
-		s.baseMeta = meta
+		s.mem.ReplaceAll(entries, meta)
 		s.lastMeta = meta
 		s.residentBytes = flatResidentEstimate(entries)
 	} else if !os.IsNotExist(err) {
@@ -315,7 +288,6 @@ func (s *SegmentStore) load() error {
 		return fmt.Errorf("kdb: seeking active segment: %w", err)
 	}
 	s.active, s.activeSize = f, size
-	s.loadedMeta = s.lastMeta
 	return nil
 }
 
@@ -412,12 +384,13 @@ func readLogRecord(data []byte) (LogRec, int, bool) {
 	return rec, 8 + payloadLen, true
 }
 
-// LoadedMeta reports the lineage observed at open time (base plus segment
-// replay), so the Database resumes the on-disk serial and digest.
+// LoadedMeta implements Store: the lineage of the newest durable record
+// (at open, base plus segment replay), so the Database resumes the
+// on-disk serial and digest.
 func (s *SegmentStore) LoadedMeta() DumpMeta {
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
-	return s.loadedMeta
+	return s.lastMeta
 }
 
 // StartupStats is the cold-start cost observed when the store opened.
@@ -458,38 +431,19 @@ func (s *SegmentStore) syncDir() error {
 	return d.Sync()
 }
 
-// baseFileName returns the base filename the store writes, and the one
-// it must remove after installing (the other format).
-func (s *SegmentStore) baseFileName() (write, stale string) {
-	if s.opt.LegacyBase {
-		return segBaseName, segBase4Name
-	}
-	return segBase4Name, segBaseName
-}
-
-// encodeBase renders entries in the store's base format. Entries must
-// be ID-sorted (every fold and Range already is).
-func (s *SegmentStore) encodeBase(entries []*Entry, meta DumpMeta) ([]byte, error) {
-	if s.opt.LegacyBase {
-		return EncodeEntriesAt(entries, meta), nil
-	}
-	return EncodeKDB4(entries, meta)
-}
-
-// installBase atomically writes the base file and makes the swap
-// durable: rename, directory fsync, stale-format removal, directory
+// installBase atomically writes a KDB4 base and makes the swap durable:
+// rename, directory fsync, removal of a legacy flat base, directory
 // fsync again. Only after installBase returns may the records the base
 // covers be deleted — the ordering is what keeps a power cut from
 // resurrecting folded segments.
 func (s *SegmentStore) installBase(data []byte) error {
-	write, stale := s.baseFileName()
-	if err := WriteFileAtomic(filepath.Join(s.dir, write), data, 0o600); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.dir, segBase4Name), data, 0o600); err != nil {
 		return err
 	}
 	if err := s.syncDir(); err != nil {
 		return fmt.Errorf("kdb: syncing %s after base install: %w", s.dir, err)
 	}
-	if err := os.Remove(filepath.Join(s.dir, stale)); err == nil {
+	if err := os.Remove(filepath.Join(s.dir, segBaseName)); err == nil {
 		if err := s.syncDir(); err != nil {
 			return fmt.Errorf("kdb: syncing %s after stale base removal: %w", s.dir, err)
 		}
@@ -499,15 +453,7 @@ func (s *SegmentStore) installBase(data []byte) error {
 	return nil
 }
 
-// SetMetaSource installs the callback ReplaceAll uses to stamp the base
-// dump it writes. Append-path records carry their own lineage.
-func (s *SegmentStore) SetMetaSource(fn func() DumpMeta) {
-	s.fileMu.Lock()
-	defer s.fileMu.Unlock()
-	s.metaSource = fn
-}
-
-// ApplyLogged implements ChangeLogStore: one buffered write of the framed
+// ApplyLogged implements Store: one buffered write of the framed
 // records to the active segment, one fsync, one in-memory batch — all in
 // a single lock window so file order is memory order.
 func (s *SegmentStore) ApplyLogged(recs []LogRec, upserts []*Entry, deletes []string) error {
@@ -686,7 +632,7 @@ func (s *SegmentStore) Compact() error {
 	for i, id := range ids {
 		baseEntries[i] = byID[id]
 	}
-	data, err := s.encodeBase(baseEntries, meta)
+	data, err := EncodeKDB4(baseEntries, meta)
 	if err != nil {
 		return fmt.Errorf("kdb: compacting: encoding base: %w", err)
 	}
@@ -699,7 +645,6 @@ func (s *SegmentStore) Compact() error {
 	// them is safe — and a crash before the deletions is also safe,
 	// because replay skips records at or below the base serial.
 	s.fileMu.Lock()
-	s.baseMeta = meta
 	remaining := s.sealed[:0]
 	folded := make(map[uint64]bool, len(seqs))
 	for _, seq := range seqs {
@@ -760,64 +705,13 @@ func (s *SegmentStore) Close() error {
 	return err
 }
 
-// Fetch implements Store.
-func (s *SegmentStore) Fetch(id string) (*Entry, bool) { return s.mem.Fetch(id) }
-
 // FetchShared implements Store.
 func (s *SegmentStore) FetchShared(id string) (*Entry, bool) { return s.mem.FetchShared(id) }
 
-// FetchSharedPair implements PairFetcher: the KDC's lock-free,
+// FetchSharedPair implements Store: the KDC's lock-free,
 // zero-allocation read path over the epoch index.
 func (s *SegmentStore) FetchSharedPair(name, instance string) (*Entry, bool) {
 	return s.mem.FetchSharedPair(name, instance)
-}
-
-// Put implements Store. Used standalone (outside a Database, which logs
-// through ApplyLogged), the store synthesizes its own lineage record.
-func (s *SegmentStore) Put(e *Entry) {
-	if err := s.selfLog(ChangeUpsert, e); err != nil {
-		panic(err)
-	}
-}
-
-// Delete implements Store.
-func (s *SegmentStore) Delete(id string) {
-	name, instance := splitID(id)
-	if err := s.selfLog(ChangeDelete, &Entry{Name: name, Instance: instance}); err != nil {
-		panic(err)
-	}
-}
-
-// selfLog journals one standalone mutation with a synthesized serial.
-func (s *SegmentStore) selfLog(op ChangeOp, e *Entry) error {
-	s.fileMu.Lock()
-	defer s.fileMu.Unlock()
-	c := Change{Serial: s.lastMeta.Serial + 1, Op: op, Entry: e}
-	enc := encodeChange(c)
-	digest := chainDigest(s.lastMeta.Digest, enc)
-	buf := appendLogRecord(nil, LogRec{Enc: enc, Serial: c.Serial, Digest: digest})
-	if err := s.appendLocked(buf); err != nil {
-		return err
-	}
-	s.lastMeta = DumpMeta{Serial: c.Serial, Digest: digest}
-	if op == ChangeDelete {
-		s.mem.Delete(e.ID())
-	} else {
-		s.mem.Put(e)
-	}
-	s.maybeSealLocked()
-	return nil
-}
-
-// splitID undoes ID(): the instance is everything after the last dot
-// (names may not contain dots; core.Principal.Valid enforces that).
-func splitID(id string) (name, instance string) {
-	for i := len(id) - 1; i >= 0; i-- {
-		if id[i] == '.' {
-			return id[:i], id[i+1:]
-		}
-	}
-	return id, ""
 }
 
 // Range implements Store.
@@ -831,16 +725,12 @@ func (s *SegmentStore) Len() int { return s.mem.Len() }
 // the one legitimately whole-file write left, and it is O(new
 // contents). It waits out any running compaction: both write the base
 // file, and a fold of the old segments must not land over the new base.
-func (s *SegmentStore) ReplaceAll(entries []*Entry) {
+func (s *SegmentStore) ReplaceAll(entries []*Entry, meta DumpMeta) {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
-	meta := s.lastMeta
-	if s.metaSource != nil {
-		meta = s.metaSource()
-	}
-	data, err := s.encodeBase(sortedEntriesByID(entries), meta)
+	data, err := EncodeKDB4(sortedEntriesByID(entries), meta)
 	if err != nil {
 		panic(fmt.Errorf("kdb: encoding base: %w", err))
 	}
@@ -861,41 +751,11 @@ func (s *SegmentStore) ReplaceAll(entries []*Entry) {
 	s.active.Close()
 	s.active, s.activeSeq, s.activeSize = f, next, 0
 	s.sealed = nil
-	s.baseMeta, s.lastMeta = meta, meta
+	s.lastMeta = meta
 	for _, seq := range old {
 		os.Remove(filepath.Join(s.dir, segName(seq)))
 	}
-	s.mem.ReplaceAll(entries)
-}
-
-// ApplyBatch implements Store, self-logging each mutation (a Database
-// routes batches through ApplyLogged instead).
-func (s *SegmentStore) ApplyBatch(upserts []*Entry, deletes []string) {
-	s.fileMu.Lock()
-	defer s.fileMu.Unlock()
-	var buf []byte
-	meta := s.lastMeta
-	for _, e := range upserts {
-		c := Change{Serial: meta.Serial + 1, Op: ChangeUpsert, Entry: e}
-		enc := encodeChange(c)
-		meta = DumpMeta{Serial: c.Serial, Digest: chainDigest(meta.Digest, enc)}
-		buf = appendLogRecord(buf, LogRec{Enc: enc, Serial: c.Serial, Digest: meta.Digest})
-	}
-	for _, id := range deletes {
-		name, instance := splitID(id)
-		c := Change{Serial: meta.Serial + 1, Op: ChangeDelete, Entry: &Entry{Name: name, Instance: instance}}
-		enc := encodeChange(c)
-		meta = DumpMeta{Serial: c.Serial, Digest: chainDigest(meta.Digest, enc)}
-		buf = appendLogRecord(buf, LogRec{Enc: enc, Serial: c.Serial, Digest: meta.Digest})
-	}
-	if len(buf) > 0 {
-		if err := s.appendLocked(buf); err != nil {
-			panic(err)
-		}
-	}
-	s.lastMeta = meta
-	s.mem.ApplyBatch(upserts, deletes)
-	s.maybeSealLocked()
+	s.mem.ReplaceAll(entries, meta)
 }
 
 // OpenSegmentDB opens (or creates) a sharded database over segment-log

@@ -421,6 +421,6 @@ func TestSegmentStoreReplaceAllDirSyncError(t *testing.T) {
 			t.Fatalf("ReplaceAll with failing directory fsync: panic %v, want %v", err, errDirSync)
 		}
 	}()
-	s.ReplaceAll(nil)
+	s.ReplaceAll(nil, DumpMeta{})
 	t.Fatal("ReplaceAll did not panic")
 }

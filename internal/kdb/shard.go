@@ -2,14 +2,9 @@ package kdb
 
 // Shard routing. The principal space is split by FNV-1a hash of
 // ID(name, instance) into a fixed number of shards. The hash is computed
-// inline over the two components with the separator the ID would carry,
-// so routing never materializes the joined string — a shard lookup on the
-// KDC request path allocates nothing.
-
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
+// inline over the two components with the separator the ID would carry
+// (hashPair), so routing never materializes the joined string — a shard
+// lookup on the KDC request path allocates nothing.
 
 // ShardIndex returns the shard a (name, instance) principal belongs to
 // among n shards. n must be ≥ 1; with n == 1 the answer is always 0.
@@ -17,140 +12,5 @@ func ShardIndex(name, instance string, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= fnvPrime64
-	}
-	h ^= uint64('.')
-	h *= fnvPrime64
-	for i := 0; i < len(instance); i++ {
-		h ^= uint64(instance[i])
-		h *= fnvPrime64
-	}
-	return int(h % uint64(n))
-}
-
-// ShardIndexID is ShardIndex over an already-rendered "name.instance" ID.
-// The two agree because ID() joins the components with the same '.' the
-// inline hash feeds between them.
-func ShardIndexID(id string, n int) int {
-	if n <= 1 {
-		return 0
-	}
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= fnvPrime64
-	}
-	return int(h % uint64(n))
-}
-
-// ShardedStore is a Store that splits the key space across sub-stores by
-// ShardIndexID, giving N independent lock domains behind the one Store
-// interface. It exists for callers that want lock sharding without the
-// per-shard journals of NewSharded — and as the reference subject of the
-// sharded/flat equivalence property test.
-type ShardedStore struct {
-	subs []Store
-}
-
-// NewShardedStore returns a ShardedStore over n fresh MemStores.
-func NewShardedStore(n int) *ShardedStore {
-	if n < 1 {
-		n = 1
-	}
-	subs := make([]Store, n)
-	for i := range subs {
-		subs[i] = NewMemStore()
-	}
-	return &ShardedStore{subs: subs}
-}
-
-// NewShardedStoreOf returns a ShardedStore over caller-provided
-// sub-stores (one per shard).
-func NewShardedStoreOf(subs []Store) *ShardedStore {
-	if len(subs) == 0 {
-		panic("kdb: NewShardedStoreOf needs at least one store")
-	}
-	return &ShardedStore{subs: subs}
-}
-
-// Shards reports the shard count.
-func (ss *ShardedStore) Shards() int { return len(ss.subs) }
-
-// Shard returns the sub-store for shard i.
-func (ss *ShardedStore) Shard(i int) Store { return ss.subs[i] }
-
-func (ss *ShardedStore) sub(id string) Store {
-	return ss.subs[ShardIndexID(id, len(ss.subs))]
-}
-
-// Fetch implements Store.
-func (ss *ShardedStore) Fetch(id string) (*Entry, bool) { return ss.sub(id).Fetch(id) }
-
-// FetchShared implements Store.
-func (ss *ShardedStore) FetchShared(id string) (*Entry, bool) { return ss.sub(id).FetchShared(id) }
-
-// Put implements Store.
-func (ss *ShardedStore) Put(e *Entry) { ss.sub(e.ID()).Put(e) }
-
-// Delete implements Store.
-func (ss *ShardedStore) Delete(id string) { ss.sub(id).Delete(id) }
-
-// Range implements Store: the per-shard sorted ranges merge into one
-// globally ID-sorted iteration, so dumps over a ShardedStore are
-// byte-identical to dumps over a flat MemStore with the same contents.
-func (ss *ShardedStore) Range(fn func(*Entry) bool) {
-	if len(ss.subs) == 1 {
-		ss.subs[0].Range(fn)
-		return
-	}
-	rangeMerged(ss.subs, fn)
-}
-
-// Len implements Store.
-func (ss *ShardedStore) Len() int {
-	n := 0
-	for _, s := range ss.subs {
-		n += s.Len()
-	}
-	return n
-}
-
-// ReplaceAll implements Store, partitioning the new contents per shard.
-// The swap is atomic per shard, not across shards; bulk replacement
-// callers (propagation) quiesce readers at the Database layer.
-func (ss *ShardedStore) ReplaceAll(entries []*Entry) {
-	parts := make([][]*Entry, len(ss.subs))
-	for _, e := range entries {
-		i := ShardIndexID(e.ID(), len(ss.subs))
-		parts[i] = append(parts[i], e)
-	}
-	for i, s := range ss.subs {
-		s.ReplaceAll(parts[i])
-	}
-}
-
-// ApplyBatch implements Store, partitioning the batch per shard.
-func (ss *ShardedStore) ApplyBatch(upserts []*Entry, deletes []string) {
-	if len(ss.subs) == 1 {
-		ss.subs[0].ApplyBatch(upserts, deletes)
-		return
-	}
-	ups := make([][]*Entry, len(ss.subs))
-	dels := make([][]string, len(ss.subs))
-	for _, e := range upserts {
-		i := ShardIndexID(e.ID(), len(ss.subs))
-		ups[i] = append(ups[i], e)
-	}
-	for _, id := range deletes {
-		i := ShardIndexID(id, len(ss.subs))
-		dels[i] = append(dels[i], id)
-	}
-	for i, s := range ss.subs {
-		if len(ups[i]) > 0 || len(dels[i]) > 0 {
-			s.ApplyBatch(ups[i], dels[i])
-		}
-	}
+	return int(hashPair(name, instance) % uint64(n))
 }

@@ -2,6 +2,7 @@ package kdb
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -11,7 +12,11 @@ import (
 	"kerberos/internal/des"
 )
 
-func TestShardIndexAgreesWithShardIndexID(t *testing.T) {
+// TestShardIndexAgreesWithIDHash pins the router to the rendered ID:
+// hashing the (name, instance) pair inline must route exactly as
+// hashing ID(name, instance) would, or shard placement would depend on
+// which form a caller happened to hold.
+func TestShardIndexAgreesWithIDHash(t *testing.T) {
 	cases := []struct{ name, instance string }{
 		{"jis", ""}, {"rcmd", "mole"}, {"changepw", "kerberos"},
 		{"u.000", ""}, {"", ""}, {"a", "b.c"},
@@ -19,9 +24,9 @@ func TestShardIndexAgreesWithShardIndexID(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 8, 16, 97} {
 		for _, c := range cases {
 			byParts := ShardIndex(c.name, c.instance, n)
-			byID := ShardIndexID(ID(c.name, c.instance), n)
+			byID := int(hashID(ID(c.name, c.instance)) % uint64(n))
 			if byParts != byID {
-				t.Errorf("ShardIndex(%q,%q,%d)=%d but ShardIndexID=%d",
+				t.Errorf("ShardIndex(%q,%q,%d)=%d but the ID hash routes to %d",
 					c.name, c.instance, n, byParts, byID)
 			}
 			if byParts < 0 || byParts >= n {
@@ -46,16 +51,6 @@ func TestShardIndexSpreadsPrincipals(t *testing.T) {
 	}
 }
 
-// randomOps generates a deterministic mixed op sequence for the
-// equivalence tests.
-type storeOp struct {
-	kind int // 0 put, 1 delete, 2 batch, 3 replaceAll
-	e    *Entry
-	ups  []*Entry
-	dels []string
-	all  []*Entry
-}
-
 func mkEntry(i, rev int) *Entry {
 	return &Entry{
 		Name:       fmt.Sprintf("u%03d", i),
@@ -69,96 +64,120 @@ func mkEntry(i, rev int) *Entry {
 	}
 }
 
-func randomOps(rng *rand.Rand, n int) []storeOp {
-	ops := make([]storeOp, 0, n)
-	for len(ops) < n {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3, 4:
-			ops = append(ops, storeOp{kind: 0, e: mkEntry(rng.Intn(60), rng.Intn(9))})
-		case 5, 6:
-			ops = append(ops, storeOp{kind: 1, e: mkEntry(rng.Intn(60), 0)})
-		case 7, 8:
-			var ups []*Entry
-			var dels []string
-			for k := 0; k < 1+rng.Intn(5); k++ {
-				ups = append(ups, mkEntry(rng.Intn(60), rng.Intn(9)))
-			}
-			for k := 0; k < rng.Intn(3); k++ {
-				dels = append(dels, mkEntry(rng.Intn(60), 0).ID())
-			}
-			ops = append(ops, storeOp{kind: 2, ups: ups, dels: dels})
-		default:
-			var all []*Entry
-			for k := 0; k < rng.Intn(20); k++ {
-				all = append(all, mkEntry(rng.Intn(60), rng.Intn(9)))
-			}
-			ops = append(ops, storeOp{kind: 3, all: all})
+// splitID undoes ID(): the instance is everything after the last dot
+// (names may not contain dots; core.Principal.Valid enforces that).
+func splitID(id string) (name, instance string) {
+	for i := len(id) - 1; i >= 0; i-- {
+		if id[i] == '.' {
+			return id[:i], id[i+1:]
 		}
 	}
-	return ops
+	return id, ""
 }
 
-func applyOp(s Store, op storeOp) {
-	switch op.kind {
-	case 0:
-		s.Put(op.e)
-	case 1:
-		s.Delete(op.e.ID())
-	case 2:
-		s.ApplyBatch(op.ups, op.dels)
-	case 3:
-		s.ReplaceAll(op.all)
+// newShardedEpochDB builds an n-shard database over fresh EpochStores.
+func newShardedEpochDB(master des.Key, n int) *Database {
+	stores := make([]Store, n)
+	for i := range stores {
+		stores[i] = NewEpochStore()
 	}
+	return NewSharded(master, stores)
 }
 
-func snapshotStore(s Store) []*Entry {
-	var out []*Entry
-	s.Range(func(e *Entry) bool {
-		out = append(out, e)
-		return true
-	})
-	return out
+// dumpEntryList returns the entry-list bytes of a v2 or v3 dump: the
+// part that is shard-agnostic, past the lineage header.
+func dumpEntryList(t *testing.T, dump []byte) []byte {
+	t.Helper()
+	switch [4]byte(dump[:4]) {
+	case dumpMagicV2:
+		return dump[4+16:]
+	case dumpMagicV3:
+		return dump[4+4+16*int(binary.BigEndian.Uint32(dump[4:])):]
+	}
+	t.Fatalf("unexpected dump magic %q", dump[:4])
+	return nil
 }
 
-// TestShardedStoreEquivalence is the property test of the tentpole: a
-// ShardedStore driven by any op sequence is observationally equivalent
-// to a flat MemStore driven by the same sequence — same Fetch results,
-// same Len, and the same globally sorted Range (so dumps over either are
-// byte-identical).
+// TestShardedStoreEquivalence is the sharding property test: a
+// database over N EpochStore shards, driven by any seeded random
+// sequence of Add/SetKey/SetExpiration/Delete/LoadDump, is
+// observationally equivalent to the flat database driven by the same
+// sequence — same per-op errors, Len, List order, Get and Key results,
+// and byte-identical dump entries (only the lineage header differs).
 func TestShardedStoreEquivalence(t *testing.T) {
+	master := des.StringToKey("master-password", "ATHENA.MIT.EDU")
+	keys := make([]des.Key, 6)
+	for i := range keys {
+		keys[i] = des.StringToKey(fmt.Sprintf("pw%d", i), "R")
+	}
+	instances := []string{"", "host", "i1"}
 	for _, shards := range []int{1, 2, 4, 13} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(1000 + shards)))
-			flat := NewMemStore()
-			sharded := NewShardedStore(shards)
-			for _, op := range randomOps(rng, 400) {
-				applyOp(flat, op)
-				applyOp(sharded, op)
+			flat := New(master)
+			sharded := newShardedEpochDB(master, shards)
+			dbs := []*Database{flat, sharded}
+			for op := 0; op < 400; op++ {
+				name := fmt.Sprintf("u%03d", rng.Intn(60))
+				inst := instances[rng.Intn(len(instances))]
+				now := t0.Add(time.Duration(op) * time.Minute)
+				key := keys[rng.Intn(len(keys))]
+				var errs [2]error
+				switch k := rng.Intn(20); {
+				case k < 8:
+					for i, db := range dbs {
+						errs[i] = db.Add(name, inst, key, core.Lifetime(k), "t", now)
+					}
+				case k < 12:
+					for i, db := range dbs {
+						errs[i] = db.SetKey(name, inst, key, "t", now)
+					}
+				case k < 15:
+					for i, db := range dbs {
+						errs[i] = db.SetExpiration(name, inst, now.Add(time.Hour), "t", now)
+					}
+				case k < 19:
+					for i, db := range dbs {
+						errs[i] = db.Delete(name, inst)
+					}
+				default:
+					src := New(master)
+					for j := rng.Intn(25); j > 0; j-- {
+						src.Add(fmt.Sprintf("u%03d", rng.Intn(60)), instances[rng.Intn(3)], key, 0, "load", now)
+					}
+					dump := src.Dump()
+					for i, db := range dbs {
+						errs[i] = db.LoadDump(dump)
+					}
+				}
+				if (errs[0] == nil) != (errs[1] == nil) {
+					t.Fatalf("op %d: flat err %v, sharded err %v", op, errs[0], errs[1])
+				}
 			}
 			if flat.Len() != sharded.Len() {
 				t.Fatalf("Len: flat %d, sharded %d", flat.Len(), sharded.Len())
 			}
-			a, b := snapshotStore(flat), snapshotStore(sharded)
-			if len(a) != len(b) {
-				t.Fatalf("Range lengths differ: %d vs %d", len(a), len(b))
+			listA, listB := flat.List(), sharded.List()
+			if fmt.Sprint(listA) != fmt.Sprint(listB) {
+				t.Fatalf("List: flat %v, sharded %v", listA, listB)
 			}
-			for i := range a {
-				if !entryEqual(a[i], b[i]) {
-					t.Fatalf("Range[%d]: flat %s, sharded %s", i, a[i].ID(), b[i].ID())
+			for _, id := range listA {
+				name, instance := splitID(id)
+				ea, _ := flat.Get(name, instance)
+				eb, err := sharded.Get(name, instance)
+				if err != nil || !entryEqual(ea, eb) {
+					t.Fatalf("Get(%s) disagrees (%v)", id, err)
 				}
-				if got, ok := sharded.Fetch(a[i].ID()); !ok || !entryEqual(got, a[i]) {
-					t.Fatalf("Fetch(%s) disagrees", a[i].ID())
-				}
-				if got, ok := sharded.FetchShared(a[i].ID()); !ok || !entryEqual(got, a[i]) {
-					t.Fatalf("FetchShared(%s) disagrees", a[i].ID())
+				ka, _ := flat.Key(ea)
+				if kb, err := sharded.Key(eb); err != nil || ka != kb {
+					t.Fatalf("Key(%s) disagrees (%v)", id, err)
 				}
 			}
-			if dumpA, dumpB := EncodeEntries(a), EncodeEntries(b); !bytes.Equal(dumpA, dumpB) {
-				t.Fatal("dumps over equivalent stores differ")
+			if _, err := sharded.Get("nobody", "nowhere"); err == nil {
+				t.Fatal("phantom entry in sharded database")
 			}
-			// Missing IDs answer identically too.
-			if _, ok := sharded.Fetch("nobody.nowhere"); ok {
-				t.Fatal("phantom entry in sharded store")
+			if !bytes.Equal(dumpEntryList(t, flat.Dump()), dumpEntryList(t, sharded.Dump())) {
+				t.Fatal("dump entries over equivalent databases differ")
 			}
 		})
 	}
@@ -171,11 +190,7 @@ func TestShardedStoreEquivalence(t *testing.T) {
 func TestShardedDatabaseEquivalence(t *testing.T) {
 	master := des.StringToKey("master-password", "ATHENA.MIT.EDU")
 	flat := New(master)
-	stores := make([]Store, 8)
-	for i := range stores {
-		stores[i] = NewMemStore()
-	}
-	sharded := NewSharded(master, stores)
+	sharded := newShardedEpochDB(master, 8)
 
 	key := des.StringToKey("pw", "R")
 	for i := 0; i < 120; i++ {
@@ -244,13 +259,7 @@ func TestShardedDatabaseEquivalence(t *testing.T) {
 // lineage on a same-shape database and restarts it on a different shape.
 func TestShardedDumpRoundTrip(t *testing.T) {
 	master := des.StringToKey("m", "R")
-	mk := func(n int) *Database {
-		stores := make([]Store, n)
-		for i := range stores {
-			stores[i] = NewMemStore()
-		}
-		return NewSharded(master, stores)
-	}
+	mk := func(n int) *Database { return newShardedEpochDB(master, n) }
 	src := mk(4)
 	addN(t, src, 50)
 	dump := src.Dump()
@@ -306,13 +315,7 @@ func TestShardedDumpRoundTrip(t *testing.T) {
 // the unit the kprop v3 plane ships.
 func TestShardedDeltaPlane(t *testing.T) {
 	master := des.StringToKey("m", "R")
-	mk := func() *Database {
-		stores := make([]Store, 4)
-		for i := range stores {
-			stores[i] = NewMemStore()
-		}
-		return NewSharded(master, stores)
-	}
+	mk := func() *Database { return newShardedEpochDB(master, 4) }
 	src := mk()
 	dst := mk()
 	addN(t, src, 30)

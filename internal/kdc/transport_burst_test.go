@@ -275,7 +275,11 @@ func TestUDPBurstConcurrentExchanges(t *testing.T) {
 			defer wg.Done()
 			var err error
 			var conn net.Conn
-			defer func() { conn.Close() }()
+			defer func() {
+				if conn != nil { // an unclean last exchange already closed it
+					conn.Close()
+				}
+			}()
 			buf := make([]byte, MaxUDPMessage)
 			for k := 0; k < exchanges; k++ {
 				req, key, want := asReqBytes(r), r.userKey, tgs

@@ -12,7 +12,7 @@ import (
 func newShardedSlaveDB(key des.Key, shards int) *kdb.Database {
 	stores := make([]kdb.Store, shards)
 	for i := range stores {
-		stores[i] = kdb.NewMemStore()
+		stores[i] = kdb.NewEpochStore()
 	}
 	return kdb.NewSharded(key, stores)
 }
@@ -21,7 +21,7 @@ func shardedMasterDB(t testing.TB, shards, n int) *kdb.Database {
 	t.Helper()
 	stores := make([]kdb.Store, shards)
 	for i := range stores {
-		stores[i] = kdb.NewMemStore()
+		stores[i] = kdb.NewEpochStore()
 	}
 	db := kdb.NewSharded(des.StringToKey("master", testRealm), stores)
 	for i := 0; i < n; i++ {

@@ -94,12 +94,12 @@ func New(sc *Scenario, opts ...Option) (*Sim, error) {
 		o(s)
 	}
 
-	// The realm database: per-shard MemStores, deterministic master and
+	// The realm database: per-shard EpochStores, deterministic master and
 	// TGS keys (key material never shows in the trace, but deterministic
 	// inputs keep every layer reproducible on principle).
 	stores := make([]kdb.Store, sc.Topology.Shards)
 	for i := range stores {
-		stores[i] = kdb.NewMemStore()
+		stores[i] = kdb.NewEpochStore()
 	}
 	master := client.PasswordKey(core.Principal{Name: "K", Instance: "M", Realm: sc.Realm}, "sim-master")
 	s.db = kdb.NewSharded(master, stores)

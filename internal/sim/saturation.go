@@ -183,7 +183,7 @@ func Calibrate(top Topology, n int) ServiceModel {
 	shards := max(top.Shards, 1)
 	stores := make([]kdb.Store, shards)
 	for i := range stores {
-		stores[i] = kdb.NewMemStore()
+		stores[i] = kdb.NewEpochStore()
 	}
 	master := client.PasswordKey(core.Principal{Name: "K", Instance: "M", Realm: realm}, "calib-master")
 	defer clear(master[:])

@@ -24,6 +24,11 @@ done
 echo "== go test -fuzz=FuzzDelta -fuzztime=$FUZZTIME ./internal/kprop"
 go test -run '^$' -fuzz='^FuzzDelta$' -fuzztime="$FUZZTIME" ./internal/kprop
 
+for target in FuzzParseDump FuzzParseKDB4; do
+    echo "== go test -fuzz=$target -fuzztime=$FUZZTIME ./internal/kdb"
+    go test -run '^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/kdb
+done
+
 echo "== go test -fuzz=FuzzHandleBatch -fuzztime=$FUZZTIME ./internal/kdc"
 go test -run '^$' -fuzz='^FuzzHandleBatch$' -fuzztime="$FUZZTIME" ./internal/kdc
 
