@@ -101,23 +101,15 @@ func rotate28(v uint64, n byte) uint64 {
 	return ((v << n) | (v >> (28 - n))) & 0x0fffffff
 }
 
-// crypt runs the 16-round Feistel network with the subkeys in the given
-// order (forward for encryption, reverse for decryption), on the
-// table-driven core in fast.go. The bit-by-bit transcription of the
-// standard is the test oracle (des_test.go).
-func (c *Cipher) crypt(block uint64, decrypt bool) uint64 {
-	return c.cryptFast(block, decrypt)
-}
-
 // EncryptBlock encrypts a single 8-byte block. dst and src may overlap.
 func (c *Cipher) EncryptBlock(dst, src []byte) {
-	out := c.crypt(binary.BigEndian.Uint64(src), false)
+	out := c.cryptFast(binary.BigEndian.Uint64(src), false)
 	binary.BigEndian.PutUint64(dst, out)
 }
 
 // DecryptBlock decrypts a single 8-byte block. dst and src may overlap.
 func (c *Cipher) DecryptBlock(dst, src []byte) {
-	out := c.crypt(binary.BigEndian.Uint64(src), true)
+	out := c.cryptFast(binary.BigEndian.Uint64(src), true)
 	binary.BigEndian.PutUint64(dst, out)
 }
 

@@ -5,20 +5,40 @@ import "math/bits"
 // Precomputed lookup tables, built once at init from the FIPS tables in
 // tables.go, and the table-driven cipher core that uses them. This is
 // the classic software-DES optimization lineage of the 1988 libdes
-// generation, taken one step further than SP boxes alone:
+// generation:
 //
-//   - The P permutation is folded into the S-boxes ("SP boxes"), so a
-//     round's nonlinear step is eight table lookups ORed together.
+//   - The core runs in a "domain": a block is taken through IP and each
+//     32-bit half is then rotated right by one bit. Everything between
+//     IP and FP happens there, and toDomain and fromDomain are the only
+//     ways in and out.
+//   - The P permutation is folded into the S-boxes ("SP boxes"), and
+//     each SP box entry is pre-rotated right by one bit, so a round's
+//     nonlinear output lands in the domain as it is: eight table
+//     lookups ORed together, XORed into the other half.
 //   - The E expansion is never materialized. E replicates each 4-bit
 //     group's neighbours, so its eight overlapping 6-bit windows split
 //     into two sets of four *disjoint* windows: the even windows read
-//     directly from R rotated right by one bit, the odd windows from
-//     that word rotated left four more. Each round therefore XORs two
-//     pre-positioned 32-bit key words and extracts eight 6-bit indices
-//     with plain shifts — no expansion tables, 8 loads per round
-//     instead of 12.
+//     directly from a domain half (R rotated right by one bit), the
+//     odd windows from that word rotated left four more. Each round
+//     therefore XORs two pre-positioned 32-bit key words and extracts
+//     eight 6-bit indices with plain shifts: no expansion tables, no
+//     alignment rotate, 8 loads per round.
+//   - The core runs two rounds per loop iteration, the second with the
+//     halves' roles exchanged, so no l/r swap is ever executed, and the
+//     round body is written out in the loop rather than called.
+//   - IP and FP are computed by delta swaps (five masked exchanges of
+//     bit groups, as crypto/des does) instead of byte-indexed tables.
+//   - The domain map is a bit permutation, so it distributes over XOR.
+//     The chaining modes (modes.go, key.go) feed the core's output
+//     straight back into the next block in the domain; only the
+//     plaintext going in and the ciphertext coming out are mapped,
+//     and neither mapping sits on the serial chain.
+//   - Decryption of a chained message has no serial dependency between
+//     blocks' DES operations, only in the XOR chain after them, so
+//     decrypt2 runs two blocks' rounds in lockstep and the processor
+//     overlaps their table loads.
 //   - The key schedule is stored only as 32 window-positioned 32-bit
-//     words (ks, what the round above consumes), and key expansion is
+//     words (ks, what the rounds consume), and key expansion is
 //     table-driven too: PC-1 is eight byte-indexed lookups, and PC-2,
 //     composed with the window split, is eight lookups of 7-bit
 //     chunks of C‖D per round. Expanding a key costs 136 loads instead
@@ -30,14 +50,12 @@ import "math/bits"
 
 var (
 	// spBox[i][v] is S-box i applied to the 6-bit value v, already run
-	// through the round permutation P and positioned in the 32-bit word.
-	spBox [8][64]uint32
-
-	// ipTab[b][v] is the contribution of input byte b holding value v to
-	// the 64-bit output of the initial permutation; fpTab likewise for
-	// the final permutation.
-	ipTab [8][256]uint64
-	fpTab [8][256]uint64
+	// through the round permutation P, positioned in the 32-bit word and
+	// rotated right by one bit into the domain. It is reached through a
+	// pointer so the core addresses all eight boxes from one base
+	// register: indexing the array variable directly, the compiler keeps
+	// eight table addresses live across a round and spills to the stack.
+	spBox = new([8][64]uint32)
 
 	// pc1Tab[b][v] is the contribution of key byte b holding value v to
 	// C‖D, the 56-bit output of PC-1.
@@ -51,7 +69,8 @@ var (
 )
 
 func init() {
-	// SP boxes: for each S-box output nibble, apply P.
+	// SP boxes: for each S-box output nibble, apply P, then rotate the
+	// result into the domain.
 	for box := 0; box < 8; box++ {
 		for v := 0; v < 64; v++ {
 			row := (v>>4)&2 | v&1
@@ -59,17 +78,15 @@ func init() {
 			nibble := uint64(sBoxes[box][row*16+col])
 			// Position the nibble in the 32-bit pre-P word.
 			pre := nibble << uint(28-4*box)
-			spBox[box][v] = uint32(permute(pre, 32, roundPermutation[:]))
+			sp := uint32(permute(pre, 32, roundPermutation[:]))
+			spBox[box][v] = bits.RotateLeft32(sp, -1)
 		}
 	}
-	// Byte-indexed linear permutations: a permutation distributes over
-	// OR across disjoint input bits, so per-byte contributions combine.
+	// PC-1 is linear: a permutation distributes over OR across disjoint
+	// input bits, so per-byte contributions combine.
 	for b := 0; b < 8; b++ {
 		for v := 0; v < 256; v++ {
-			in := uint64(v) << uint(56-8*b)
-			ipTab[b][v] = permute(in, 64, initialPermutation[:])
-			fpTab[b][v] = permute(in, 64, finalPermutation[:])
-			pc1Tab[b][v] = permute(in, 64, permutedChoice1[:])
+			pc1Tab[b][v] = permute(uint64(v)<<uint(56-8*b), 64, permutedChoice1[:])
 		}
 	}
 	for j := 0; j < 8; j++ {
@@ -80,18 +97,39 @@ func init() {
 	}
 }
 
-// permuteIP applies the initial permutation via tables.
-func permuteIP(v uint64) uint64 {
-	return ipTab[0][v>>56] | ipTab[1][v>>48&0xff] | ipTab[2][v>>40&0xff] |
-		ipTab[3][v>>32&0xff] | ipTab[4][v>>24&0xff] | ipTab[5][v>>16&0xff] |
-		ipTab[6][v>>8&0xff] | ipTab[7][v&0xff]
+// toDomain maps a block into the core's domain: IP by delta swaps, then
+// each half rotated right by one bit. It is a bit permutation, so
+// toDomain(a^b) == toDomain(a)^toDomain(b).
+func toDomain(b uint64) uint64 {
+	// The exchanges of crypto/des's permuteInitialBlock, in its order.
+	t := (b ^ b>>48) & 0xffff
+	b ^= t | t<<48
+	t = (b>>32 ^ b>>8) & 0x00ff00ff
+	b ^= t<<32 | t<<8
+	t = (b ^ b>>12) & 0x0000f0f00000f0f0
+	b ^= t | t<<12
+	t = (b ^ b>>6) & 0x00cc00cc00cc00cc
+	b ^= t | t<<6
+	t = (b ^ b>>33) & 0x0000000055555555
+	b ^= t | t<<33
+	return b>>1&0x7fffffff7fffffff | b<<31&0x8000000080000000
 }
 
-// permuteFP applies the final permutation via tables.
-func permuteFP(v uint64) uint64 {
-	return fpTab[0][v>>56] | fpTab[1][v>>48&0xff] | fpTab[2][v>>40&0xff] |
-		fpTab[3][v>>32&0xff] | fpTab[4][v>>24&0xff] | fpTab[5][v>>16&0xff] |
-		fpTab[6][v>>8&0xff] | fpTab[7][v&0xff]
+// fromDomain is the inverse of toDomain: each half rotated left by one
+// bit, then FP by the same exchanges in reverse order.
+func fromDomain(b uint64) uint64 {
+	b = b<<1&0xfffffffefffffffe | b>>31&0x0000000100000001
+	t := (b ^ b>>33) & 0x0000000055555555
+	b ^= t | t<<33
+	t = (b ^ b>>6) & 0x00cc00cc00cc00cc
+	b ^= t | t<<6
+	t = (b ^ b>>12) & 0x0000f0f00000f0f0
+	b ^= t | t<<12
+	t = (b>>32 ^ b>>8) & 0x00ff00ff
+	b ^= t<<32 | t<<8
+	t = (b ^ b>>48) & 0xffff
+	b ^= t | t<<48
+	return b
 }
 
 // windowWords splits a 48-bit round subkey into the two
@@ -129,34 +167,72 @@ func (c *Cipher) expandKey(key Key) {
 	}
 }
 
-// round is one Feistel round on (l, r) with the two window-positioned
-// key words, returning the new (l, r).
-func round(l, r, ku, kt uint32) (uint32, uint32) {
-	r2 := bits.RotateLeft32(r, 31)
-	u := r2 ^ ku
-	t := bits.RotateLeft32(r2, 4) ^ kt
-	f := spBox[0][u>>26] | spBox[2][u>>18&0x3f] |
-		spBox[4][u>>10&0x3f] | spBox[6][u>>2&0x3f] |
-		spBox[1][t>>26] | spBox[3][t>>18&0x3f] |
-		spBox[5][t>>10&0x3f] | spBox[7][t>>2&0x3f]
-	return r, l ^ f
+// core runs the 16 rounds on a block in the domain, with the subkeys
+// forward to encrypt or backward to decrypt, and returns the result in
+// the domain: fromDomain of it is the output block.
+func (c *Cipher) core(v uint64, decrypt bool) uint64 {
+	l, r := uint32(v>>32), uint32(v)
+	ks, sp := &c.ks, spBox
+	// Each iteration runs two rounds; a and b index the first and the
+	// second round's key words (masked, so no bounds check is left).
+	a, b, step := 0, 2, 4
+	if decrypt {
+		a, b, step = 30, 28, -4
+	}
+	for n := 0; n < 8; n++ {
+		u := r ^ ks[a&31]
+		t := bits.RotateLeft32(r, 4) ^ ks[(a+1)&31]
+		l ^= sp[0][u>>26] | sp[2][u>>18&0x3f] |
+			sp[4][u>>10&0x3f] | sp[6][u>>2&0x3f] |
+			sp[1][t>>26] | sp[3][t>>18&0x3f] |
+			sp[5][t>>10&0x3f] | sp[7][t>>2&0x3f]
+		u = l ^ ks[b&31]
+		t = bits.RotateLeft32(l, 4) ^ ks[(b+1)&31]
+		r ^= sp[0][u>>26] | sp[2][u>>18&0x3f] |
+			sp[4][u>>10&0x3f] | sp[6][u>>2&0x3f] |
+			sp[1][t>>26] | sp[3][t>>18&0x3f] |
+			sp[5][t>>10&0x3f] | sp[7][t>>2&0x3f]
+		a += step
+		b += step
+	}
+	return uint64(r)<<32 | uint64(l)
 }
 
-// cryptFast is the table-driven cipher core used by all block
-// operations.
+// cryptFast encrypts or decrypts one block: into the domain, through
+// the core and back out.
 func (c *Cipher) cryptFast(block uint64, decrypt bool) uint64 {
-	v := permuteIP(block)
-	l := uint32(v >> 32)
-	r := uint32(v)
-	ks := &c.ks
-	if decrypt {
-		for i := 30; i >= 0; i -= 2 {
-			l, r = round(l, r, ks[i], ks[i+1])
-		}
-	} else {
-		for i := 0; i < 32; i += 2 {
-			l, r = round(l, r, ks[i], ks[i+1])
-		}
+	return fromDomain(c.core(toDomain(block), decrypt))
+}
+
+// decrypt2 decrypts two independent blocks in the domain with their
+// rounds interleaved, so the two lanes' table loads overlap.
+func (c *Cipher) decrypt2(v0, v1 uint64) (uint64, uint64) {
+	l0, r0 := uint32(v0>>32), uint32(v0)
+	l1, r1 := uint32(v1>>32), uint32(v1)
+	ks, sp := &c.ks, spBox
+	for i := 28; i >= 0; i -= 4 {
+		ku, kt := ks[i+2], ks[i+3]
+		u0, u1 := r0^ku, r1^ku
+		t0, t1 := bits.RotateLeft32(r0, 4)^kt, bits.RotateLeft32(r1, 4)^kt
+		l0 ^= sp[0][u0>>26] | sp[2][u0>>18&0x3f] |
+			sp[4][u0>>10&0x3f] | sp[6][u0>>2&0x3f] |
+			sp[1][t0>>26] | sp[3][t0>>18&0x3f] |
+			sp[5][t0>>10&0x3f] | sp[7][t0>>2&0x3f]
+		l1 ^= sp[0][u1>>26] | sp[2][u1>>18&0x3f] |
+			sp[4][u1>>10&0x3f] | sp[6][u1>>2&0x3f] |
+			sp[1][t1>>26] | sp[3][t1>>18&0x3f] |
+			sp[5][t1>>10&0x3f] | sp[7][t1>>2&0x3f]
+		ku, kt = ks[i], ks[i+1]
+		u0, u1 = l0^ku, l1^ku
+		t0, t1 = bits.RotateLeft32(l0, 4)^kt, bits.RotateLeft32(l1, 4)^kt
+		r0 ^= sp[0][u0>>26] | sp[2][u0>>18&0x3f] |
+			sp[4][u0>>10&0x3f] | sp[6][u0>>2&0x3f] |
+			sp[1][t0>>26] | sp[3][t0>>18&0x3f] |
+			sp[5][t0>>10&0x3f] | sp[7][t0>>2&0x3f]
+		r1 ^= sp[0][u1>>26] | sp[2][u1>>18&0x3f] |
+			sp[4][u1>>10&0x3f] | sp[6][u1>>2&0x3f] |
+			sp[1][t1>>26] | sp[3][t1>>18&0x3f] |
+			sp[5][t1>>10&0x3f] | sp[7][t1>>2&0x3f]
 	}
-	return permuteFP(uint64(r)<<32 | uint64(l))
+	return uint64(r0)<<32 | uint64(l0), uint64(r1)<<32 | uint64(l1)
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -155,11 +156,7 @@ func NewRandomKey() (Key, error) {
 // Used by the fan-fold step of StringToKey, matching the Kerberos v4
 // convention of bit-reversing every other 8-byte group.
 func reverse7(b byte) byte {
-	var out byte
-	for i := 0; i < 7; i++ {
-		out = out<<1 | (b>>uint(i))&1
-	}
-	return out
+	return bits.Reverse8(b) >> 1
 }
 
 // StringToKey converts a user's password into a DES key — the "one-way
@@ -196,10 +193,11 @@ func StringToKey(password, salt string) Key {
 	k = fixWeak(FixParity(k))
 
 	// The fold key and its schedule hold password-derived bits: expand
-	// on the stack and wipe both (§4.2).
+	// on the stack and wipe both (§4.2). The checksum's IV is the fold
+	// key itself.
 	var c Cipher
 	c.SetKey(k)
-	sum := c.cbcChecksum(padded, k[:])
+	sum := c.CBCChecksum(padded)
 	c.wipe()
 	clear(k[:])
 	clear(padded)
@@ -209,35 +207,23 @@ func StringToKey(password, salt string) Key {
 	return fixWeak(FixParity(out))
 }
 
-// cbcChecksum computes the DES-CBC checksum of data (already padded to
-// whole blocks): the final ciphertext block of a CBC encryption under the
-// cipher's key with the given IV.
-func (c *Cipher) cbcChecksum(data, iv []byte) uint64 {
-	prev := binary.BigEndian.Uint64(iv)
-	for i := 0; i < len(data); i += BlockSize {
-		p := binary.BigEndian.Uint64(data[i:])
-		prev = c.crypt(p^prev, false)
-	}
-	return prev
-}
-
 // CBCChecksum computes the DES-CBC message authentication code of data
 // under the cipher's key, using the key as IV (the Kerberos convention).
 // data need not be block-aligned; a short final block is zero-extended in
-// place, without allocating a padded copy.
+// place, without allocating a padded copy. The chain stays in the
+// core's domain (fast.go) and only the last block is mapped out.
 func (c *Cipher) CBCChecksum(data []byte) uint64 {
-	prev := binary.BigEndian.Uint64(c.key[:])
+	prev := toDomain(binary.BigEndian.Uint64(c.key[:]))
 	n := len(data) / BlockSize * BlockSize
 	for i := 0; i < n; i += BlockSize {
-		p := binary.BigEndian.Uint64(data[i:])
-		prev = c.crypt(p^prev, false)
+		prev = c.core(toDomain(binary.BigEndian.Uint64(data[i:]))^prev, false)
 	}
 	if n < len(data) {
 		var last [BlockSize]byte
 		copy(last[:], data[n:])
-		prev = c.crypt(binary.BigEndian.Uint64(last[:])^prev, false)
+		prev = c.core(toDomain(binary.BigEndian.Uint64(last[:]))^prev, false)
 	}
-	return prev
+	return fromDomain(prev)
 }
 
 // CBCChecksum computes the DES-CBC message authentication code of data

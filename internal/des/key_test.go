@@ -64,6 +64,24 @@ func TestNewRandomKey(t *testing.T) {
 	}
 }
 
+// reverse7Reference reverses the low 7 bits of b one bit at a time: the
+// oracle for reverse7.
+func reverse7Reference(b byte) byte {
+	var out byte
+	for i := 0; i < 7; i++ {
+		out = out<<1 | (b>>uint(i))&1
+	}
+	return out
+}
+
+func TestReverse7(t *testing.T) {
+	for v := 0; v < 256; v++ {
+		if got, want := reverse7(byte(v)), reverse7Reference(byte(v)); got != want {
+			t.Errorf("reverse7(%#02x) = %#02x, want %#02x", v, got, want)
+		}
+	}
+}
+
 func TestStringToKey(t *testing.T) {
 	k1 := StringToKey("zanzibar", "ATHENA.MIT.EDU")
 	k2 := StringToKey("zanzibar", "ATHENA.MIT.EDU")

@@ -69,12 +69,13 @@ func (c *Cipher) EncryptCBC(dst, src, iv []byte) error {
 	if len(iv) != BlockSize {
 		return ErrInput
 	}
-	prev := binary.BigEndian.Uint64(iv)
+	// The chain runs in the core's domain (fast.go): each ciphertext
+	// is fed back as the core left it, and only the plaintext going in
+	// and the ciphertext coming out are mapped.
+	prev := toDomain(binary.BigEndian.Uint64(iv))
 	for i := 0; i < len(src); i += BlockSize {
-		p := binary.BigEndian.Uint64(src[i:])
-		ct := c.crypt(p^prev, false)
-		binary.BigEndian.PutUint64(dst[i:], ct)
-		prev = ct
+		prev = c.core(toDomain(binary.BigEndian.Uint64(src[i:]))^prev, false)
+		binary.BigEndian.PutUint64(dst[i:], fromDomain(prev))
 	}
 	return nil
 }
@@ -87,11 +88,22 @@ func (c *Cipher) DecryptCBC(dst, src, iv []byte) error {
 	if len(iv) != BlockSize {
 		return ErrInput
 	}
+	// Blocks decrypt independently, so two at a time share the core;
+	// only the XOR chain after them is serial. Both ciphertexts are
+	// read before either plaintext is written, so dst may be src.
 	prev := binary.BigEndian.Uint64(iv)
-	for i := 0; i < len(src); i += BlockSize {
+	i := 0
+	for ; i+2*BlockSize <= len(src); i += 2 * BlockSize {
+		c0 := binary.BigEndian.Uint64(src[i:])
+		c1 := binary.BigEndian.Uint64(src[i+BlockSize:])
+		d0, d1 := c.decrypt2(toDomain(c0), toDomain(c1))
+		binary.BigEndian.PutUint64(dst[i:], fromDomain(d0)^prev)
+		binary.BigEndian.PutUint64(dst[i+BlockSize:], fromDomain(d1)^c0)
+		prev = c1
+	}
+	if i < len(src) {
 		ct := binary.BigEndian.Uint64(src[i:])
-		binary.BigEndian.PutUint64(dst[i:], c.crypt(ct, true)^prev)
-		prev = ct
+		binary.BigEndian.PutUint64(dst[i:], c.cryptFast(ct, true)^prev)
 	}
 	return nil
 }
@@ -107,11 +119,13 @@ func (c *Cipher) EncryptPCBC(dst, src, iv []byte) error {
 	if len(iv) != BlockSize {
 		return ErrInput
 	}
-	chain := binary.BigEndian.Uint64(iv) // P(i-1) XOR C(i-1); IV seeds it
+	// P(i-1) XOR C(i-1), kept in the core's domain as in EncryptCBC;
+	// the IV seeds it.
+	chain := toDomain(binary.BigEndian.Uint64(iv))
 	for i := 0; i < len(src); i += BlockSize {
-		p := binary.BigEndian.Uint64(src[i:])
-		ct := c.crypt(p^chain, false)
-		binary.BigEndian.PutUint64(dst[i:], ct)
+		p := toDomain(binary.BigEndian.Uint64(src[i:]))
+		ct := c.core(p^chain, false)
+		binary.BigEndian.PutUint64(dst[i:], fromDomain(ct))
 		chain = p ^ ct
 	}
 	return nil
@@ -125,12 +139,23 @@ func (c *Cipher) DecryptPCBC(dst, src, iv []byte) error {
 	if len(iv) != BlockSize {
 		return ErrInput
 	}
+	// Two blocks at a time through the core, as in DecryptCBC.
 	chain := binary.BigEndian.Uint64(iv)
-	for i := 0; i < len(src); i += BlockSize {
+	i := 0
+	for ; i+2*BlockSize <= len(src); i += 2 * BlockSize {
+		c0 := binary.BigEndian.Uint64(src[i:])
+		c1 := binary.BigEndian.Uint64(src[i+BlockSize:])
+		d0, d1 := c.decrypt2(toDomain(c0), toDomain(c1))
+		p0 := fromDomain(d0) ^ chain
+		p1 := fromDomain(d1) ^ p0 ^ c0
+		binary.BigEndian.PutUint64(dst[i:], p0)
+		binary.BigEndian.PutUint64(dst[i+BlockSize:], p1)
+		chain = p1 ^ c1
+	}
+	if i < len(src) {
 		ct := binary.BigEndian.Uint64(src[i:])
-		p := c.crypt(ct, true) ^ chain
+		p := c.cryptFast(ct, true) ^ chain
 		binary.BigEndian.PutUint64(dst[i:], p)
-		chain = p ^ ct
 	}
 	return nil
 }

@@ -2,7 +2,13 @@ package des
 
 import (
 	"bytes"
+	"crypto/cipher"
+	stddes "crypto/des"
 	"crypto/rand"
+	"crypto/subtle"
+	"encoding/binary"
+	"fmt"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -43,6 +49,124 @@ func TestModesRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// pcbcStdlib runs PCBC over crypto/des's block: the oracle for
+// EncryptPCBC and DecryptPCBC. dst and src must not overlap.
+func pcbcStdlib(b cipher.Block, dst, src, iv []byte, decrypt bool) {
+	chain := append([]byte(nil), iv...)
+	for i := 0; i < len(src); i += BlockSize {
+		in, out := src[i:i+BlockSize], dst[i:i+BlockSize]
+		if decrypt {
+			b.Decrypt(out, in)
+			subtle.XORBytes(out, out, chain)
+		} else {
+			subtle.XORBytes(out, in, chain)
+			b.Encrypt(out, out)
+		}
+		subtle.XORBytes(chain, in, out)
+	}
+}
+
+// checkModesMatchStdlib runs every mode of c over src in both directions,
+// once into a separate buffer and once in place, and compares each
+// result with crypto/des and crypto/cipher: ECB block by block, CBC
+// through cipher's CBC, PCBC through pcbcStdlib. It also checks
+// CBCChecksum over every prefix of src, aligned or not, against the last block
+// of the stdlib CBC encryption of the zero-padded prefix under the key
+// as IV.
+func checkModesMatchStdlib(t *testing.T, key Key, iv, src []byte) {
+	t.Helper()
+	c := NewCipher(key)
+	std, err := stddes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := func(mode Mode, decrypt bool) []byte {
+		out := make([]byte, len(src))
+		switch {
+		case mode == ModeECB && decrypt:
+			for i := 0; i < len(src); i += BlockSize {
+				std.Decrypt(out[i:], src[i:])
+			}
+		case mode == ModeECB:
+			for i := 0; i < len(src); i += BlockSize {
+				std.Encrypt(out[i:], src[i:])
+			}
+		case mode == ModeCBC && decrypt:
+			cipher.NewCBCDecrypter(std, iv).CryptBlocks(out, src)
+		case mode == ModeCBC:
+			cipher.NewCBCEncrypter(std, iv).CryptBlocks(out, src)
+		default:
+			pcbcStdlib(std, out, src, iv, decrypt)
+		}
+		return out
+	}
+	for _, mode := range []Mode{ModeECB, ModeCBC, ModePCBC} {
+		for _, decrypt := range []bool{false, true} {
+			run := c.Encrypt
+			if decrypt {
+				run = c.Decrypt
+			}
+			exp := want(mode, decrypt)
+			apart := make([]byte, len(src))
+			if err := run(mode, apart, src, iv); err != nil {
+				t.Fatal(err)
+			}
+			inPlace := append([]byte(nil), src...)
+			if err := run(mode, inPlace, inPlace, iv); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(apart, exp) || !bytes.Equal(inPlace, exp) {
+				t.Fatalf("%v decrypt=%v, key %x, iv %x, %d blocks:\n got %x\n in place %x\nwant %x",
+					mode, decrypt, key, iv, len(src)/BlockSize, apart, inPlace, exp)
+			}
+		}
+	}
+	for n := 0; n <= len(src); n++ {
+		padded := Pad(src[:n])
+		last := key[:]
+		if len(padded) > 0 {
+			ct := make([]byte, len(padded))
+			cipher.NewCBCEncrypter(std, key[:]).CryptBlocks(ct, padded)
+			last = ct[len(ct)-BlockSize:]
+		}
+		if got := c.CBCChecksum(src[:n]); got != binary.BigEndian.Uint64(last) {
+			t.Fatalf("CBCChecksum, key %x, %d bytes: %#x, want %x", key, n, got, last)
+		}
+	}
+}
+
+// TestModesMatchStdlib checks every mode against crypto/des at every
+// block count from 0 to 33, so the two-block decryption path runs with
+// and without its single-block tail, under random keys and IVs.
+func TestModesMatchStdlib(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(26))
+	for blocks := 0; blocks <= 33; blocks++ {
+		for trial := 0; trial < 4; trial++ {
+			var key Key
+			iv := make([]byte, BlockSize)
+			src := make([]byte, blocks*BlockSize)
+			rng.Read(key[:])
+			rng.Read(iv)
+			rng.Read(src)
+			checkModesMatchStdlib(t, key, iv, src)
+		}
+	}
+}
+
+// FuzzModes runs the stdlib comparison of TestModesMatchStdlib on
+// arbitrary keys, IVs and messages (cut to whole blocks).
+func FuzzModes(f *testing.F) {
+	f.Add(uint64(0x133457799bbcdff1), uint64(0), []byte("0123456789abcdef"))
+	f.Add(uint64(0x0101010101010101), uint64(0xffffffffffffffff), bytes.Repeat([]byte{0xaa}, 24))
+	f.Add(uint64(0xfedcba9876543210), uint64(0x0123456789abcdef), []byte{})
+	f.Fuzz(func(t *testing.T, key, iv uint64, data []byte) {
+		var k Key
+		binary.BigEndian.PutUint64(k[:], key)
+		ivb := binary.BigEndian.AppendUint64(nil, iv)
+		checkModesMatchStdlib(t, k, ivb, data[:len(data)/BlockSize*BlockSize])
+	})
 }
 
 // TestModeInputValidation checks block alignment and IV length errors.
@@ -181,20 +305,30 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+// BenchmarkModes prices each mode in both directions at 64 bytes (the
+// size of a KDC message) and at 1 KiB.
 func BenchmarkModes(b *testing.B) {
 	key := Key{0x13, 0x34, 0x57, 0x79, 0x9b, 0xbc, 0xdf, 0xf1}
 	c := NewCipher(key)
 	iv := make([]byte, 8)
-	src := make([]byte, 1024)
-	dst := make([]byte, 1024)
 	for _, mode := range []Mode{ModeECB, ModeCBC, ModePCBC} {
-		b.Run(mode.String(), func(b *testing.B) {
-			b.SetBytes(int64(len(src)))
-			for i := 0; i < b.N; i++ {
-				if err := c.Encrypt(mode, dst, src, iv); err != nil {
-					b.Fatal(err)
-				}
+		for _, dir := range []string{"encrypt", "decrypt"} {
+			run := c.Encrypt
+			if dir == "decrypt" {
+				run = c.Decrypt
 			}
-		})
+			for _, size := range []int{64, 1024} {
+				src := make([]byte, size)
+				dst := make([]byte, size)
+				b.Run(fmt.Sprintf("%v/%s/%dB", mode, dir, size), func(b *testing.B) {
+					b.SetBytes(int64(size))
+					for i := 0; i < b.N; i++ {
+						if err := run(mode, dst, src, iv); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 	}
 }

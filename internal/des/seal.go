@@ -62,8 +62,9 @@ func (c *Cipher) Unseal(ciphertext []byte) ([]byte, error) {
 	if err := c.DecryptPCBC(buf, ciphertext, c.key[:]); err != nil {
 		return nil, ErrIntegrity
 	}
+	// Compared unsigned: on a 32-bit platform int(n) can be negative.
 	n := binary.BigEndian.Uint32(buf[0:4])
-	if int(n) > len(buf)-sealHeaderLen {
+	if uint64(n) > uint64(len(buf)-sealHeaderLen) {
 		return nil, ErrIntegrity
 	}
 	plaintext := buf[sealHeaderLen : sealHeaderLen+int(n)]

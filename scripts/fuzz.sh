@@ -21,6 +21,11 @@ for target in FuzzDecoders FuzzUnseal; do
     go test -run '^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/core
 done
 
+for target in FuzzQuadChecksum FuzzModes; do
+    echo "== go test -fuzz=$target -fuzztime=$FUZZTIME ./internal/des"
+    go test -run '^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/des
+done
+
 echo "== go test -fuzz=FuzzDelta -fuzztime=$FUZZTIME ./internal/kprop"
 go test -run '^$' -fuzz='^FuzzDelta$' -fuzztime="$FUZZTIME" ./internal/kprop
 
