@@ -1045,9 +1045,9 @@ func BenchmarkS9x1000(b *testing.B) {
 	var pick atomic.Uint64
 	d := &workload.Driver{
 		Spec: s.spec, Realm: benchRealm,
-		Exchange: func(req []byte) ([]byte, error) {
+		Exchange: func(req []byte, accept func([]byte) error) ([]byte, error) {
 			sel := s.selectors[int(pick.Add(1))%len(s.selectors)]
-			return sel.Exchange(req, 10*time.Second)
+			return sel.Exchange(req, accept, 10*time.Second)
 		},
 		Addr:            core.Addr{127, 0, 0, 1},
 		TicketsPerLogin: 3,

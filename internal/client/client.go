@@ -116,21 +116,44 @@ func (c *Client) now() time.Time {
 	return time.Now()
 }
 
-// exchange sends req to the principal's realm KDCs (or the named
-// realm's) through the realm's sticky selector.
-func (c *Client) exchange(realm string, req []byte) ([]byte, error) {
+// exchange sends req to the KDCs of realm through the realm's sticky
+// selector. It returns the first reply that opens under key and is
+// bound to the request — the sealed echo matches sent, so a recorded
+// reply to an older request cannot be substituted, and the service
+// matches, since the echo has one-second resolution — or the KDC's
+// error. key is called only once an AUTH_REPLY has arrived.
+func (c *Client) exchange(realm string, req []byte, sent core.KerberosTime, service core.Principal, key func() des.Key) (*core.EncTicketReply, error) {
 	sel, err := c.Config.selector(realm)
 	if err != nil {
 		return nil, err
 	}
-	reply, err := sel.Exchange(req, c.Config.timeout())
+	var enc *core.EncTicketReply
+	reply, err := sel.Exchange(req, func(raw []byte) error {
+		rep, err := core.DecodeAuthReply(raw)
+		if err != nil {
+			return err
+		}
+		opened, err := rep.Open(key())
+		if err != nil {
+			return fmt.Errorf("client: cannot decrypt KDC reply (incorrect password?): %w", err)
+		}
+		if opened.RequestTime != sent {
+			return core.NewError(core.ErrRepeat, "KDC reply does not match request (echo %d != %d)",
+				opened.RequestTime, sent)
+		}
+		if !opened.Server.SameEntity(service) {
+			return core.NewError(core.ErrRepeat, "KDC reply is for %v, not %v", opened.Server, service)
+		}
+		enc = opened
+		return nil
+	}, c.Config.timeout())
 	if err != nil {
 		return nil, err
 	}
 	if err := core.IfErrorMessage(reply); err != nil {
 		return nil, err
 	}
-	return reply, nil
+	return enc, nil
 }
 
 // credFromReply converts an opened KDC reply into cached credentials.
@@ -160,31 +183,20 @@ func (c *Client) LoginService(password string, service core.Principal, life core
 		Life:    life,
 		Time:    core.TimeFromGo(now),
 	}
-	raw, err := c.exchange(c.Principal.Realm, req.Encode())
-	if err != nil {
-		return nil, err
-	}
-	rep, err := core.DecodeAuthReply(raw)
-	if err != nil {
-		return nil, err
-	}
-	key := PasswordKey(c.Principal, password)
-	// Wipe the key on every return path; Open expands it into a stack
-	// schedule that it wipes itself.
+	// The key is derived for the first AUTH_REPLY, so an error reply
+	// never pays string-to-key, and wiped on every return path; Open
+	// expands it into a stack schedule that it wipes itself.
+	var key des.Key
+	derived := false
 	defer clear(key[:])
-	enc, err := rep.Open(key)
+	enc, err := c.exchange(c.Principal.Realm, req.Encode(), req.Time, service, func() des.Key {
+		if !derived {
+			key, derived = PasswordKey(c.Principal, password), true
+		}
+		return key
+	})
 	if err != nil {
-		return nil, fmt.Errorf("client: cannot decrypt KDC reply (incorrect password?): %w", err)
-	}
-	// Bind the reply to our request: the sealed echo must match, so a
-	// recorded reply to an older request cannot be substituted, and so
-	// must the service, since the echo has one-second resolution.
-	if enc.RequestTime != req.Time {
-		return nil, core.NewError(core.ErrRepeat, "KDC reply does not match request (echo %d != %d)",
-			enc.RequestTime, req.Time)
-	}
-	if !enc.Server.SameEntity(service) {
-		return nil, core.NewError(core.ErrRepeat, "KDC reply is for %v, not %v", enc.Server, service)
+		return nil, err
 	}
 	cred := credFromReply(enc, c.Principal.Realm)
 	c.Cache.Store(cred)
@@ -226,25 +238,9 @@ func (c *Client) tgsExchange(tgt *Credentials, kdcRealm string, service core.Pri
 		Life:    life,
 		Time:    core.TimeFromGo(now),
 	}
-	raw, err := c.exchange(kdcRealm, req.Encode())
+	enc, err := c.exchange(kdcRealm, req.Encode(), req.Time, service, func() des.Key { return tgt.SessionKey })
 	if err != nil {
 		return nil, err
-	}
-	rep, err := core.DecodeAuthReply(raw)
-	if err != nil {
-		return nil, err
-	}
-	enc, err := rep.Open(tgt.SessionKey)
-	if err != nil {
-		return nil, err
-	}
-	// The echo has one-second resolution, so a reply to another request
-	// from the same second passes it; the service name must match too.
-	if enc.RequestTime != req.Time {
-		return nil, core.NewError(core.ErrRepeat, "TGS reply does not match request")
-	}
-	if !enc.Server.SameEntity(service) {
-		return nil, core.NewError(core.ErrRepeat, "TGS reply is for %v, not %v", enc.Server, service)
 	}
 	cred := credFromReply(enc, kdcRealm)
 	c.Cache.Store(cred)

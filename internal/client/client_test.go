@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,6 +115,30 @@ func TestLogin(t *testing.T) {
 	}
 }
 
+// TestWrongPasswordFailsAtDecryption: a reply that does not open under
+// the password's key is refused like a stale one, so a wrong password
+// runs out the exchange's budget. The error is still the decryption
+// failure, not a timeout; it arrives within the budget plus one
+// retransmission interval; and nothing is cached.
+func TestWrongPasswordFailsAtDecryption(t *testing.T) {
+	env := newEnv(t, testRealm)
+	env.config.Timeout = 300 * time.Millisecond
+	c := env.newClient(t, "jis")
+	start := time.Now()
+	_, err := c.Login("wrong-guess")
+	elapsed := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "cannot decrypt KDC reply (incorrect password?)") {
+		t.Fatalf("wrong password: err = %v, want the decryption failure", err)
+	}
+	// 120ms is the exchange's first retransmission interval.
+	if limit := env.config.Timeout + 120*time.Millisecond; elapsed > limit {
+		t.Errorf("wrong password took %v, over %v", elapsed, limit)
+	}
+	if n := c.Cache.Len(); n != 0 {
+		t.Errorf("%d credentials cached after a wrong password", n)
+	}
+}
+
 func TestLoginUnknownUser(t *testing.T) {
 	env := newEnv(t, testRealm)
 	c := env.newClient(t, "ghost")
@@ -164,6 +189,9 @@ func replayingKDC(t *testing.T, realAddr string) string {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { pc.Close() })
+	// The relay holds no key, so it takes any well-formed reply.
+	relay := kdc.NewSelector(realAddr)
+	t.Cleanup(func() { relay.Close() })
 	go func() {
 		var first []byte
 		buf := make([]byte, kdc.MaxUDPMessage)
@@ -173,7 +201,8 @@ func replayingKDC(t *testing.T, realAddr string) string {
 				return
 			}
 			if first == nil {
-				if first, err = kdc.Exchange(realAddr, buf[:n], time.Second); err != nil {
+				first, err = relay.Exchange(buf[:n], func([]byte) error { return nil }, time.Second)
+				if err != nil {
 					return
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"kerberos/internal/kdb"
 )
@@ -73,17 +72,6 @@ func (c *Cluster) Selector() *Selector {
 	rotated = append(rotated, addrs[start:]...)
 	rotated = append(rotated, addrs[:start]...)
 	return NewSelector(rotated...)
-}
-
-// Exchange sends one request through a fresh rotated Selector — the
-// convenience path for callers that do not hold a per-client Selector.
-func (c *Cluster) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
-	if len(c.listeners) == 0 {
-		return nil, errors.New("kdc: cluster has no instances")
-	}
-	s := c.Selector()
-	defer s.Close()
-	return s.Exchange(req, timeout)
 }
 
 // Close stops every instance.

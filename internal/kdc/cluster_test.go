@@ -21,29 +21,17 @@ func TestClusterServesFromEveryInstance(t *testing.T) {
 		t.Fatalf("cluster has %d addresses", len(c.Addrs()))
 	}
 
-	req := (&core.AuthRequest{
-		Client:  core.Principal{Name: "jis", Realm: testRealm},
-		Service: core.TGSPrincipal(testRealm, testRealm),
-		Life:    core.DefaultTGTLife,
-		Time:    core.TimeFromGo(r.clock.now),
-	}).Encode()
+	req, accept := asReqBytes(r), acceptAS(r)
 
-	// Each instance individually.
+	// Each instance individually; acceptance proves the reply opens
+	// under the user's key.
 	for i, addr := range c.Addrs() {
-		sel := NewSelector(addr)
-		raw, err := sel.Exchange(req, 2*time.Second)
+		raw, err := exchangeOnce(addr, req, accept, 2*time.Second)
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
 		if err := core.IfErrorMessage(raw); err != nil {
 			t.Fatalf("instance %d refused: %v", i, err)
-		}
-		rep, err := core.DecodeAuthReply(raw)
-		if err != nil {
-			t.Fatalf("instance %d: %v", i, err)
-		}
-		if _, err := rep.Open(r.userKey); err != nil {
-			t.Fatalf("instance %d reply undecryptable: %v", i, err)
 		}
 	}
 
@@ -51,7 +39,8 @@ func TestClusterServesFromEveryInstance(t *testing.T) {
 	first := make(map[string]bool)
 	for i := 0; i < 6; i++ {
 		sel := c.Selector()
-		raw, err := sel.Exchange(req, 2*time.Second)
+		raw, err := sel.Exchange(req, accept, 2*time.Second)
+		sel.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,15 +51,6 @@ func TestClusterServesFromEveryInstance(t *testing.T) {
 	}
 	if len(first) < 2 {
 		t.Errorf("rotation pinned all clients to one instance: %v", first)
-	}
-
-	// The convenience Exchange path works too.
-	raw, err := c.Exchange(req, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := core.IfErrorMessage(raw); err != nil {
-		t.Fatal(err)
 	}
 
 	// Requests were actually spread over more than one server process.
@@ -96,14 +76,12 @@ func TestClusterSurvivesInstanceLoss(t *testing.T) {
 	defer c.Close()
 	c.listeners[0].Close() // one replica machine goes down
 
-	req := (&core.AuthRequest{
-		Client:  core.Principal{Name: "jis", Realm: testRealm},
-		Service: core.TGSPrincipal(testRealm, testRealm),
-		Life:    core.DefaultTGTLife,
-		Time:    core.TimeFromGo(r.clock.now),
-	}).Encode()
+	// Each attempt is a fresh rotated Selector, so one of them leads
+	// with the dead instance.
 	for i := 0; i < 3; i++ {
-		raw, err := c.Exchange(req, 3*time.Second)
+		sel := c.Selector()
+		raw, err := sel.Exchange(asReqBytes(r), acceptAS(r), 3*time.Second)
+		sel.Close()
 		if err != nil {
 			t.Fatalf("attempt %d after instance loss: %v", i, err)
 		}

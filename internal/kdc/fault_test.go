@@ -1,6 +1,7 @@
 package kdc
 
 import (
+	"errors"
 	"net"
 	"os"
 	"testing"
@@ -31,7 +32,7 @@ func TestRetransmissionSurvivesLoss(t *testing.T) {
 	inj := NewFaultInjector(FaultSpec{DropFirst: 2})
 
 	start := time.Now()
-	reply, err := exchangeUDP(inj.DialUDP, l.Addr(), asReqBytes(r), time.Now().Add(2*time.Second))
+	reply, err := exchangeUDP(inj.DialUDP, l.Addr(), asReqBytes(r), acceptAS(r), time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSeededLossRecovers(t *testing.T) {
 	inj := NewFaultInjector(FaultSpec{LossRate: 0.5, Seed: 42})
 
 	for i := 0; i < 5; i++ {
-		reply, err := exchangeUDP(inj.DialUDP, l.Addr(), asReqBytes(r), time.Now().Add(2*time.Second))
+		reply, err := exchangeUDP(inj.DialUDP, l.Addr(), asReqBytes(r), acceptAS(r), time.Now().Add(2*time.Second))
 		if err != nil {
 			t.Fatalf("exchange %d under 50%% loss: %v", i, err)
 		}
@@ -76,7 +77,7 @@ func TestSeededLossRecovers(t *testing.T) {
 // request from it.
 func tgsReqBytes(t *testing.T, r *realm, l *Listener) []byte {
 	t.Helper()
-	raw, err := Exchange(l.Addr(), asReqBytes(r), 2*time.Second)
+	raw, err := exchangeOnce(l.Addr(), asReqBytes(r), acceptAS(r), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestDuplicatedTGSRequestIdempotent(t *testing.T) {
 	req := tgsReqBytes(t, r, l)
 	inj := NewFaultInjector(FaultSpec{DupRate: 1})
 
-	reply, err := exchangeUDP(inj.DialUDP, l.Addr(), req, time.Now().Add(2*time.Second))
+	reply, err := exchangeUDP(inj.DialUDP, l.Addr(), req, shapeOnly, time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestDelayedDeliveryStillAnswers(t *testing.T) {
 	r, l := serveRealm(t)
 	inj := NewFaultInjector(FaultSpec{Delay: 40 * time.Millisecond})
 
-	reply, err := exchangeUDP(inj.DialUDP, l.Addr(), asReqBytes(r), time.Now().Add(2*time.Second))
+	reply, err := exchangeUDP(inj.DialUDP, l.Addr(), asReqBytes(r), acceptAS(r), time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestStaleDatagramsIgnored(t *testing.T) {
 		}
 	}()
 
-	reply, err := exchangeUDP(defaultDialUDP, pc.LocalAddr().String(), asReqBytes(r), time.Now().Add(2*time.Second))
+	reply, err := exchangeUDP(defaultDialUDP, pc.LocalAddr().String(), asReqBytes(r), acceptAS(r), time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestOversizedReplyFallsBackToTCP(t *testing.T) {
 	req := asReqBytes(r)
 
 	// The raw datagram path surfaces the explicit signal.
-	reply, err := exchangeUDP(defaultDialUDP, l.Addr(), req, time.Now().Add(2*time.Second))
+	reply, err := exchangeUDP(defaultDialUDP, l.Addr(), req, acceptAS(r), time.Now().Add(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestOversizedReplyFallsBackToTCP(t *testing.T) {
 
 	// The full exchange turns the signal into a TCP retry, fast.
 	start := time.Now()
-	reply, err = Exchange(l.Addr(), req, 5*time.Second)
+	reply, err = exchangeOnce(l.Addr(), req, acceptAS(r), 5*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,5 +232,11 @@ func TestOversizedReplyFallsBackToTCP(t *testing.T) {
 	}
 	if got := r.server.Metrics().UDPOverflows.Load(); got < 2 {
 		t.Errorf("UDPOverflows = %d, want >= 2", got)
+	}
+
+	// A stream reply must pass the acceptance check too.
+	refused := errors.New("refused")
+	if _, err := exchangeOnce(l.Addr(), req, func([]byte) error { return refused }, 5*time.Second); !errors.Is(err, refused) {
+		t.Errorf("a refused TCP reply: err = %v, want the refusal", err)
 	}
 }

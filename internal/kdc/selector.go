@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kerberos/internal/obs"
 )
 
 // Selector picks among a realm's KDC addresses — the master plus the
@@ -18,15 +20,19 @@ import (
 //     does not re-probe the dead master on every exchange.
 //   - It races rather than serializes: the preferred address gets a
 //     short head start, after which the next address is dialed
-//     alongside it. The first valid reply wins; a fast failure (port
+//     alongside it. The first accepted reply wins; a fast failure (port
 //     unreachable) forfeits the rest of the head start immediately.
 //   - Every attempt shares the caller's single deadline, so the worst
 //     case is bounded by the budget, not by budget × addresses.
 //
-// Its UDP sockets outlive the exchange: a socket that carried one clean
-// exchange — one request written, one AUTH_REPLY read — goes back on its
-// address's idle list for the next exchange, so a busy client does not
-// pay socket set-up and teardown per request. Close releases them.
+// A reply counts only once the caller's acceptance check takes it (see
+// Exchange), so a late or duplicated datagram can neither answer the
+// wrong request nor fail the right one. That lets UDP sockets outlive
+// the exchange: a socket whose exchange returned an accepted reply goes
+// back on its address's idle list for the next exchange, so a busy
+// client does not pay socket set-up and teardown per request. Whatever
+// is still in flight to it is refused by the next exchange's check.
+// Close releases the idle sockets.
 //
 // A Selector is safe for concurrent use.
 type Selector struct {
@@ -36,6 +42,8 @@ type Selector struct {
 	mu     sync.Mutex
 	idle   map[string][]*udpSock // per address; the most recent last
 	closed bool
+
+	stale obs.Counter // replies the acceptance check refused
 
 	// HeadStart is how long the currently preferred KDC may remain the
 	// only one being asked before the next address is raced alongside
@@ -99,23 +107,35 @@ func (s *Selector) dials() (udpExchange, TCPDial) {
 	return udp, dt
 }
 
+// StaleReplies returns how many replies the Selector has discarded
+// because the exchange's acceptance check refused them.
+func (s *Selector) StaleReplies() uint64 { return s.stale.Load() }
+
+// RegisterMetrics publishes the Selector's counters on reg as
+// client_stale_replies.
+func (s *Selector) RegisterMetrics(reg *obs.Registry) {
+	reg.RegisterCounter("client_stale_replies", &s.stale)
+}
+
 // udpSock is a connected UDP socket a Selector dialed itself, kept with
 // its own receive buffer.
 type udpSock struct {
-	conn *net.UDPConn
+	conn net.Conn
 	buf  []byte
 }
 
 // exchangePooled runs the datagram half of an exchange on an idle
 // socket for addr, dialing one only when none is idle, and keeps the
-// socket afterwards if the exchange was clean.
-func (s *Selector) exchangePooled(addr string, req []byte, deadline time.Time) ([]byte, error) {
+// socket afterwards if the exchange returned an accepted reply. Any
+// other ending — an error reply, a timeout, a socket error, the
+// oversized-reply signal before a TCP retry — closes it.
+func (s *Selector) exchangePooled(addr string, req []byte, accept func([]byte) error, deadline time.Time) ([]byte, error) {
 	sock, err := s.checkout(addr)
 	if err != nil {
 		return nil, err
 	}
-	reply, clean, err := udpRoundTrip(sock.conn, sock.buf, addr, req, deadline)
-	if clean {
+	reply, err := udpRoundTrip(sock.conn, sock.buf, addr, req, accept, deadline)
+	if err == nil && isAuthReply(reply) {
 		s.checkin(addr, sock)
 	} else {
 		sock.conn.Close()
@@ -123,30 +143,23 @@ func (s *Selector) exchangePooled(addr string, req []byte, deadline time.Time) (
 	return reply, err
 }
 
-// checkout takes the most recently used idle socket for addr and drains
-// whatever datagrams reached it since its last exchange — a late
-// duplicate must not be read as the answer to the next request. A
-// socket that cannot be drained is closed and replaced.
+// checkout takes the most recently used idle socket for addr, or dials
+// one when none is idle.
 func (s *Selector) checkout(addr string) (*udpSock, error) {
 	s.mu.Lock()
-	var sock *udpSock
 	if list := s.idle[addr]; len(list) > 0 {
-		sock = list[len(list)-1]
+		sock := list[len(list)-1]
 		list[len(list)-1] = nil
 		s.idle[addr] = list[:len(list)-1]
+		s.mu.Unlock()
+		return sock, nil
 	}
 	s.mu.Unlock()
-	if sock != nil {
-		if drainUDP(sock.conn, sock.buf) {
-			return sock, nil
-		}
-		sock.conn.Close()
-	}
 	conn, err := defaultDialUDP(addr)
 	if err != nil {
 		return nil, err
 	}
-	return &udpSock{conn: conn.(*net.UDPConn), buf: make([]byte, MaxUDPMessage)}, nil
+	return &udpSock{conn: conn, buf: make([]byte, MaxUDPMessage)}, nil
 }
 
 // checkin returns a socket to addr's idle list, or closes it once the
@@ -179,13 +192,22 @@ func (s *Selector) Close() error {
 	return nil
 }
 
-// Exchange sends req to the realm's KDCs and returns the first valid
-// reply, all within timeout. On success the answering KDC becomes the
+var errAnswered = errors.New("kdc: exchange already answered")
+
+// Exchange sends req to the realm's KDCs and returns, all within
+// timeout, the first AUTH_REPLY that accept takes or the first ERROR a
+// KDC sends. accept is the caller's proof that a reply answers req: for
+// a KDC reply, that it opens under the key the caller expects and echoes
+// the request. It sees only AUTH_REPLY messages, one at a time, and is
+// not called after Exchange returns. A reply it refuses is counted as
+// stale and discarded, and the exchange goes on as if nothing had
+// arrived; if the budget runs out with only refused replies, the last
+// refusal is the error. On success the answering KDC becomes the
 // preferred one; when every address fails, the preference rotates so
 // the next call leads with a different KDC.
 //
 //kerb:clockadapter -- failover budget is a wall-clock I/O deadline shared across KDCs
-func (s *Selector) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
+func (s *Selector) Exchange(req []byte, accept func(reply []byte) error, timeout time.Duration) ([]byte, error) {
 	n := len(s.addrs)
 	if n == 0 {
 		return nil, errors.New("kdc: no KDC addresses configured")
@@ -196,8 +218,37 @@ func (s *Selector) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
 	if start < 0 || start >= n {
 		start = 0
 	}
+	// check runs accept for the attempts raced to every address, one
+	// reply at a time and never after a reply is accepted or Exchange
+	// returns, so accept may record what it opened for its caller. The
+	// lock is held across accept for that reason. Once Exchange has
+	// returned, an attempt still running ends at its next reply, and its
+	// result is dropped.
+	var mu sync.Mutex
+	answered, returned := false, false
+	check := func(reply []byte) error {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case returned:
+			return nil
+		case answered:
+			return errAnswered
+		}
+		err := accept(reply)
+		if err != nil {
+			s.stale.Inc()
+		}
+		answered = err == nil
+		return err
+	}
+	defer func() {
+		mu.Lock()
+		returned = true
+		mu.Unlock()
+	}()
 	if n == 1 {
-		return exchangeDeadline(udp, dialTCP, s.addrs[0], req, deadline)
+		return exchangeDeadline(udp, dialTCP, s.addrs[0], req, check, deadline)
 	}
 
 	type result struct {
@@ -213,7 +264,7 @@ func (s *Selector) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
 		idx := (start + launched) % n
 		launched++
 		go func() {
-			reply, err := exchangeDeadline(udp, dialTCP, s.addrs[idx], req, deadline)
+			reply, err := exchangeDeadline(udp, dialTCP, s.addrs[idx], req, check, deadline)
 			results <- result{idx: idx, reply: reply, err: err}
 		}()
 	}
@@ -250,5 +301,5 @@ func (s *Selector) Exchange(req []byte, timeout time.Duration) ([]byte, error) {
 	// Everyone failed. Rotate the preference: the old favourite may be
 	// down for a while, so the next call should lead elsewhere.
 	s.preferred.Store(int32((start + 1) % n))
-	return nil, fmt.Errorf("kdc: no KDC reachable: %w", lastErr)
+	return nil, fmt.Errorf("kdc: no KDC answered: %w", lastErr)
 }

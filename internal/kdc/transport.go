@@ -300,10 +300,13 @@ func WriteFrame(w io.Writer, msg []byte) error {
 // Client-side exchange. UDP is datagram-shaped and lossy: one lost
 // packet must cost a retransmission interval, not the caller's whole
 // budget. The exchange therefore retransmits with exponential backoff
-// and jitter inside the caller's deadline, accepts the first valid KDC
-// reply (ignoring stale or garbled datagrams, including duplicates
-// provoked by its own retransmissions), and falls back to TCP when the
-// server signals that the answer exceeds a datagram.
+// and jitter inside the caller's deadline, returns the first reply that
+// passes the caller's acceptance check (skipping stale or garbled
+// datagrams, including duplicates provoked by its own retransmissions
+// and late answers to earlier requests), and falls back to TCP when the
+// server signals that the answer exceeds a datagram. An ERROR is not
+// sealed, so no check can match it to a request: it is returned as it
+// arrives, except that an ErrRepeat is held back as non-final.
 
 // UDPDial opens the client side of a datagram exchange. Overridable so
 // tests can interpose fault injection (see FaultInjector).
@@ -337,12 +340,10 @@ func jitter(d time.Duration) time.Duration {
 	return time.Duration(half + rand.Int63n(half+1))
 }
 
-// validKDCReply reports whether a datagram parses as something a KDC
-// sends: a well-versioned AUTH_REPLY or ERROR. Anything else is a stale
-// or misdirected datagram and is ignored by the read loop.
-func validKDCReply(reply []byte) bool {
+// isAuthReply reports whether reply is a well-versioned AUTH_REPLY.
+func isAuthReply(reply []byte) bool {
 	t, err := core.PeekType(reply)
-	return err == nil && (t == core.MsgAuthReply || t == core.MsgError)
+	return err == nil && t == core.MsgAuthReply
 }
 
 // IsReplyTooBig reports whether reply is the server's explicit
@@ -359,32 +360,27 @@ func isRepeatError(reply []byte) bool {
 	return errors.As(core.IfErrorMessage(reply), &pe) && pe.Code == core.ErrRepeat
 }
 
-// Exchange sends one request to a KDC address and returns the reply:
-// UDP with retransmission first, switching to TCP when the request is
-// too large for a datagram, when the server signals an oversized reply,
-// or when the datagram path fails with budget still remaining. It dials
-// a fresh socket for the exchange; a Selector keeps its sockets.
-//
-//kerb:clockadapter -- converts a caller timeout into a wall-clock I/O deadline
-func Exchange(addr string, req []byte, timeout time.Duration) ([]byte, error) {
-	return exchangeDeadline(dialEach(defaultDialUDP), defaultDialTCP, addr, req, time.Now().Add(timeout))
-}
-
 // udpExchange runs the datagram half of one exchange with addr.
-type udpExchange func(addr string, req []byte, deadline time.Time) ([]byte, error)
+type udpExchange func(addr string, req []byte, accept func(reply []byte) error, deadline time.Time) ([]byte, error)
 
 // dialEach is the datagram half over a socket dialed for the exchange
 // and closed after it.
 func dialEach(dial UDPDial) udpExchange {
-	return func(addr string, req []byte, deadline time.Time) ([]byte, error) {
-		return exchangeUDP(dial, addr, req, deadline)
+	return func(addr string, req []byte, accept func([]byte) error, deadline time.Time) ([]byte, error) {
+		return exchangeUDP(dial, addr, req, accept, deadline)
 	}
 }
 
+// exchangeDeadline sends one request to addr: UDP with retransmission
+// first, switching to TCP when the request is too large for a datagram,
+// when the server signals an oversized reply, or when the datagram path
+// fails with budget still remaining. It returns an ERROR message or a
+// reply that accept took.
+//
 //kerb:clockadapter -- retry/backoff pacing against a wall-clock I/O deadline
-func exchangeDeadline(udp udpExchange, dialTCP TCPDial, addr string, req []byte, deadline time.Time) ([]byte, error) {
+func exchangeDeadline(udp udpExchange, dialTCP TCPDial, addr string, req []byte, accept func([]byte) error, deadline time.Time) ([]byte, error) {
 	if len(req) <= MaxUDPMessage {
-		reply, err := udp(addr, req, deadline)
+		reply, err := udp(addr, req, accept, deadline)
 		switch {
 		case err == nil && !IsReplyTooBig(reply):
 			return reply, nil
@@ -395,34 +391,43 @@ func exchangeDeadline(udp udpExchange, dialTCP TCPDial, addr string, req []byte,
 			return nil, err
 		}
 	}
-	return exchangeTCPDeadline(dialTCP, addr, req, deadline)
+	reply, err := exchangeTCPDeadline(dialTCP, addr, req, deadline)
+	if err != nil {
+		return nil, err
+	}
+	// A stream carries no stale copies to skip: whatever is not an
+	// ERROR must pass the check now.
+	if t, _ := core.PeekType(reply); t != core.MsgError {
+		if err := accept(reply); err != nil {
+			return nil, err
+		}
+	}
+	return reply, nil
 }
 
 // exchangeUDP runs one datagram exchange on a socket dialed for it.
-func exchangeUDP(dial UDPDial, addr string, req []byte, deadline time.Time) ([]byte, error) {
+func exchangeUDP(dial UDPDial, addr string, req []byte, accept func([]byte) error, deadline time.Time) ([]byte, error) {
 	conn, err := dial(addr)
 	if err != nil {
 		return nil, err
 	}
 	defer conn.Close()
-	reply, _, err := udpRoundTrip(conn, make([]byte, MaxUDPMessage), addr, req, deadline)
-	return reply, err
+	return udpRoundTrip(conn, make([]byte, MaxUDPMessage), addr, req, accept, deadline)
 }
 
 // udpRoundTrip runs one datagram exchange on a connected socket: send,
-// wait, retransmit with backoff, until a valid reply arrives or the
-// deadline passes. Replies that do not parse as KDC messages —
-// stragglers from earlier retransmissions, misdirected or corrupted
-// datagrams — are skipped rather than surfaced as errors. buf receives
-// the datagrams; the returned reply is a copy, so buf may be reused.
-//
-// clean reports that the socket saw nothing but this exchange: the
-// request was written once and the first datagram read was the
-// AUTH_REPLY returned. Only then may the socket carry another exchange
-// — any other ending can leave a late datagram queued on it.
+// wait, retransmit with backoff, until a reply arrives that accept
+// takes, or an ERROR other than ErrRepeat, or the deadline passes.
+// Datagrams that do not parse as KDC messages are skipped, and so is
+// every AUTH_REPLY that accept refuses — a late answer to an earlier
+// request on this socket or its port, a duplicate, a spoofed reply —
+// exactly as if it had not arrived. When the deadline passes, a held
+// ErrRepeat is returned as the reply; failing that, accept's last
+// refusal is the error. buf receives the datagrams; the returned reply
+// and the one accept sees are copies, so buf may be reused.
 //
 //kerb:clockadapter -- socket deadlines and retransmit pacing are wall-clock I/O timeouts
-func udpRoundTrip(conn net.Conn, buf []byte, addr string, req []byte, deadline time.Time) (reply []byte, clean bool, err error) {
+func udpRoundTrip(conn net.Conn, buf []byte, addr string, req []byte, accept func([]byte) error, deadline time.Time) ([]byte, error) {
 	wait := udpRetryBase
 	// repeatReply holds an ErrRepeat answer received mid-exchange. When
 	// this request (or a network-duplicated copy of it) races its own
@@ -431,18 +436,11 @@ func udpRoundTrip(conn net.Conn, buf []byte, addr string, req []byte, deadline t
 	// the remembered original answer. Only if nothing better arrives by
 	// the deadline does the replay error surface to the caller.
 	var repeatReply []byte
-	writes, reads := 0, 0
-	for {
-		if !time.Now().Before(deadline) {
-			if repeatReply != nil {
-				return repeatReply, false, nil
-			}
-			return nil, false, fmt.Errorf("kdc: no reply from %s within deadline", addr)
-		}
+	var refused error
+	for time.Now().Before(deadline) {
 		if _, err := conn.Write(req); err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		writes++
 		tryUntil := time.Now().Add(jitter(wait))
 		if tryUntil.After(deadline) {
 			tryUntil = deadline
@@ -456,32 +454,35 @@ func udpRoundTrip(conn net.Conn, buf []byte, addr string, req []byte, deadline t
 					// Socket-level failure (e.g. ICMP port unreachable
 					// surfacing as ECONNREFUSED): the KDC is down, not
 					// slow. Fail fast so failover can start.
-					return nil, false, err
-				}
-				if !time.Now().Before(deadline) {
-					if repeatReply != nil {
-						return repeatReply, false, nil
-					}
-					return nil, false, fmt.Errorf("kdc: no reply from %s within deadline: %w", addr, err)
+					return nil, err
 				}
 				break // this interval is spent; retransmit
 			}
-			reads++
-			got := buf[:n]
-			if !validKDCReply(got) {
-				continue // stale or garbled datagram; keep listening
+			switch t, _ := core.PeekType(buf[:n]); {
+			case t == core.MsgAuthReply:
+				reply := append([]byte(nil), buf[:n]...)
+				if refused = accept(reply); refused == nil {
+					return reply, nil
+				}
+			case t == core.MsgError && isRepeatError(buf[:n]):
+				repeatReply = append([]byte(nil), buf[:n]...)
+			case t == core.MsgError:
+				return append([]byte(nil), buf[:n]...), nil
 			}
-			if isRepeatError(got) {
-				repeatReply = append([]byte(nil), got...)
-				continue
-			}
-			t, _ := core.PeekType(got)
-			return append([]byte(nil), got...), writes == 1 && reads == 1 && t == core.MsgAuthReply, nil
+			// A refused reply, or anything garbled or misdirected: keep
+			// listening.
 		}
 		if wait < udpRetryMax {
 			wait *= 2
 		}
 	}
+	switch {
+	case repeatReply != nil:
+		return repeatReply, nil
+	case refused != nil:
+		return nil, refused
+	}
+	return nil, fmt.Errorf("kdc: no reply from %s within deadline", addr)
 }
 
 // exchangeTCP is the stream exchange with a duration budget (kept for
@@ -507,17 +508,6 @@ func exchangeTCPDeadline(dial TCPDial, addr string, req []byte, deadline time.Ti
 		return nil, err
 	}
 	return ReadFrame(conn)
-}
-
-// ExchangeAny asks a realm's KDCs until one answers — the availability
-// mechanism of §5.3: "If the master machine is down, authentication can
-// still be achieved on one of the slave machines." It is a stateless
-// convenience over Selector; callers doing repeated exchanges should
-// hold a Selector so the last-responsive KDC is remembered.
-func ExchangeAny(addrs []string, req []byte, timeout time.Duration) ([]byte, error) {
-	s := NewSelector(addrs...)
-	defer s.Close()
-	return s.Exchange(req, timeout)
 }
 
 func addrOfConn(c net.Conn) core.Addr {

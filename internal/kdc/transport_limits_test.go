@@ -111,7 +111,7 @@ func TestParallelUDPReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reply, err := exchangeUDP(defaultDialUDP, l.Addr(), req, time.Now().Add(5*time.Second))
+			reply, err := exchangeUDP(defaultDialUDP, l.Addr(), req, acceptAS(r), time.Now().Add(5*time.Second))
 			if err != nil {
 				errs <- err
 				return

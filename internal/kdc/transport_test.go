@@ -33,9 +33,30 @@ func asReqBytes(r *realm) []byte {
 	}).Encode()
 }
 
+// acceptAS is the acceptance check for a reply to asReqBytes(r): it
+// opens under the user's key, names the ticket-granting service and
+// echoes the request's time.
+func acceptAS(r *realm) func([]byte) error {
+	at := core.TimeFromGo(r.clock.now)
+	return func(raw []byte) error {
+		return checkTicket(raw, r.userKey, core.TGSPrincipal(testRealm, testRealm), at)
+	}
+}
+
+// shapeOnly is the acceptance check of a test that holds no key: an
+// exchange calls it only for a well-formed AUTH_REPLY, and it takes any.
+func shapeOnly([]byte) error { return nil }
+
+// exchangeOnce runs one exchange with addr through a throwaway Selector.
+func exchangeOnce(addr string, req []byte, accept func([]byte) error, timeout time.Duration) ([]byte, error) {
+	s := NewSelector(addr)
+	defer s.Close()
+	return s.Exchange(req, accept, timeout)
+}
+
 func TestUDPExchange(t *testing.T) {
 	r, l := serveRealm(t)
-	reply, err := Exchange(l.Addr(), asReqBytes(r), 2*time.Second)
+	reply, err := exchangeOnce(l.Addr(), asReqBytes(r), acceptAS(r), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,22 +110,21 @@ func TestTCPExchange(t *testing.T) {
 	}
 }
 
-func TestExchangeAnyFailover(t *testing.T) {
+func TestSelectorFailoverPastDeadAddress(t *testing.T) {
 	r, l := serveRealm(t)
 	// First address is a dead port; client falls back to the live slave
 	// (§5.3 availability).
 	dead := "127.0.0.1:1" // reserved port, nothing listens
-	reply, err := ExchangeAny([]string{dead, l.Addr()}, asReqBytes(r), 500*time.Millisecond)
+	s := NewSelector(dead, l.Addr())
+	defer s.Close()
+	reply, err := s.Exchange(asReqBytes(r), acceptAS(r), 500*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := core.IfErrorMessage(reply); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ExchangeAny(nil, asReqBytes(r), time.Second); err == nil {
-		t.Error("empty KDC list accepted")
-	}
-	if _, err := ExchangeAny([]string{dead}, asReqBytes(r), 200*time.Millisecond); err == nil {
+	if _, err := exchangeOnce(dead, asReqBytes(r), acceptAS(r), 200*time.Millisecond); err == nil {
 		t.Error("dead-only KDC list succeeded")
 	}
 }
@@ -117,7 +137,7 @@ func TestConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			reply, err := Exchange(l.Addr(), asReqBytes(r), 5*time.Second)
+			reply, err := exchangeOnce(l.Addr(), asReqBytes(r), acceptAS(r), 5*time.Second)
 			if err != nil {
 				errs <- err
 				return
@@ -179,7 +199,7 @@ func TestListenerCloseIdempotentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 	// After close, exchanges fail rather than hang.
-	if _, err := Exchange(l.Addr(), asReqBytes(r), 300*time.Millisecond); err == nil {
+	if _, err := exchangeOnce(l.Addr(), asReqBytes(r), acceptAS(r), 300*time.Millisecond); err == nil {
 		t.Error("exchange succeeded against closed listener")
 	}
 }
@@ -194,7 +214,7 @@ func TestUDPGarbageDoesNotKillServer(t *testing.T) {
 	conn.Write(bytes.Repeat([]byte{0xff}, 512))
 	conn.Close()
 	// Server still answers well-formed requests.
-	reply, err := Exchange(l.Addr(), asReqBytes(r), 2*time.Second)
+	reply, err := exchangeOnce(l.Addr(), asReqBytes(r), acceptAS(r), 2*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,9 +80,11 @@ func TestAthenaDaySurvivesLossAndDeadMaster(t *testing.T) {
 	sel.DialUDP = inj.DialUDP
 
 	d := &Driver{
-		Spec:            Small,
-		Realm:           realm,
-		Exchange:        func(req []byte) ([]byte, error) { return sel.Exchange(req, 2*time.Second) },
+		Spec:  Small,
+		Realm: realm,
+		Exchange: func(req []byte, accept func([]byte) error) ([]byte, error) {
+			return sel.Exchange(req, accept, 2*time.Second)
+		},
 		Addr:            core.Addr{127, 0, 0, 1},
 		TicketsPerLogin: 2,
 	}

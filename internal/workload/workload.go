@@ -213,8 +213,10 @@ type Driver struct {
 	// Exchange, when set, carries each message to the KDC instead of
 	// Handle — e.g. a kdc.Selector closure over real sockets, so
 	// resilience experiments can inject packet loss, duplication, and
-	// dead masters between the workstation and the KDC.
-	Exchange func(req []byte) ([]byte, error)
+	// dead masters between the workstation and the KDC. It returns the
+	// KDC's error reply or the reply accept took, as
+	// kdc.Selector.Exchange does.
+	Exchange func(req []byte, accept func(reply []byte) error) ([]byte, error)
 	// Addr, when nonzero, overrides the synthetic per-user workstation
 	// address. Required when driving real sockets: the KDC then sees the
 	// true source address, and authenticators must carry it too.
@@ -226,12 +228,39 @@ type Driver struct {
 }
 
 // send carries one encoded request to the KDC via whichever path the
-// driver is configured with.
-func (d *Driver) send(msg []byte, from core.Addr) ([]byte, error) {
-	if d.Exchange != nil {
-		return d.Exchange(msg)
+// driver is configured with, and returns its reply opened under key,
+// or the KDC's error. A reply must echo sent, the request's timestamp.
+func (d *Driver) send(msg []byte, from core.Addr, key des.Key, sent core.KerberosTime) (*core.EncTicketReply, error) {
+	var enc *core.EncTicketReply
+	open := func(raw []byte) error {
+		rep, err := core.DecodeAuthReply(raw)
+		if err != nil {
+			return err
+		}
+		opened, err := rep.Open(key)
+		if err != nil {
+			return err
+		}
+		if opened.RequestTime != sent {
+			return core.NewError(core.ErrRepeat, "KDC reply does not match request")
+		}
+		enc = opened
+		return nil
 	}
-	return d.Handle(msg, from), nil
+	var raw []byte
+	var err error
+	if d.Exchange != nil {
+		raw, err = d.Exchange(msg, open)
+	} else if raw = d.Handle(msg, from); core.IfErrorMessage(raw) == nil {
+		err = open(raw)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if err := core.IfErrorMessage(raw); err != nil {
+		return nil, err
+	}
+	return enc, nil
 }
 
 // wsAddr picks the workstation address user i authenticates from.
@@ -260,26 +289,12 @@ func (d *Driver) RunUser(i int, m *Metrics) error {
 		Time:    core.TimeFromGo(now),
 	}
 	asStart := time.Now()
-	raw, err := d.send(asReq.Encode(), ws)
+	tgt, err := d.send(asReq.Encode(), ws, userKey, asReq.Time)
 	if err != nil {
 		m.Failures.Add(1)
 		return err
 	}
 	m.ASLatency.Observe(time.Since(asStart))
-	if err := core.IfErrorMessage(raw); err != nil {
-		m.Failures.Add(1)
-		return err
-	}
-	rep, err := core.DecodeAuthReply(raw)
-	if err != nil {
-		m.Failures.Add(1)
-		return err
-	}
-	tgt, err := rep.Open(userKey)
-	if err != nil {
-		m.Failures.Add(1)
-		return err
-	}
 	m.ASExchanges.Add(1)
 
 	// Phases 2+3 repeated: service tickets via the TGS.
@@ -299,25 +314,11 @@ func (d *Driver) RunUser(i int, m *Metrics) error {
 			Time:    core.TimeFromGo(time.Now()),
 		}
 		tgsStart := time.Now()
-		raw, err := d.send(tgsReq.Encode(), ws)
-		if err != nil {
+		if _, err := d.send(tgsReq.Encode(), ws, tgt.SessionKey, tgsReq.Time); err != nil {
 			m.Failures.Add(1)
 			return err
 		}
 		m.TGSLatency.Observe(time.Since(tgsStart))
-		if err := core.IfErrorMessage(raw); err != nil {
-			m.Failures.Add(1)
-			return err
-		}
-		tgsRep, err := core.DecodeAuthReply(raw)
-		if err != nil {
-			m.Failures.Add(1)
-			return err
-		}
-		if _, err := tgsRep.Open(tgt.SessionKey); err != nil {
-			m.Failures.Add(1)
-			return err
-		}
 		m.TGSExchanges.Add(1)
 	}
 	return nil
