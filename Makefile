@@ -12,8 +12,9 @@ test:
 race:
 	go test -race ./...
 
-# The concurrency regressions (FileStore lost-update under concurrent
-# ApplyLogged/ReplaceAll, segment-log crash recovery, the sharded/flat
+# The concurrency regressions (a follower polling a segment directory
+# while its writer appends, seals, compacts and replaces it, with readers
+# on the follower's database; segment-log crash recovery, the sharded/flat
 # database equivalence, sharded propagation, the KDC cluster, the KDC request
 # pipeline entered at once by the UDP burst workers and TCP goroutines
 # over one replay cache, a duplicated TGS datagram split across
@@ -26,7 +27,7 @@ race:
 # exist for even on single-CPU boxes, and starts four burst workers.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestFileStorePersistRace|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled|TestTGSRetransmit' \
+		-run 'TestFollower|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled|TestTGSRetransmit' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestReplay|TestConcurrentUse|TestSweep' \
@@ -48,7 +49,9 @@ flake-hunt:
 # build-tagged socket code and its fallbacks keep compiling: the KDC's
 # UDP burst syscalls (internal/kdc/udpburst_*.go — recvmmsg/sendmmsg on
 # linux/amd64 and linux/arm64, whose syscall numbers differ; a burst of
-# one everywhere else, 32-bit linux included).
+# one everywhere else, 32-bit linux included), and the database writer's
+# directory lock (internal/kdb/lock_*.go — flock on linux and the BSDs,
+# none elsewhere).
 cross:
 	GOOS=windows go build ./...
 	GOOS=darwin go build ./...

@@ -522,7 +522,7 @@ func BenchmarkFig13Propagation(b *testing.B) {
 			}
 			defer l.Close()
 			m := kprop.NewMaster(db, []string{l.Addr()}, nil)
-			dumpBytes := len(db.Dump())
+			dumpBytes := len(db.DumpShard(0))
 			b.SetBytes(int64(dumpBytes))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

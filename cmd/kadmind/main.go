@@ -4,10 +4,10 @@
 // changes directly and everything else against the ACL file; every
 // request, permitted or denied, is logged.
 //
-// The database is opened write-through: every change lands in the file
-// before the reply goes out, so the colocated kerberosd (which re-reads
-// the file on change) and the hourly kprop always see current data —
-// the role ndbm played on the Athena master.
+// kadmind is the one writer of the master's database directory: every
+// change is appended to its segment log and made durable before the
+// reply goes out, and the colocated kerberosd and kprop follow the log
+// read-only — the role ndbm played on the Athena master.
 package main
 
 import (
@@ -28,7 +28,7 @@ import (
 func main() {
 	var (
 		realm   = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
-		dbPath  = flag.String("db", "principal.db", "master database file")
+		dbDir   = flag.String("dbdir", "principal", "master database directory (created by kdb_init)")
 		aclPath = flag.String("acl", "kadm.acl", "access control list file")
 		addr    = flag.String("addr", "127.0.0.1:7510", "listen address (tcp)")
 	)
@@ -38,11 +38,15 @@ func main() {
 	line, _ := bufio.NewReader(os.Stdin).ReadString('\n')
 	masterPw := strings.TrimRight(line, "\r\n")
 
-	store, err := kdb.OpenFileStore(*dbPath)
+	if n, err := kdb.DetectShards(*dbDir); err != nil {
+		log.Fatalf("kadmind: %v", err)
+	} else if n == 0 {
+		log.Fatalf("kadmind: no database in %s (run kdb_init)", *dbDir)
+	}
+	db, segs, err := kdb.OpenSegmentDB(des.StringToKey(masterPw, *realm), *dbDir, 0, kdb.SegmentOptions{})
 	if err != nil {
 		log.Fatalf("kadmind: %v", err)
 	}
-	db := kdb.NewWithStore(des.StringToKey(masterPw, *realm), store)
 	acl, err := kadm.LoadACL(*aclPath)
 	if err != nil {
 		log.Fatalf("kadmind: %v", err)
@@ -60,4 +64,7 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	l.Close()
+	for _, s := range segs {
+		s.Close()
+	}
 }

@@ -2,7 +2,8 @@
 // Kerberos administrator's job begins with running a program to
 // initialize the database"): it creates the essential principals — the
 // ticket-granting service and the KDBM change-password service — plus an
-// initial administrator, and writes the database file.
+// initial administrator, and creates the database directory every other
+// daemon opens (-dbdir).
 package main
 
 import (
@@ -22,15 +23,22 @@ import (
 func main() {
 	var (
 		realm   = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
-		dbPath  = flag.String("db", "principal.db", "database file to create")
+		dbDir   = flag.String("dbdir", "principal", "database directory to create")
+		shards  = flag.Int("shards", 1, "how many shards to split the principal space into")
 		admin   = flag.String("admin", "", "username to register with an admin instance")
 		aclPath = flag.String("acl", "kadm.acl", "ACL file to write when -admin is given")
 	)
 	flag.Parse()
 
+	n, err := kdb.DetectShards(*dbDir)
+	check(err)
+	if n > 0 {
+		check(fmt.Errorf("%s already holds a database", *dbDir))
+	}
 	in := bufio.NewReader(os.Stdin)
 	masterPw := prompt(in, "Master database password: ")
-	db := kdb.New(des.StringToKey(masterPw, *realm))
+	db, segs, err := kdb.OpenSegmentDB(des.StringToKey(masterPw, *realm), *dbDir, *shards, kdb.SegmentOptions{})
+	check(err)
 	now := time.Now()
 
 	tgsKey, err := des.NewRandomKey()
@@ -50,8 +58,10 @@ func main() {
 		check(os.WriteFile(*aclPath, []byte(acl), 0o600))
 		fmt.Printf("wrote %s\n", *aclPath)
 	}
-	check(db.Save(*dbPath))
-	fmt.Printf("initialized realm %s in %s (%d principals)\n", *realm, *dbPath, db.Len())
+	for _, s := range segs {
+		check(s.Close())
+	}
+	fmt.Printf("initialized realm %s in %s (%d principals, %d shards)\n", *realm, *dbDir, db.Len(), db.Shards())
 }
 
 func prompt(in *bufio.Reader, msg string) string {

@@ -1,7 +1,8 @@
 // Command kerberosd is the authentication server (§2.2): it answers the
 // initial-ticket and ticket-granting exchanges over UDP and TCP. It
-// performs read-only database operations, so it runs equally well over
-// the master database or a slave's propagated copy (-slave).
+// performs read-only database operations, so it follows a database
+// directory another daemon writes — the master's (kadmind) or a slave's
+// propagated copy (kpropd) — and creates and writes nothing.
 package main
 
 import (
@@ -13,7 +14,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"kerberos/internal/des"
 	"kerberos/internal/kdb"
@@ -23,18 +23,11 @@ import (
 
 func main() {
 	var (
-		realm  = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
-		dbPath = flag.String("db", "principal.db", "database file")
-		dbDir  = flag.String("dbdir", "",
-			"segment-log database directory (sharded, append-only); overrides -db")
-		shards = flag.Int("shards", 0,
-			"shard count for a new -dbdir database (0 autodetects an existing one, or 1 for a new one)")
+		realm = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
+		dbDir = flag.String("dbdir", "principal", "database directory to follow (kadmind or kpropd writes it)")
 		addr  = flag.String("addr", "127.0.0.1:7500", "listen address (udp+tcp)")
-		slave = flag.Bool("slave", false, "serve a read-only slave copy")
 		admin = flag.String("admin", "",
 			"admin listener address serving /metrics, /healthz and /debug/pprof (e.g. 127.0.0.1:7600); empty disables")
-		reload = flag.Duration("reload-interval", time.Second,
-			"how often to re-read the database file when it changes (kadmind/kpropd write it); 0 disables; ignored with -dbdir")
 	)
 	flag.Parse()
 
@@ -47,34 +40,11 @@ func main() {
 	// open/load error exits so every path is covered.
 	defer clear(masterKey[:])
 
-	var db *kdb.Database
-	var segs []*kdb.SegmentStore
-	if *dbDir != "" {
-		n := *shards
-		if n <= 0 {
-			if detected, err := kdb.DetectShards(*dbDir); err != nil {
-				log.Fatalf("kerberosd: %v", err)
-			} else if detected > 0 {
-				n = detected
-			} else {
-				n = 1
-			}
-		}
-		var err error
-		db, segs, err = kdb.OpenSegmentDB(masterKey, *dbDir, n, kdb.SegmentOptions{})
-		if err != nil {
-			log.Fatalf("kerberosd: %v", err)
-		}
-		*reload = 0 // the segment log is this process's own durable store
-	} else {
-		db = kdb.New(masterKey)
-		if err := db.Load(*dbPath); err != nil {
-			log.Fatalf("kerberosd: %v", err)
-		}
+	db, follower, err := kdb.OpenFollower(masterKey, *dbDir)
+	if err != nil {
+		log.Fatalf("kerberosd: %v", err)
 	}
-	if *slave {
-		db.SetReadOnly(true)
-	}
+	defer follower.Close()
 	logger := log.New(os.Stderr, "kerberosd ", log.LstdFlags)
 	reg := obs.NewRegistry()
 	reg.GaugeFunc("kdc_db_principals", func() int64 { return int64(db.Len()) })
@@ -88,35 +58,30 @@ func main() {
 				func() int64 { return int64(db.ShardSerial(i)) })
 		}
 	}
-	// Startup/memory gauges (segment databases only): how long the cold
-	// start took, how much of it was segment-tail replay, and the bytes
-	// the loaded base keeps resident (mapped snapshot + entry slab).
-	// Realm-level startup is the slowest shard; the rest sum.
-	if len(segs) > 0 {
-		stats := make([]kdb.StartupStats, len(segs))
-		for i, s := range segs {
-			stats[i] = s.StartupStats()
+	// Startup/memory gauges: how long the cold start took, how much of
+	// it was segment-tail replay, and the bytes the loaded base keeps
+	// resident (mapped snapshot + entry slab). Realm-level startup is the
+	// slowest shard; the rest sum.
+	stats := follower.StartupStats()
+	var startupNS, resident int64
+	var replayed int64
+	mapped := true
+	for _, st := range stats {
+		if st.StartupNS > startupNS {
+			startupNS = st.StartupNS
 		}
-		var startupNS, resident int64
-		var replayed int64
-		mapped := true
-		for _, st := range stats {
-			if st.StartupNS > startupNS {
-				startupNS = st.StartupNS
-			}
-			replayed += int64(st.ReplayRecords)
-			resident += st.ResidentBytes
-			mapped = mapped && st.MappedBase
-		}
-		reg.GaugeFunc("kdb_startup_ms", func() int64 { return startupNS / 1e6 })
-		reg.GaugeFunc("kdb_replay_records", func() int64 { return replayed })
-		reg.GaugeFunc("kdb_resident_bytes", func() int64 { return resident })
-		mappedVal := int64(0)
-		if mapped {
-			mappedVal = 1
-		}
-		reg.GaugeFunc("kdb_base_mapped", func() int64 { return mappedVal })
+		replayed += int64(st.ReplayRecords)
+		resident += st.ResidentBytes
+		mapped = mapped && st.MappedBase
 	}
+	reg.GaugeFunc("kdb_startup_ms", func() int64 { return startupNS / 1e6 })
+	reg.GaugeFunc("kdb_replay_records", func() int64 { return replayed })
+	reg.GaugeFunc("kdb_resident_bytes", func() int64 { return resident })
+	mappedVal := int64(0)
+	if mapped {
+		mappedVal = 1
+	}
+	reg.GaugeFunc("kdb_base_mapped", func() int64 { return mappedVal })
 	server := kdc.New(*realm, db, kdc.WithLogger(logger), kdc.WithRegistry(reg))
 	l, err := kdc.Serve(server, *addr)
 	if err != nil {
@@ -130,48 +95,12 @@ func main() {
 		defer a.Close()
 		logger.Printf("admin listener (metrics, pprof) on %s", a.Addr())
 	}
-	role := "master"
-	if *slave {
-		role = "slave"
-	}
-	logger.Printf("serving realm %s (%s, %d principals) on %s", *realm, role, db.Len(), l.Addr())
-
-	// The historical daemons shared one ndbm file on the master machine;
-	// our in-memory store re-reads the file when another daemon (kadmind,
-	// kpropd) has rewritten it.
-	stopReload := make(chan struct{})
-	if *reload > 0 {
-		go func() {
-			var lastMod time.Time
-			if fi, err := os.Stat(*dbPath); err == nil {
-				lastMod = fi.ModTime()
-			}
-			ticker := time.NewTicker(*reload)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopReload:
-					return
-				case <-ticker.C:
-					fi, err := os.Stat(*dbPath)
-					if err != nil || !fi.ModTime().After(lastMod) {
-						continue
-					}
-					lastMod = fi.ModTime()
-					if err := db.Load(*dbPath); err != nil {
-						logger.Printf("reloading database: %v", err)
-						continue
-					}
-					logger.Printf("reloaded database (%d principals)", db.Len())
-				}
-			}
-		}()
-	}
+	logger.Printf("serving realm %s (%d principals) on %s", *realm, db.Len(), l.Addr())
+	follower.Follow(logger.Printf)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stopReload)
 	l.Close()
 	logger.Printf("served %d AS and %d TGS requests (%d errors)",
 		server.Metrics().ASRequests.Load(), server.Metrics().TGSRequests.Load(),

@@ -1,9 +1,11 @@
 // Command kprop pushes the master database to slave kpropd daemons
 // (§5.3, Figure 13), either once or on the hourly schedule the paper
-// describes. It speaks kprop v2: slaves that advertise a verifiable
-// (serial, digest) receive only the compressed journal segment they are
-// missing; everything else falls back to a compressed full dump. Slaves
-// are updated in parallel with bounded fan-out.
+// describes. It follows the master's database directory (kadmind writes
+// it) read-only, so every change kadmind makes lands in its journal as
+// it happens. Per shard, slaves that advertise a verifiable (serial,
+// digest) receive only the compressed journal segment they are missing;
+// everything else falls back to a compressed full dump. Slaves are
+// updated in parallel with bounded fan-out.
 package main
 
 import (
@@ -27,7 +29,7 @@ import (
 func main() {
 	var (
 		realm    = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
-		dbPath   = flag.String("db", "principal.db", "master database file")
+		dbDir    = flag.String("dbdir", "principal", "master database directory to follow (kadmind writes it)")
 		slaves   = flag.String("slaves", "", "comma-separated kpropd addresses")
 		interval = flag.Duration("interval", 0, "propagation interval (0 = push once and exit; the paper used 1h)")
 		fanout   = flag.Int("fanout", kprop.DefaultFanout, "how many slaves to update concurrently (1 = serial)")
@@ -35,9 +37,7 @@ func main() {
 		journal  = flag.Int("journal", kdb.DefaultJournalCap, "change-journal retention (entries); slaves further behind get a full dump")
 		retries  = flag.Int("retries", 2, "per-slave retries within a round")
 		backoff  = flag.Duration("backoff", 250*time.Millisecond, "initial retry backoff (doubles per attempt, jittered)")
-		reload   = flag.Duration("reload", 2*time.Second,
-			"how often to re-read the database file when it changes (kadmind writes it); changes are journaled as deltas; 0 disables")
-		admin = flag.String("admin", "",
+		admin    = flag.String("admin", "",
 			"admin listener address serving /metrics, /healthz and /debug/pprof (e.g. 127.0.0.1:7602); empty disables")
 	)
 	flag.Parse()
@@ -49,10 +49,11 @@ func main() {
 	line, _ := bufio.NewReader(os.Stdin).ReadString('\n')
 	masterPw := strings.TrimRight(line, "\r\n")
 
-	db := kdb.New(des.StringToKey(masterPw, *realm))
-	if err := db.Load(*dbPath); err != nil {
+	db, follower, err := kdb.OpenFollower(des.StringToKey(masterPw, *realm), *dbDir)
+	if err != nil {
 		log.Fatalf("kprop: %v", err)
 	}
+	defer follower.Close()
 	db.SetJournalCap(*journal)
 	logger := log.New(os.Stderr, "kprop ", log.LstdFlags)
 	reg := obs.NewRegistry()
@@ -86,55 +87,10 @@ func main() {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	go m.Run(ctx, *interval)
-
-	// kadmind owns the database file; when it changes, diff the new
-	// contents into the journal so the churn ships as a delta instead of
-	// restarting the lineage (which would force full dumps everywhere).
-	stopReload := make(chan struct{})
-	if *reload > 0 {
-		go func() {
-			var lastMod time.Time
-			if fi, err := os.Stat(*dbPath); err == nil {
-				lastMod = fi.ModTime()
-			}
-			ticker := time.NewTicker(*reload)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-stopReload:
-					return
-				case <-ticker.C:
-					fi, err := os.Stat(*dbPath)
-					if err != nil || !fi.ModTime().After(lastMod) {
-						continue
-					}
-					lastMod = fi.ModTime()
-					data, err := os.ReadFile(*dbPath)
-					if err != nil {
-						logger.Printf("re-reading database: %v", err)
-						continue
-					}
-					entries, _, err := kdb.ParseDumpFull(data)
-					if err != nil {
-						logger.Printf("re-reading database: %v", err)
-						continue
-					}
-					n, err := db.SyncFrom(entries)
-					if err != nil {
-						logger.Printf("syncing database: %v", err)
-						continue
-					}
-					if n > 0 {
-						logger.Printf("journaled %d changes from %s (serial %d)", n, *dbPath, db.Serial())
-					}
-				}
-			}
-		}()
-	}
+	follower.Follow(logger.Printf)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stopReload)
 	cancel()
 }

@@ -1,9 +1,11 @@
 // Command kpropd is the slave-side propagation daemon of §5.3: it
 // receives updates from kprop — incremental deltas when its (serial,
-// digest) checks out against the master's journal, full database dumps
-// otherwise — verifies the checksum sealed in the master database key,
-// installs verified updates atomically into the local read-only copy,
-// and saves them crash-safely for the colocated slave kerberosd.
+// digest) checks out against the master's journal, full dumps otherwise,
+// shard by shard — verifies the checksum sealed in the master database
+// key, and installs verified updates atomically into the local read-only
+// copy. It is the one writer of the slave's database directory: an
+// update is durable before it is acknowledged, and the colocated slave
+// kerberosd follows the directory read-only.
 package main
 
 import (
@@ -15,7 +17,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"kerberos/internal/des"
 	"kerberos/internal/kdb"
@@ -25,10 +26,10 @@ import (
 
 func main() {
 	var (
-		realm  = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
-		dbPath = flag.String("db", "principal.slave.db", "slave database file")
-		addr   = flag.String("addr", "127.0.0.1:7520", "listen address (tcp)")
-		admin  = flag.String("admin", "",
+		realm = flag.String("realm", "ATHENA.MIT.EDU", "realm name")
+		dbDir = flag.String("dbdir", "principal.slave", "slave database directory (created empty if missing)")
+		addr  = flag.String("addr", "127.0.0.1:7520", "listen address (tcp)")
+		admin = flag.String("admin", "",
 			"admin listener address serving /metrics, /healthz and /debug/pprof (e.g. 127.0.0.1:7603); empty disables")
 	)
 	flag.Parse()
@@ -37,12 +38,11 @@ func main() {
 	line, _ := bufio.NewReader(os.Stdin).ReadString('\n')
 	masterPw := strings.TrimRight(line, "\r\n")
 
-	db := kdb.New(des.StringToKey(masterPw, *realm))
-	if err := db.Load(*dbPath); err != nil && !os.IsNotExist(err) {
-		// A fresh slave starts empty; anything else is fatal.
-		if _, statErr := os.Stat(*dbPath); statErr == nil {
-			log.Fatalf("kpropd: %v", err)
-		}
+	// A fresh slave starts empty, one shard; give a sharded master's
+	// slave its shard count with kdb_init -shards first.
+	db, segs, err := kdb.OpenSegmentDB(des.StringToKey(masterPw, *realm), *dbDir, 0, kdb.SegmentOptions{})
+	if err != nil {
+		log.Fatalf("kpropd: %v", err)
 	}
 	logger := log.New(os.Stderr, "kpropd ", log.LstdFlags)
 	reg := obs.NewRegistry()
@@ -63,33 +63,11 @@ func main() {
 		logger.Printf("admin listener (metrics, pprof) on %s", a.Addr())
 	}
 
-	// Persist each installed update. Save writes via temp+fsync+rename,
-	// so a crash mid-save leaves the previous dump intact.
-	stop := make(chan struct{})
-	go func() {
-		last := uint64(0)
-		ticker := time.NewTicker(2 * time.Second)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				if n := slave.Updates(); n != last {
-					last = n
-					if err := db.Save(*dbPath); err != nil {
-						logger.Printf("saving: %v", err)
-					} else {
-						logger.Printf("saved update %d to %s (serial %d)", n, *dbPath, db.Serial())
-					}
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stop)
 	l.Close()
+	for _, s := range segs {
+		s.Close()
+	}
 }

@@ -69,6 +69,14 @@ func daemon(t *testing.T, bin string, stdin string, args ...string) (addr string
 // it returns the first n announced addresses in announcement order.
 func daemonN(t *testing.T, bin string, stdin string, n int, args ...string) []string {
 	t.Helper()
+	addrs, _ := startDaemon(t, bin, stdin, n, args...)
+	return addrs
+}
+
+// startDaemon is daemonN that also hands back the process, for a test
+// that kills it.
+func startDaemon(t *testing.T, bin string, stdin string, n int, args ...string) ([]string, *exec.Cmd) {
+	t.Helper()
 	cmd := exec.Command(bin, args...)
 	cmd.Stdin = strings.NewReader(stdin)
 	stderr, err := cmd.StderrPipe()
@@ -107,7 +115,20 @@ func daemonN(t *testing.T, bin string, stdin string, n int, args ...string) []st
 			t.Fatalf("%s announced %d of %d addresses", bin, len(addrs), n)
 		}
 	}
-	return addrs
+	return addrs, cmd
+}
+
+// onDisk reports whether the database directory dir holds principal
+// name, read the way kerberosd reads it: through a follower.
+func onDisk(t *testing.T, masterKey Key, dir, name string) bool {
+	t.Helper()
+	db, f, err := kdb.OpenFollower(masterKey, dir)
+	if err != nil {
+		return false
+	}
+	defer f.Close()
+	_, err = db.Get(name, "")
+	return err == nil
 }
 
 func TestEndToEndBinaries(t *testing.T) {
@@ -116,14 +137,14 @@ func TestEndToEndBinaries(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := buildBinaries(t, dir)
-	dbPath := filepath.Join(dir, "principal.db")
+	dbDir := filepath.Join(dir, "principal")
 	aclPath := filepath.Join(dir, "kadm.acl")
 	tktPath := filepath.Join(dir, "tkt")
 	const masterPw = "e2e-master-password"
 
 	// --- kdb_init: create the realm with an administrator -------------
 	out, err := run(t, bins["kdb_init"], masterPw+"\nadmin-pw\n",
-		"-realm", e2eRealm, "-db", dbPath, "-admin", "root", "-acl", aclPath)
+		"-realm", e2eRealm, "-dbdir", dbDir, "-admin", "root", "-acl", aclPath)
 	if err != nil {
 		t.Fatalf("kdb_init: %v\n%s", err, out)
 	}
@@ -133,11 +154,11 @@ func TestEndToEndBinaries(t *testing.T) {
 
 	// --- daemons -------------------------------------------------------
 	kdcAddrs := daemonN(t, bins["kerberosd"], masterPw+"\n", 2,
-		"-realm", e2eRealm, "-db", dbPath, "-addr", "127.0.0.1:0",
+		"-realm", e2eRealm, "-dbdir", dbDir, "-addr", "127.0.0.1:0",
 		"-admin", "127.0.0.1:0")
 	adminAddr, kdcAddr := kdcAddrs[0], kdcAddrs[1] // admin is announced first
 	kdbmAddr := daemon(t, bins["kadmind"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-acl", aclPath, "-addr", "127.0.0.1:0")
+		"-realm", e2eRealm, "-dbdir", dbDir, "-acl", aclPath, "-addr", "127.0.0.1:0")
 
 	// --- kadmin: the administrator registers a user and a service -----
 	out, err = run(t, bins["kadmin"], "admin-pw\nuser-pw-1\n",
@@ -160,9 +181,8 @@ func TestEndToEndBinaries(t *testing.T) {
 	}
 
 	// --- kinit / klist ---------------------------------------------------
-	// kadmind saves its database every second and kerberosd reloads it on
-	// change, so the new principal takes a couple of seconds to become
-	// visible to the KDC.
+	// kadmind appends the new principal to the database's segment log
+	// and kerberosd, following the log, sees it within a poll period.
 	waitFor(t, 20*time.Second, func() bool {
 		out, err = run(t, bins["kinit"], "user-pw-1\n",
 			"-realm", e2eRealm, "-kdc", kdcAddr, "-user", "jis", "-tktfile", tktPath)
@@ -219,33 +239,32 @@ func TestEndToEndBinaries(t *testing.T) {
 	}
 
 	// --- propagation to a slave that then serves logins -----------------
-	// kadmind saves the database every second; wait until the on-disk
-	// master database carries jis's post-kpasswd key (kvno 2) before
-	// dumping it to the slave.
+	// kpasswd returned after kadmind made the change durable, so the
+	// on-disk master database already carries jis's post-kpasswd key
+	// (kvno 2).
 	masterKey := StringToKey(masterPw, e2eRealm)
-	waitFor(t, 20*time.Second, func() bool {
-		db := kdb.New(masterKey)
-		if err := db.Load(dbPath); err != nil {
-			return false
+	func() {
+		db, f, err := kdb.OpenFollower(masterKey, dbDir)
+		if err != nil {
+			t.Fatal(err)
 		}
-		e, err := db.Get("jis", "")
-		return err == nil && e.KVNO == 2
-	})
-	slaveDB := filepath.Join(dir, "slave.db")
+		defer f.Close()
+		if e, err := db.Get("jis", ""); err != nil || e.KVNO != 2 {
+			t.Fatalf("master database after kpasswd: %+v, %v", e, err)
+		}
+	}()
+	slaveDir := filepath.Join(dir, "slave")
 	kpropdAddr := daemon(t, bins["kpropd"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", slaveDB, "-addr", "127.0.0.1:0")
+		"-realm", e2eRealm, "-dbdir", slaveDir, "-addr", "127.0.0.1:0")
 	out, err = run(t, bins["kprop"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-slaves", kpropdAddr)
+		"-realm", e2eRealm, "-dbdir", dbDir, "-slaves", kpropdAddr)
 	if err != nil {
 		t.Fatalf("kprop: %v\n%s", err, out)
 	}
-	// Wait for the slave to save its copy, then serve from it.
-	waitFor(t, 15*time.Second, func() bool {
-		_, err := os.Stat(slaveDB)
-		return err == nil
-	})
+	// kpropd acknowledged the push only once it was durable, so a slave
+	// KDC can serve from the copy at once.
 	slaveKDC := daemon(t, bins["kerberosd"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", slaveDB, "-addr", "127.0.0.1:0", "-slave")
+		"-realm", e2eRealm, "-dbdir", slaveDir, "-addr", "127.0.0.1:0")
 	out, err = run(t, bins["kinit"], "user-pw-2\n",
 		"-realm", e2eRealm, "-kdc", slaveKDC, "-user", "jis",
 		"-tktfile", filepath.Join(dir, "tkt-slave"))
@@ -296,32 +315,34 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	}
 }
 
-// TestIncrementalPropagationE2E exercises kprop v2 across real
-// processes: a kprop daemon watching the kadmind-owned database file
-// pushes to two kpropd slaves — one bootstrapping from empty (a
-// retention gap, healed by a full dump) and one whose database has
-// silently diverged from the master's lineage (detected by the rolling
-// digest, healed by a full resync). Once both converge, further kadmind
-// writes ship as compressed deltas, and the kstat propagation panel
-// over kprop's admin listener reports the round mix and per-slave lag.
+// TestIncrementalPropagationE2E exercises incremental propagation
+// across real processes: a kprop daemon following the kadmind-written
+// database directory pushes to two kpropd slaves — one bootstrapping
+// from empty (a retention gap, healed by a full dump) and one whose
+// database has silently diverged from the master's lineage (detected by
+// the rolling digest, healed by a full resync). Once both converge,
+// further kadmind writes ship as compressed deltas, and the kstat
+// propagation panel over kprop's admin listener reports the round mix
+// and per-slave lag. A slave killed right after acknowledging a push
+// comes back at or above the acknowledged serial and resumes on deltas.
 func TestIncrementalPropagationE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs every binary")
 	}
 	dir := t.TempDir()
 	bins := buildBinaries(t, dir)
-	dbPath := filepath.Join(dir, "principal.db")
+	dbDir := filepath.Join(dir, "principal")
 	aclPath := filepath.Join(dir, "kadm.acl")
 	const masterPw = "prop-master-password"
 
 	if out, err := run(t, bins["kdb_init"], masterPw+"\nadmin-pw\n",
-		"-realm", e2eRealm, "-db", dbPath, "-admin", "root", "-acl", aclPath); err != nil {
+		"-realm", e2eRealm, "-dbdir", dbDir, "-admin", "root", "-acl", aclPath); err != nil {
 		t.Fatalf("kdb_init: %v\n%s", err, out)
 	}
 	kdcAddr := daemon(t, bins["kerberosd"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-addr", "127.0.0.1:0")
+		"-realm", e2eRealm, "-dbdir", dbDir, "-addr", "127.0.0.1:0")
 	kdbmAddr := daemon(t, bins["kadmind"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-acl", aclPath, "-addr", "127.0.0.1:0")
+		"-realm", e2eRealm, "-dbdir", dbDir, "-acl", aclPath, "-addr", "127.0.0.1:0")
 
 	addUser := func(name string) {
 		t.Helper()
@@ -332,25 +353,26 @@ func TestIncrementalPropagationE2E(t *testing.T) {
 		}
 	}
 	masterKey := StringToKey(masterPw, e2eRealm)
-	onDisk := func(path, name string) func() bool {
-		return func() bool {
-			db := kdb.New(masterKey)
-			if err := db.Load(path); err != nil {
-				return false
-			}
-			_, err := db.Get(name, "")
-			return err == nil
+	follow := func(dir string) *kdb.Database {
+		t.Helper()
+		db, f, err := kdb.OpenFollower(masterKey, dir)
+		if err != nil {
+			t.Fatal(err)
 		}
+		t.Cleanup(func() { f.Close() })
+		return db
 	}
 
 	addUser("prop1")
-	waitFor(t, 20*time.Second, onDisk(dbPath, "prop1"))
+	if !onDisk(t, masterKey, dbDir, "prop1") {
+		t.Fatal("kadmin add returned before the principal was durable")
+	}
 
 	// Slave 1 bootstraps from nothing: its first update must be a full
 	// dump (the master's journal cannot reach back to serial 0).
-	slave1DB := filepath.Join(dir, "slave1.db")
-	s1 := daemonN(t, bins["kpropd"], masterPw+"\n", 2,
-		"-realm", e2eRealm, "-db", slave1DB, "-addr", "127.0.0.1:0",
+	slave1Dir := filepath.Join(dir, "slave1")
+	s1, s1Cmd := startDaemon(t, bins["kpropd"], masterPw+"\n", 2,
+		"-realm", e2eRealm, "-dbdir", slave1Dir, "-addr", "127.0.0.1:0",
 		"-admin", "127.0.0.1:0")
 	s1Addr, s1Admin := s1[0], s1[1]
 
@@ -358,29 +380,31 @@ func TestIncrementalPropagationE2E(t *testing.T) {
 	// serial, tampered lineage digest — the §5.3 nightmare of a slave
 	// that silently drifted. The master must detect the divergence and
 	// heal it with a full resync, never a delta.
-	data, err := os.ReadFile(dbPath)
+	entries, meta, err := kdb.ParseDumpFull(follow(dbDir).DumpShard(0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, meta, err := kdb.ParseDumpFull(data)
+	forged, err := kdb.EncodeKDB4(entries, kdb.DumpMeta{Serial: meta.Serial, Digest: meta.Digest ^ 0xdeadbeef})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slave2DB := filepath.Join(dir, "slave2.db")
-	forged := kdb.EncodeEntriesAt(entries, kdb.DumpMeta{Serial: meta.Serial, Digest: meta.Digest ^ 0xdeadbeef})
-	if err := os.WriteFile(slave2DB, forged, 0o600); err != nil {
+	slave2Dir := filepath.Join(dir, "slave2")
+	if err := os.MkdirAll(filepath.Join(slave2Dir, "shard-000"), 0o700); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(slave2Dir, "shard-000", "base.kdb4"), forged, 0o600); err != nil {
 		t.Fatal(err)
 	}
 	s2 := daemonN(t, bins["kpropd"], masterPw+"\n", 2,
-		"-realm", e2eRealm, "-db", slave2DB, "-addr", "127.0.0.1:0",
+		"-realm", e2eRealm, "-dbdir", slave2Dir, "-addr", "127.0.0.1:0",
 		"-admin", "127.0.0.1:0")
 	s2Addr, s2Admin := s2[0], s2[1]
 
-	// The kprop daemon: push every 500ms, re-reading the kadmind-owned
-	// database file into the journal as it changes.
+	// The kprop daemon: push every 500ms, following the kadmind-written
+	// directory so every change lands in its journal.
 	propAdmin := daemon(t, bins["kprop"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-slaves", s1Addr+","+s2Addr,
-		"-interval", "500ms", "-reload", "300ms", "-admin", "127.0.0.1:0")
+		"-realm", e2eRealm, "-dbdir", dbDir, "-slaves", s1Addr+","+s2Addr,
+		"-interval", "500ms", "-admin", "127.0.0.1:0")
 
 	kstat := func(addr string) string {
 		t.Helper()
@@ -431,21 +455,41 @@ func TestIncrementalPropagationE2E(t *testing.T) {
 		t.Fatalf("slave2 install mix wrong:\n%s", s2Out)
 	}
 
-	// Convergence is durable: both slaves' saved databases carry prop2 on
-	// the master's exact (serial, digest) lineage.
-	waitFor(t, 20*time.Second, onDisk(slave1DB, "prop2"))
-	waitFor(t, 20*time.Second, onDisk(slave2DB, "prop2"))
-	mdb, s2db := kdb.New(masterKey), kdb.New(masterKey)
-	if err := mdb.Load(dbPath); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2db.Load(slave2DB); err != nil {
-		t.Fatal(err)
-	}
+	// Convergence is durable: both slaves' databases carry prop2 on the
+	// master's exact (serial, digest) lineage.
+	waitFor(t, 20*time.Second, func() bool { return onDisk(t, masterKey, slave1Dir, "prop2") })
+	waitFor(t, 20*time.Second, func() bool { return onDisk(t, masterKey, slave2Dir, "prop2") })
+	mdb, s2db := follow(dbDir), follow(slave2Dir)
 	if s2db.Serial() == 0 || s2db.Serial() > mdb.Serial() ||
 		(s2db.Serial() == mdb.Serial() && s2db.Digest() != mdb.Digest()) {
 		t.Fatalf("slave2 lineage (%d, %x) never rejoined master (%d, %x)",
 			s2db.Serial(), s2db.Digest(), mdb.Serial(), mdb.Digest())
+	}
+
+	// An acknowledged push survives SIGKILL: slave 1 is killed right
+	// after acking, and its directory — and the kpropd restarted over it
+	// — is at or above the acknowledged serial, resuming on deltas.
+	addUser("prop3")
+	masterSerial := int(follow(dbDir).Serial())
+	var acked int
+	waitFor(t, 20*time.Second, func() bool {
+		acked = metric(kstat(s1Admin), "kpropd_serial")
+		return acked >= masterSerial
+	})
+	s1Cmd.Process.Kill()
+	s1Cmd.Wait()
+	if got := follow(slave1Dir).Serial(); got < uint64(acked) {
+		t.Fatalf("killed slave's directory at serial %d, below the acknowledged %d", got, acked)
+	}
+	s1 = daemonN(t, bins["kpropd"], masterPw+"\n", 2,
+		"-realm", e2eRealm, "-dbdir", slave1Dir, "-addr", s1Addr,
+		"-admin", "127.0.0.1:0")
+	waitFor(t, 20*time.Second, func() bool {
+		out := kstat(s1[1])
+		return metric(out, "kpropd_deltas") >= 1 && metric(out, "kpropd_serial") >= acked
+	})
+	if out := kstat(s1[1]); metric(out, "kpropd_fulls") != 0 {
+		t.Fatalf("restarted slave needed a full dump:\n%s", out)
 	}
 }
 
@@ -456,19 +500,19 @@ func TestKrshEncryptedMode(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bins := buildBinaries(t, dir)
-	dbPath := filepath.Join(dir, "principal.db")
+	dbDir := filepath.Join(dir, "principal")
 	tktPath := filepath.Join(dir, "tkt")
 	const masterPw = "x-master"
 
 	if out, err := run(t, bins["kdb_init"], masterPw+"\nadmin-pw\n",
-		"-realm", e2eRealm, "-db", dbPath, "-admin", "root",
+		"-realm", e2eRealm, "-dbdir", dbDir, "-admin", "root",
 		"-acl", filepath.Join(dir, "acl")); err != nil {
 		t.Fatalf("kdb_init: %v\n%s", err, out)
 	}
 	kdcAddr := daemon(t, bins["kerberosd"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-addr", "127.0.0.1:0")
+		"-realm", e2eRealm, "-dbdir", dbDir, "-addr", "127.0.0.1:0")
 	kdbmAddr := daemon(t, bins["kadmind"], masterPw+"\n",
-		"-realm", e2eRealm, "-db", dbPath, "-acl", filepath.Join(dir, "acl"),
+		"-realm", e2eRealm, "-dbdir", dbDir, "-acl", filepath.Join(dir, "acl"),
 		"-addr", "127.0.0.1:0")
 	if out, err := run(t, bins["kadmin"], "admin-pw\nuser-pw\n",
 		"-realm", e2eRealm, "-kdc", kdcAddr, "-kdbm", kdbmAddr, "-admin", "root",

@@ -15,8 +15,8 @@ import (
 // buildColdStartDir seeds a segment database directory with n
 // principals in the base plus `tail` journaled rekeys left in the active
 // segment, so a subsequent open exercises both the base load and the
-// replay path. The KDB4 base is installed through LoadDump, which writes
-// it directly; a legacy flat base (base.kdb, the read-and-decode
+// replay path. The KDB4 base is installed through LoadDumpShard, which
+// writes it directly; a legacy flat base (base.kdb, the read-and-decode
 // baseline) is written per shard with EncodeEntriesAt.
 func buildColdStartDir(tb testing.TB, dir string, shards, n, tail int, legacy bool) {
 	tb.Helper()
@@ -44,9 +44,7 @@ func buildColdStartDir(tb testing.TB, dir string, shards, n, tail int, legacy bo
 		tb.Fatal(err)
 	}
 	if !legacy {
-		if err := db.LoadDump(EncodeEntriesAt(entries, meta)); err != nil {
-			tb.Fatal(err)
-		}
+		loadEntries(tb, db, entries, meta)
 	}
 	rekey := des.StringToKey("tailpw", "R")
 	for i := 0; i < tail; i++ {

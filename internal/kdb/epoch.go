@@ -7,7 +7,8 @@ import (
 )
 
 // EpochStore is the one in-memory Store: a Database serves from it
-// directly, and FileStore and SegmentStore persist one. A map behind an
+// directly, a SegmentStore persists one, and a Follower keeps one per
+// shard in step with another process's segment log. A map behind an
 // RWMutex would make every read take a shared lock; at high core counts
 // the lock word itself becomes the contention point — every GetRO
 // bounces the cache line even though readers conflict with nothing.
@@ -397,14 +398,24 @@ func (s *EpochStore) ApplyBatch(upserts []*Entry, deletes []string) {
 }
 
 // ReplaceAll implements Store: a fresh slab, published once. The
-// lineage is the Database's to keep.
-func (s *EpochStore) ReplaceAll(entries []*Entry, _ DumpMeta) {
+// lineage is the Database's to keep, and memory cannot fail.
+func (s *EpochStore) ReplaceAll(entries []*Entry, _ DumpMeta) error {
 	slab := make([]Entry, len(entries))
 	for i, e := range entries {
 		slab[i] = *e.clone()
 	}
 	ensureSortedSlab(slab)
 	ix := indexSlab(slab)
+	s.mu.Lock()
+	s.idx.Store(ix)
+	s.mu.Unlock()
+	return nil
+}
+
+// adopt publishes another store's current index as this one's, so a
+// privately built image replaces the contents in one step.
+func (s *EpochStore) adopt(o *EpochStore) {
+	ix := o.idx.Load()
 	s.mu.Lock()
 	s.idx.Store(ix)
 	s.mu.Unlock()

@@ -2,36 +2,41 @@ package kdb
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"kerberos/internal/des"
 )
 
 // FuzzParseDump feeds arbitrary bytes to the dump decoder every
-// propagation path shares (kpropd, kprop's file read, kerberosd -db
-// reloads, the flat-base import). It must never panic, and a dump it
-// accepts must load into a flat and a 3-shard database alike.
+// propagation path shares (kpropd's full install, the flat-base
+// import). It must never panic, and a dump it accepts must load into a
+// one-shard database as it parsed.
 func FuzzParseDump(f *testing.F) {
 	entries := kdb4TestEntries(5)
-	f.Add(EncodeEntries(entries))
-	f.Add(EncodeEntriesAt(entries, DumpMeta{Serial: 5, Digest: 0xd1}))
+	v2 := EncodeEntriesAt(entries, DumpMeta{Serial: 5, Digest: 0xd1})
+	f.Add(append(append([]byte(nil), dumpMagic[:]...), v2[4+16:]...)) // v1: no metadata
+	f.Add(v2)
 	f.Add(EncodeEntriesAt(nil, DumpMeta{}))
-	f.Add(encodeEntriesV3(entries, []DumpMeta{{Serial: 1, Digest: 2}, {Serial: 3, Digest: 4}, {Serial: 5, Digest: 6}}))
+	f.Add(EncodeEntriesAt(entries[:1], DumpMeta{Serial: 1<<64 - 1, Digest: 2}))
 	master := des.StringToKey("master-password", "ATHENA.MIT.EDU")
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if _, _, err := ParseDumpSharded(data); err != nil {
+		entries, meta, err := ParseDumpFull(data)
+		if err != nil {
 			return
 		}
-		flat, sharded := New(master), newShardedEpochDB(master, 3)
-		if err := flat.LoadDump(data); err != nil {
-			t.Fatalf("flat load of an accepted dump: %v", err)
+		db := New(master)
+		if err := db.LoadDumpShard(0, data); err != nil {
+			t.Fatalf("load of an accepted dump: %v", err)
 		}
-		if err := sharded.LoadDump(data); err != nil {
-			t.Fatalf("3-shard load of an accepted dump: %v", err)
+		if db.ShardSerial(0) != meta.Serial || db.ShardDigest(0) != meta.Digest {
+			t.Fatalf("lineage (%d, %x), dump says %+v", db.ShardSerial(0), db.ShardDigest(0), meta)
 		}
-		if flat.Len() != sharded.Len() {
-			t.Fatalf("Len: flat %d, 3-shard %d", flat.Len(), sharded.Len())
+		if db.Len() > len(entries) {
+			t.Fatalf("Len %d from %d parsed entries", db.Len(), len(entries))
 		}
 	})
 }
@@ -102,4 +107,68 @@ func fixKDB4CRCs(data []byte) {
 		}
 	}
 	binary.BigEndian.PutUint32(data[84:88], crc32.Checksum(data[0:84], snapCRCTable))
+}
+
+// FuzzSegmentReplay feeds a damaged two-segment log — torn tails, a
+// half-written last record, damage mid-log, records of another lineage
+// — to the writer's open and to a follower's, the log now being input
+// that crosses processes. Both must refuse damage in the sealed segment
+// (ErrBadSegment) or both load the same contents and lineage. The
+// writer truncates a torn tail; the follower, which never truncates,
+// must see no change from that, and must see what the writer appends
+// after it.
+func FuzzSegmentReplay(f *testing.F) {
+	src := New(followMaster)
+	addN(f, src, 8)
+	changes, _ := src.ChangesSinceShard(0, 0, 0)
+	var log []byte
+	var ends []int
+	var meta DumpMeta
+	for _, c := range changes {
+		enc := encodeChange(c)
+		meta = DumpMeta{Serial: c.Serial, Digest: chainDigest(meta.Digest, enc)}
+		log = appendLogRecord(log, LogRec{Enc: enc, Serial: meta.Serial, Digest: meta.Digest})
+		ends = append(ends, len(log))
+	}
+	sealed, last := log[:ends[3]], log[ends[3]:]
+	flipped := append([]byte(nil), sealed...)
+	flipped[len(flipped)/2] ^= 0x20
+	f.Add(sealed, last)
+	f.Add(sealed, last[:len(last)-3])                                          // torn tail
+	f.Add(sealed, append(append([]byte(nil), last...), last[:recHeader+2]...)) // half-written record
+	f.Add(flipped, last)                                                       // damage mid-log
+	f.Add(last, sealed)                                                        // records of no lineage the base holds
+	f.Add([]byte{}, append(append([]byte(nil), sealed...), last...))
+	f.Fuzz(func(t *testing.T, sealed, last []byte) {
+		dir := t.TempDir()
+		sub := filepath.Join(dir, shardDirName(0))
+		if err := os.MkdirAll(sub, 0o700); err != nil {
+			t.Fatal(err)
+		}
+		for seq, data := range map[uint64][]byte{1: sealed, 2: last} {
+			if err := os.WriteFile(filepath.Join(sub, segName(seq)), data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fdb, fol, ferr := OpenFollower(followMaster, dir)
+		wdb, segs, werr := OpenSegmentDB(followMaster, dir, 1, SegmentOptions{NoFsync: true})
+		if (ferr == nil) != (werr == nil) {
+			t.Fatalf("follower open: %v; writer open: %v", ferr, werr)
+		}
+		if werr != nil {
+			if !errors.Is(werr, ErrBadSegment) || !errors.Is(ferr, ErrBadSegment) {
+				t.Fatalf("refusals are not ErrBadSegment: writer %v, follower %v", werr, ferr)
+			}
+			return
+		}
+		defer fol.Close()
+		defer segs[0].Close()
+		sameAs(t, "open", fdb, wdb)
+		poll(t, fol)
+		sameAs(t, "after the writer's truncation", fdb, wdb)
+		if err := wdb.Add("appended", "", des.StringToKey("x", "R"), 0, "fuzz", t0); err == nil {
+			poll(t, fol)
+			sameAs(t, "after an append", fdb, wdb)
+		}
+	})
 }

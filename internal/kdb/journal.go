@@ -6,7 +6,7 @@ import (
 	"hash/fnv"
 )
 
-// Incremental propagation support (the kprop v2 plane). The paper's §4.3
+// Incremental propagation support (the kprop delta plane). The paper's §4.3
 // scheme ships the whole database "about once an hour"; at millions of
 // principals that is the dominant replication cost, so the database now
 // keeps a monotonic serial, a rolling content digest, and a bounded
@@ -166,9 +166,6 @@ func DecodeChanges(data []byte) ([]Change, error) {
 // sharded one (each shard advances by one per journaled mutation, so
 // the sum is still monotonic and counts total mutations).
 func (db *Database) Serial() uint64 {
-	if len(db.shards) == 1 {
-		return db.shards[0].serial.Load()
-	}
 	var sum uint64
 	for _, sh := range db.shards {
 		sum += sh.serial.Load()
@@ -181,9 +178,6 @@ func (db *Database) Serial() uint64 {
 // independent divergence indicator; the per-shard digests remain the
 // authoritative lineage checks).
 func (db *Database) Digest() uint64 {
-	if len(db.shards) == 1 {
-		return db.shards[0].digest.Load()
-	}
 	var fold uint64
 	for _, sh := range db.shards {
 		fold ^= sh.digest.Load()
@@ -311,20 +305,10 @@ func (v DeltaVerdict) String() string {
 	}
 }
 
-// ChangesSince returns the journal segment a slave at (serial, digest)
-// is missing, verifying the digest against the master's history at that
-// serial. Any verdict other than DeltaOK means the slave must be healed
-// with a full dump. On a sharded database the per-shard journals are the
-// delta planes — use ChangesSinceShard; the whole-database call reports
-// FallbackRetention (full resync) rather than guessing.
-func (db *Database) ChangesSince(serial, digest uint64) ([]Change, DeltaVerdict) {
-	if len(db.shards) != 1 {
-		return nil, FallbackRetention
-	}
-	return db.shards[0].changesSince(serial, digest)
-}
-
-// ChangesSinceShard is ChangesSince against shard i's journal.
+// ChangesSinceShard returns the journal segment a slave's shard i at
+// (serial, digest) is missing, verifying the digest against the
+// master's history at that serial. Any verdict other than DeltaOK means
+// the slave's shard must be healed with a full dump.
 func (db *Database) ChangesSinceShard(i int, serial, digest uint64) ([]Change, DeltaVerdict) {
 	return db.shards[i].changesSince(serial, digest)
 }
@@ -370,22 +354,14 @@ func (sh *dbShard) changesSince(serial, digest uint64) ([]Change, DeltaVerdict) 
 	return changes, DeltaOK
 }
 
-// ApplyChanges installs a verified journal segment on a slave copy,
-// bypassing the read-only discipline exactly like LoadDump. The segment
-// must start at the slave's current serial + 1 (no gaps, no replays) and,
-// when wantDigest is nonzero, must chain to it — otherwise nothing is
-// applied and the caller should request a full resync. On a sharded
-// database deltas are per-shard: use ApplyChangesShard.
-func (db *Database) ApplyChanges(changes []Change, wantDigest uint64) error {
-	if len(db.shards) != 1 {
-		return fmt.Errorf("%w: sharded database needs per-shard deltas", ErrSerialGap)
-	}
-	return db.shards[0].applyChanges(changes, wantDigest)
-}
-
-// ApplyChangesShard is ApplyChanges against shard i. Every change must
-// belong to shard i (the master sharded them the same way); a misrouted
-// change is rejected before anything is applied.
+// ApplyChangesShard installs a verified journal segment on shard i of a
+// slave copy, bypassing the read-only discipline exactly like
+// LoadDumpShard. The segment must start at the shard's current serial + 1
+// (no gaps, no replays) and, when wantDigest is nonzero, must chain to
+// it — otherwise nothing is applied and the caller should request a full
+// resync. Every change must belong to shard i (the master sharded them
+// the same way); a misrouted change is rejected before anything is
+// applied.
 func (db *Database) ApplyChangesShard(i int, changes []Change, wantDigest uint64) error {
 	for _, c := range changes {
 		if c.Entry == nil {
@@ -449,74 +425,4 @@ func (sh *dbShard) applyChanges(changes []Change, wantDigest uint64) error {
 	sh.digest.Store(digest)
 	sh.trimJournalLocked(false)
 	return nil
-}
-
-// SyncFrom diffs freshly loaded entries (a re-read of the on-disk
-// database another daemon wrote) against the current contents and
-// journals the differences as ordinary upserts/deletes — the master-side
-// path that turns "the file changed" into an O(churn) delta instead of a
-// new lineage. Returns how many changes were recorded.
-func (db *Database) SyncFrom(entries []*Entry) (int, error) {
-	if err := db.writable(); err != nil {
-		return 0, err
-	}
-	// Partition the new state per shard, then diff each shard under its
-	// own lock — cross-shard entries never interleave in one journal.
-	parts := make([][]*Entry, len(db.shards))
-	for _, e := range entries {
-		i := 0
-		if len(db.shards) > 1 {
-			i = ShardIndex(e.Name, e.Instance, len(db.shards))
-		}
-		parts[i] = append(parts[i], e)
-	}
-	changed := 0
-	for i, sh := range db.shards {
-		changed += sh.syncFrom(parts[i])
-	}
-	return changed, nil
-}
-
-func (sh *dbShard) syncFrom(entries []*Entry) int {
-	sh.wmu.Lock()
-	defer sh.wmu.Unlock()
-	next := make(map[string]*Entry, len(entries))
-	for _, e := range entries {
-		next[e.ID()] = e
-	}
-	changed := 0
-	// Deletions first: entries present here but absent in the new state.
-	var gone []*Entry
-	sh.store.Range(func(e *Entry) bool {
-		if _, ok := next[e.ID()]; !ok {
-			gone = append(gone, e)
-		}
-		return true
-	})
-	for _, e := range gone {
-		sh.apply(ChangeDelete, &Entry{Name: e.Name, Instance: e.Instance})
-		changed++
-	}
-	// Upserts: new or differing entries, in deterministic order.
-	seen := make(map[string]bool, len(next))
-	for _, e := range entries {
-		if seen[e.ID()] {
-			continue
-		}
-		seen[e.ID()] = true
-		if old, ok := sh.store.FetchShared(e.ID()); ok && entryEqual(old, e) {
-			continue
-		}
-		sh.apply(ChangeUpsert, e)
-		changed++
-	}
-	return changed
-}
-
-// entryEqual compares every propagated field.
-func entryEqual(a, b *Entry) bool {
-	return a.Name == b.Name && a.Instance == b.Instance &&
-		string(a.EncKey) == string(b.EncKey) && a.KVNO == b.KVNO &&
-		a.Expiration.Equal(b.Expiration) && a.MaxLife == b.MaxLife &&
-		a.ModTime.Equal(b.ModTime) && a.ModBy == b.ModBy
 }

@@ -61,7 +61,7 @@ func TestChangesSinceDeltaAndApply(t *testing.T) {
 	// Slave starts from a full dump of the master.
 	slave := New(master.masterKey)
 	slave.SetReadOnly(true)
-	if err := slave.LoadDump(master.Dump()); err != nil {
+	if err := slave.LoadDumpShard(0, master.DumpShard(0)); err != nil {
 		t.Fatal(err)
 	}
 	if slave.Serial() != master.Serial() || slave.Digest() != master.Digest() {
@@ -70,7 +70,7 @@ func TestChangesSinceDeltaAndApply(t *testing.T) {
 	}
 
 	// Up to date: empty delta.
-	if ch, v := master.ChangesSince(slave.Serial(), slave.Digest()); v != DeltaOK || len(ch) != 0 {
+	if ch, v := master.ChangesSinceShard(0, slave.Serial(), slave.Digest()); v != DeltaOK || len(ch) != 0 {
 		t.Fatalf("up-to-date = (%d changes, %v)", len(ch), v)
 	}
 
@@ -86,21 +86,21 @@ func TestChangesSinceDeltaAndApply(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ch, v := master.ChangesSince(slave.Serial(), slave.Digest())
+	ch, v := master.ChangesSinceShard(0, slave.Serial(), slave.Digest())
 	if v != DeltaOK {
 		t.Fatalf("verdict = %v", v)
 	}
 	if len(ch) != 3 {
 		t.Fatalf("delta carries %d changes, want 3", len(ch))
 	}
-	if err := slave.ApplyChanges(ch, master.Digest()); err != nil {
+	if err := slave.ApplyChangesShard(0, ch, master.Digest()); err != nil {
 		t.Fatal(err)
 	}
 	if slave.Serial() != master.Serial() || slave.Digest() != master.Digest() {
 		t.Fatalf("slave diverged after apply: (%d,%x) vs (%d,%x)",
 			slave.Serial(), slave.Digest(), master.Serial(), master.Digest())
 	}
-	if !bytes.Equal(slave.Dump(), master.Dump()) {
+	if !bytes.Equal(slave.DumpShard(0), master.DumpShard(0)) {
 		t.Fatal("slave contents differ from master after delta apply")
 	}
 	// The deleted principal is gone, the new one resolvable.
@@ -130,19 +130,19 @@ func TestChangesSinceFallbacks(t *testing.T) {
 	addN(t, master, 10) // journal retains only serials 7..10
 
 	// Too far behind: retention fallback.
-	if _, v := master.ChangesSince(2, 123); v != FallbackRetention {
+	if _, v := master.ChangesSinceShard(0, 2, 123); v != FallbackRetention {
 		t.Fatalf("stale slave verdict = %v", v)
 	}
 	// Ahead of the master: a slave from the future (or another lineage).
-	if _, v := master.ChangesSince(99, 123); v != FallbackAhead {
+	if _, v := master.ChangesSinceShard(0, 99, 123); v != FallbackAhead {
 		t.Fatalf("ahead verdict = %v", v)
 	}
 	// Known serial, wrong digest: divergence.
-	if _, v := master.ChangesSince(8, 0xdeadbeef); v != FallbackDivergence {
+	if _, v := master.ChangesSinceShard(0, 8, 0xdeadbeef); v != FallbackDivergence {
 		t.Fatalf("divergent verdict = %v", v)
 	}
 	// Same serial, wrong digest: divergence too.
-	if _, v := master.ChangesSince(master.Serial(), 0xdeadbeef); v != FallbackDivergence {
+	if _, v := master.ChangesSinceShard(0, master.Serial(), 0xdeadbeef); v != FallbackDivergence {
 		t.Fatalf("same-serial divergent verdict = %v", v)
 	}
 	// Boundary: the oldest retained change is serial 7, so a slave at 6
@@ -154,7 +154,7 @@ func TestChangesSinceFallbacks(t *testing.T) {
 		addN(t, probe, 6)
 		at6 = probe.Digest()
 	}
-	ch, v := master.ChangesSince(6, at6)
+	ch, v := master.ChangesSinceShard(0, 6, at6)
 	if v != DeltaOK || len(ch) != 4 {
 		t.Fatalf("boundary delta = (%d changes, %v)", len(ch), v)
 	}
@@ -165,7 +165,7 @@ func TestApplyChangesRejectsGapsAndReplays(t *testing.T) {
 	addN(t, master, 3)
 	slave := New(master.masterKey)
 	slave.SetReadOnly(true)
-	if err := slave.LoadDump(master.Dump()); err != nil {
+	if err := slave.LoadDumpShard(0, master.DumpShard(0)); err != nil {
 		t.Fatal(err)
 	}
 	addN2 := func() []Change {
@@ -173,35 +173,35 @@ func TestApplyChangesRejectsGapsAndReplays(t *testing.T) {
 		if err := master.SetKey("user000", "", key, "x", t0); err != nil {
 			t.Fatal(err)
 		}
-		ch, v := master.ChangesSince(slave.Serial(), slave.Digest())
+		ch, v := master.ChangesSinceShard(0, slave.Serial(), slave.Digest())
 		if v != DeltaOK {
 			t.Fatalf("verdict %v", v)
 		}
 		return ch
 	}
 	ch := addN2()
-	if err := slave.ApplyChanges(ch, master.Digest()); err != nil {
+	if err := slave.ApplyChangesShard(0, ch, master.Digest()); err != nil {
 		t.Fatal(err)
 	}
 	// Replay: first serial ≤ current.
-	if err := slave.ApplyChanges(ch, 0); !errors.Is(err, ErrSerialGap) {
+	if err := slave.ApplyChangesShard(0, ch, 0); !errors.Is(err, ErrSerialGap) {
 		t.Fatalf("replay err = %v", err)
 	}
 	// Gap: skip ahead.
 	gap := []Change{{Serial: slave.Serial() + 5, Op: ChangeDelete, Entry: &Entry{Name: "x"}}}
-	if err := slave.ApplyChanges(gap, 0); !errors.Is(err, ErrSerialGap) {
+	if err := slave.ApplyChangesShard(0, gap, 0); !errors.Is(err, ErrSerialGap) {
 		t.Fatalf("gap err = %v", err)
 	}
 	// Wrong digest: all-or-nothing, nothing applied.
 	ch2 := addN2()
 	before := slave.Serial()
-	if err := slave.ApplyChanges(ch2, 0xbad); !errors.Is(err, ErrSerialGap) {
+	if err := slave.ApplyChangesShard(0, ch2, 0xbad); !errors.Is(err, ErrSerialGap) {
 		t.Fatalf("digest err = %v", err)
 	}
 	if slave.Serial() != before {
 		t.Fatal("failed apply advanced the serial")
 	}
-	if err := slave.ApplyChanges(ch2, master.Digest()); err != nil {
+	if err := slave.ApplyChangesShard(0, ch2, master.Digest()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -212,7 +212,7 @@ func TestEncodeDecodeChangesRoundTrip(t *testing.T) {
 	if err := master.Delete("user002", ""); err != nil {
 		t.Fatal(err)
 	}
-	ch, v := master.ChangesSince(0, 0)
+	ch, v := master.ChangesSinceShard(0, 0, 0)
 	if v != DeltaOK || len(ch) != 5 {
 		t.Fatalf("delta = (%d, %v)", len(ch), v)
 	}
@@ -239,7 +239,7 @@ func TestEncodeDecodeChangesRoundTrip(t *testing.T) {
 func TestDecodeChangesRejectsCorruption(t *testing.T) {
 	master := newTestDB(t)
 	addN(t, master, 2)
-	ch, _ := master.ChangesSince(0, 0)
+	ch, _ := master.ChangesSinceShard(0, 0, 0)
 	enc := EncodeChanges(ch)
 	cases := map[string][]byte{
 		"empty":        {},
@@ -261,7 +261,7 @@ func TestDecodeChangesRejectsCorruption(t *testing.T) {
 func TestDumpV2CarriesMetaAndV1StillLoads(t *testing.T) {
 	db := newTestDB(t)
 	addN(t, db, 3)
-	dump := db.Dump()
+	dump := db.DumpShard(0)
 	entries, meta, err := ParseDumpFull(dump)
 	if err != nil {
 		t.Fatal(err)
@@ -269,8 +269,9 @@ func TestDumpV2CarriesMetaAndV1StillLoads(t *testing.T) {
 	if meta.Serial != 3 || meta.Digest != db.Digest() || len(entries) != 3 {
 		t.Fatalf("meta = %+v, %d entries", meta, len(entries))
 	}
-	// A v1 dump (legacy) still parses, at serial 0.
-	v1 := EncodeEntries(entries)
+	// A v1 dump (legacy: no metadata after the magic) still parses, at
+	// serial 0.
+	v1 := append(append([]byte(nil), dumpMagic[:]...), dump[4+16:]...)
 	got, meta1, err := ParseDumpFull(v1)
 	if err != nil {
 		t.Fatal(err)
@@ -278,96 +279,13 @@ func TestDumpV2CarriesMetaAndV1StillLoads(t *testing.T) {
 	if meta1 != (DumpMeta{}) || len(got) != 3 {
 		t.Fatalf("v1 meta = %+v, %d entries", meta1, len(got))
 	}
-	// LoadDump adopts the v2 meta.
+	// LoadDumpShard adopts the v2 meta.
 	slave := New(db.masterKey)
-	if err := slave.LoadDump(dump); err != nil {
+	if err := slave.LoadDumpShard(0, dump); err != nil {
 		t.Fatal(err)
 	}
 	if slave.Serial() != 3 || slave.Digest() != db.Digest() {
 		t.Fatalf("slave meta after load = (%d, %x)", slave.Serial(), slave.Digest())
-	}
-}
-
-func TestFileStorePersistsSerialAcrossReopen(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "kdb")
-	fs, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mk := des.StringToKey("master", "R")
-	db := NewWithStore(mk, fs)
-	addN(t, db, 4)
-	wantSerial, wantDigest := db.Serial(), db.Digest()
-
-	fs2, err := OpenFileStore(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db2 := NewWithStore(mk, fs2)
-	if db2.Serial() != wantSerial || db2.Digest() != wantDigest {
-		t.Fatalf("reopened at (%d, %x), want (%d, %x)",
-			db2.Serial(), db2.Digest(), wantSerial, wantDigest)
-	}
-	// Writes resume the same lineage.
-	if err := db2.Delete("user000", ""); err != nil {
-		t.Fatal(err)
-	}
-	if db2.Serial() != wantSerial+1 {
-		t.Fatalf("serial after resume-write = %d", db2.Serial())
-	}
-}
-
-func TestSyncFromJournalsDiff(t *testing.T) {
-	db := newTestDB(t)
-	addN(t, db, 5)
-	base := db.Serial()
-
-	// Build the "file changed" view: one password change, one delete,
-	// one addition, rest untouched.
-	entries, err := ParseDump(db.Dump())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var next []*Entry
-	for _, e := range entries {
-		if e.Name == "user003" {
-			continue // deleted
-		}
-		if e.Name == "user001" {
-			c := *e
-			c.KVNO++
-			c.EncKey = append([]byte(nil), e.EncKey...)
-			c.EncKey[0] ^= 0xff
-			e = &c
-		}
-		next = append(next, e)
-	}
-	next = append(next, &Entry{
-		Name: "added", Instance: "", EncKey: entries[0].EncKey,
-		KVNO: 1, Expiration: t0.Add(time.Hour), MaxLife: core.DefaultTGTLife,
-		ModTime: t0, ModBy: "sync",
-	})
-
-	n, err := db.SyncFrom(next)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("SyncFrom journaled %d changes, want 3", n)
-	}
-	if db.Serial() != base+3 {
-		t.Fatalf("serial = %d, want %d", db.Serial(), base+3)
-	}
-	if _, err := db.Get("user003", ""); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("deleted entry err = %v", err)
-	}
-	if _, err := db.Get("added", ""); err != nil {
-		t.Fatalf("added entry err = %v", err)
-	}
-	// Idempotent: same view again journals nothing.
-	if n, err := db.SyncFrom(next); err != nil || n != 0 {
-		t.Fatalf("second SyncFrom = (%d, %v)", n, err)
 	}
 }
 
@@ -382,18 +300,19 @@ func TestJournalRetentionTrim(t *testing.T) {
 	// the pre-base digest, a slave at 11 is not.
 	probe := newTestDB(t)
 	addN(t, probe, 12)
-	if ch, v := db.ChangesSince(12, probe.Digest()); v != DeltaOK || len(ch) != 8 {
+	if ch, v := db.ChangesSinceShard(0, 12, probe.Digest()); v != DeltaOK || len(ch) != 8 {
 		t.Fatalf("boundary = (%d, %v)", len(ch), v)
 	}
-	if _, v := db.ChangesSince(11, 1); v != FallbackRetention {
+	if _, v := db.ChangesSinceShard(0, 11, 1); v != FallbackRetention {
 		t.Fatalf("past-retention verdict = %v", v)
 	}
 }
 
-// TestKillMidSaveLeavesOldDump proves the temp+fsync+rename discipline:
-// a process killed while saving leaves either the old dump or the new
-// one, never a torn file. The child process overwrites a dump in a loop
-// until the parent kills it mid-flight.
+// TestKillMidSaveLeavesOldDump proves the temp+fsync+rename discipline
+// of WriteFileAtomic (every base install goes through it): a process
+// killed while saving leaves either the old dump or the new one, never
+// a torn file. The child process overwrites a dump in a loop until the
+// parent kills it mid-flight.
 func TestKillMidSaveLeavesOldDump(t *testing.T) {
 	if os.Getenv("KDB_KILL_CHILD") == "1" {
 		path := os.Getenv("KDB_KILL_PATH")
@@ -405,7 +324,7 @@ func TestKillMidSaveLeavesOldDump(t *testing.T) {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			if err := db.Save(path); err != nil {
+			if err := WriteFileAtomic(path, db.DumpShard(0), 0o600); err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
@@ -456,7 +375,7 @@ func TestDecodeChangesImplausibleCount(t *testing.T) {
 	// The boundary holds: a real one-change set still decodes.
 	db := newTestDB(t)
 	addN(t, db, 1)
-	changes, verdict := db.ChangesSince(0, 0)
+	changes, verdict := db.ChangesSinceShard(0, 0, 0)
 	if verdict != DeltaOK {
 		t.Fatalf("verdict %v", verdict)
 	}

@@ -5,10 +5,12 @@
 //
 // Like the Athena implementation — which moved from INGRES to ndbm — the
 // storage layer is a replaceable module behind the Store interface. The
-// in-memory EpochStore serves lock-free reads; FileStore and SegmentStore
-// wrap one and persist it (a rewritten dump file, or an append-only
-// segment log over a KDB4 snapshot). Dumps serialize the records for
-// the hourly full-database propagation of §5.3. All private keys are
+// in-memory EpochStore serves lock-free reads; SegmentStore wraps one and
+// persists it as an append-only segment log over a KDB4 snapshot, the
+// one on-disk form. Its directory has one writer (kadmind on the master,
+// kpropd on a slave); kerberosd and kprop follow it read-only through a
+// Follower. Dumps serialize one shard's records for the full-copy
+// propagation of §5.3. All private keys are
 // encrypted in the master database key ("All passwords in the Kerberos
 // database are encrypted in the master database key"), so dumps and
 // slave transfers never expose raw keys.
@@ -134,9 +136,11 @@ type Store interface {
 	// records (or the lineage of the last one) durable before returning;
 	// an in-memory store ignores them.
 	ApplyLogged(recs []LogRec, upserts []*Entry, deletes []string) error
-	// ReplaceAll atomically swaps the whole contents (propagation, a
-	// dump load); meta is the lineage the new contents start at.
-	ReplaceAll(entries []*Entry, meta DumpMeta)
+	// ReplaceAll atomically swaps the whole contents (a propagated
+	// full dump); meta is the lineage the new contents start at. A
+	// persisting store makes them durable before returning; on error the
+	// store still serves its previous contents.
+	ReplaceAll(entries []*Entry, meta DumpMeta) error
 	// LoadedMeta reports the lineage the store already holds when a
 	// Database is built over it (zero for a fresh or in-memory store).
 	LoadedMeta() DumpMeta
@@ -200,9 +204,8 @@ func New(masterKey des.Key) *Database {
 }
 
 // NewWithStore creates a single-shard database over a caller-provided
-// Store. A store that carries propagation metadata (FileStore or
-// SegmentStore re-opening an existing database) seeds the serial and
-// digest.
+// Store. A store that carries propagation metadata (a SegmentStore
+// re-opening an existing database) seeds the serial and digest.
 func NewWithStore(masterKey des.Key, store Store) *Database {
 	return NewSharded(masterKey, []Store{store})
 }
@@ -210,7 +213,7 @@ func NewWithStore(masterKey des.Key, store Store) *Database {
 // NewSharded creates a database over one shard per provided store.
 // Principals are assigned to shards by ShardIndex of their ID; the
 // shard count is fixed for the lifetime of the database (and of its
-// on-disk form — re-sharding is a dump/reload).
+// on-disk form).
 func NewSharded(masterKey des.Key, stores []Store) *Database {
 	if len(stores) == 0 {
 		panic("kdb: NewSharded needs at least one store")
@@ -462,8 +465,8 @@ func (db *Database) stores() []Store {
 }
 
 // rangeMerged iterates a set of stores (each of which ranges in sorted
-// order) as one globally ID-sorted sequence — the k-way merge that keeps
-// sharded dumps byte-identical to their single-store equivalents.
+// order) as one globally ID-sorted sequence, so a sharded database lists
+// in the same order as a single-store one.
 func rangeMerged(stores []Store, fn func(*Entry) bool) {
 	lists := make([][]*Entry, len(stores))
 	for i, s := range stores {

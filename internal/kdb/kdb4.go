@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"time"
 	"unsafe"
@@ -280,6 +281,28 @@ func OpenKDB4(path string) (*Snapshot, error) {
 	}
 	sn.unmap, sn.mapped = unmap, mapped
 	return sn, nil
+}
+
+// readKDB4Meta reads the lineage from a snapshot's header alone,
+// checked by the header CRC; the data pages are not read.
+func readKDB4Meta(path string) (DumpMeta, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return DumpMeta{}, err
+	}
+	defer f.Close()
+	var hdr [snapHeaderLen]byte
+	if _, err := io.ReadFull(f, hdr[:]); err != nil {
+		return DumpMeta{}, err
+	}
+	//kerb:ignore consttime -- CRC-32 detects torn disk writes, not forgery; nothing here is keyed
+	if !IsKDB4(hdr[:]) || crc32.Checksum(hdr[0:84], snapCRCTable) != binary.BigEndian.Uint32(hdr[84:88]) {
+		return DumpMeta{}, ErrBadSnapshot
+	}
+	return DumpMeta{
+		Serial: binary.BigEndian.Uint64(hdr[16:24]),
+		Digest: binary.BigEndian.Uint64(hdr[24:32]),
+	}, nil
 }
 
 // ParseKDB4 validates a snapshot held in memory (compaction folds and

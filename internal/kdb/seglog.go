@@ -30,9 +30,9 @@ func flatResidentEstimate(entries []*Entry) int64 {
 	return n
 }
 
-// SegmentStore is the append-only disk backend that replaces the
-// rewrite-the-world FileStore on the master's mutation path. The on-disk
-// form is a base snapshot plus a sequence of segment logs:
+// SegmentStore is the append-only disk backend: the one persisting
+// Store, on the master (kadmind) and on every slave (kpropd) alike. The
+// on-disk form is a base snapshot plus a sequence of segment logs:
 //
 //	base.kdb4         page-aligned KDB4 snapshot at some (serial, digest)
 //	seg-00000001.log  framed change records after the base
@@ -57,8 +57,14 @@ func flatResidentEstimate(entries []*Entry) int64 {
 // detected and truncated back to the last whole record; the base is
 // replaced via temp+fsync+rename with the directory fsynced before any
 // folded segment is unlinked; and a crash between installing a new
-// base and deleting the segments it folded is harmless because replay
-// skips records at or below the base serial.
+// base and deleting the segments it replaced is harmless because replay
+// applies only records that extend the base's lineage (see replayLog).
+//
+// A store is the only writer of its directory: it holds an exclusive
+// advisory lock on it from open to Close, so a second writer (two
+// kadminds, or kadmind and kpropd pointed at one directory) fails to
+// open. Other processes read the directory through a Follower, which
+// takes no lock and writes nothing.
 type SegmentStore struct {
 	dir string
 	opt SegmentOptions
@@ -73,9 +79,9 @@ type SegmentStore struct {
 	// fileMu serializes everything that touches the files: appends,
 	// sealing, compaction install, ReplaceAll. The in-memory apply
 	// happens inside the same window so file order and memory order
-	// cannot diverge (the FileStore lost-update race, fixed here by
-	// design rather than by care).
+	// cannot diverge.
 	fileMu     sync.Mutex
+	unlock     func() error // releases the directory lock
 	active     *os.File
 	activeSeq  uint64
 	activeSize int64
@@ -121,6 +127,9 @@ func (o *SegmentOptions) defaults() {
 // ErrBadSegment reports a segment log that failed structural validation
 // somewhere other than its tail.
 var ErrBadSegment = errors.New("kdb: corrupt segment log")
+
+// ErrLocked reports a segment directory another writer holds open.
+var ErrLocked = errors.New("kdb: database directory is locked by another writer")
 
 const (
 	segBaseName  = "base.kdb"  // legacy v2 dump base (read-only import)
@@ -192,7 +201,6 @@ func newSegmentStore(dir string, opt SegmentOptions) *SegmentStore {
 	return &SegmentStore{
 		dir:       dir,
 		opt:       opt,
-		mem:       NewEpochStore(),
 		compactCh: make(chan struct{}, 1),
 		done:      make(chan struct{}),
 	}
@@ -207,12 +215,18 @@ func (s *SegmentStore) open() error {
 	if err := os.MkdirAll(s.dir, 0o700); err != nil {
 		return fmt.Errorf("kdb: opening segment store: %w", err)
 	}
+	unlock, err := lockDir(s.dir)
+	if err != nil {
+		return err
+	}
 	if err := s.load(); err != nil {
 		if s.snap != nil {
 			s.snap.Close()
 		}
+		unlock()
 		return err
 	}
+	s.unlock = unlock
 	s.startupNS = time.Since(start).Nanoseconds()
 	s.wg.Add(1)
 	go s.compactor()
@@ -222,57 +236,28 @@ func (s *SegmentStore) open() error {
 	return nil
 }
 
-// load replays base + segments into memory and opens the active segment.
-// A KDB4 base is preferred over a legacy flat one: whenever both exist
-// the KDB4 file is the newer (bases are only written by compaction and
-// ReplaceAll, both of which remove the other format after installing).
+// load replays base + segments into memory, truncates a torn tail, and
+// opens the active segment.
 func (s *SegmentStore) load() error {
-	if sn, err := OpenKDB4(filepath.Join(s.dir, segBase4Name)); err == nil {
-		table, terr := sn.Index()
-		if terr != nil {
-			sn.Close()
-			return fmt.Errorf("kdb: loading %s: %w", segBase4Name, terr)
-		}
-		// The records serve reads in place: install the mapping and its
-		// precomputed probe table, and entries materialize lazily on
-		// first fetch. Startup cost is validation, not decoding.
-		s.mem.installSnapshot(sn, table)
-		s.snap = sn
-		s.lastMeta = sn.Meta()
-		// Mapping plus the lazy-materialization pointer array; decoded
-		// entries accrete on top as principals are first touched.
-		s.residentBytes = sn.Bytes() + int64(sn.Count())*8
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("kdb: loading %s: %w", segBase4Name, err)
-	} else if data, err := os.ReadFile(filepath.Join(s.dir, segBaseName)); err == nil {
-		entries, meta, perr := ParseDumpFull(data)
-		if perr != nil {
-			return fmt.Errorf("kdb: parsing %s: %w", segBaseName, perr)
-		}
-		s.mem.ReplaceAll(entries, meta)
-		s.lastMeta = meta
-		s.residentBytes = flatResidentEstimate(entries)
-	} else if !os.IsNotExist(err) {
-		return fmt.Errorf("kdb: reading %s: %w", segBaseName, err)
-	}
-
-	seqs, err := s.listSegments()
+	img, err := readImage(s.dir, true, nil)
 	if err != nil {
 		return err
 	}
-	for i, seq := range seqs {
-		last := i == len(seqs)-1
-		if err := s.replaySegment(seq, last); err != nil {
-			return err
-		}
-	}
-	if len(seqs) == 0 {
+	s.mem, s.snap, s.lastMeta = img.mem, img.snap, img.meta
+	s.replayRecords, s.residentBytes = img.replayed, img.resident
+	if len(img.seqs) == 0 {
 		s.activeSeq = 1
 	} else {
-		s.activeSeq = seqs[len(seqs)-1]
-		s.sealed = seqs[:len(seqs)-1]
+		s.activeSeq = img.seqs[len(img.seqs)-1]
+		s.sealed = img.seqs[:len(img.seqs)-1]
 	}
 	path := filepath.Join(s.dir, segName(s.activeSeq))
+	if img.end < img.size {
+		// Torn tail: drop the partial record, keep everything before.
+		if err := os.Truncate(path, img.end); err != nil {
+			return fmt.Errorf("kdb: truncating torn segment: %w", err)
+		}
+	}
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o600)
 	if err != nil {
 		return fmt.Errorf("kdb: opening active segment: %w", err)
@@ -291,10 +276,167 @@ func (s *SegmentStore) load() error {
 	return nil
 }
 
-func (s *SegmentStore) listSegments() ([]uint64, error) {
-	ents, err := os.ReadDir(s.dir)
+// segImage is one read of a shard directory: its base and every whole
+// record that extends the base's lineage, in a private EpochStore.
+type segImage struct {
+	mem      *EpochStore
+	snap     *Snapshot   // base the image aliases; nil for a flat or absent base
+	base     os.FileInfo // the KDB4 base as found before reading it; nil if none
+	meta     DumpMeta    // lineage after the last replayed record
+	seqs     []uint64    // segments found, ascending
+	end      int64       // offset after the last whole record of the last segment
+	size     int64       // length of the last segment as read
+	replayed int         // records replayed on top of the base
+	resident int64       // base mapping/heap + index estimate
+	ends     []DumpMeta  // lineage at the end of each segment but the last
+
+	// With a watch point, passed reports whether the image's history
+	// holds it (the base is at it, or a replayed record lands on it),
+	// and after holds every replayed change past it.
+	passed bool
+	after  []Change
+}
+
+// readImage loads dir's base and replays its segments. mapBase maps a
+// KDB4 base (the cold-start path); otherwise it is read onto the heap.
+// A damaged record in a segment other than the last is corruption
+// (ErrBadSegment); in the last it ends the replay, reported as end <
+// size (a torn tail for the writer to truncate, a record still being
+// written for a follower). A segment that vanishes while being read was
+// folded by a compaction in another process, and is skipped.
+//
+// A KDB4 base is preferred over a legacy flat one: whenever both exist
+// the KDB4 file is the newer (bases are only written by compaction and
+// ReplaceAll, both of which remove the other format after installing).
+func readImage(dir string, mapBase bool, watch *DumpMeta) (*segImage, error) {
+	img := &segImage{mem: NewEpochStore()}
+	err := img.loadBases(dir, mapBase)
+	if err == nil {
+		err = img.replay(dir, watch)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("kdb: listing %s: %w", s.dir, err)
+		if img.snap != nil {
+			img.snap.Close()
+		}
+		return nil, err
+	}
+	return img, nil
+}
+
+// loadBases installs the KDB4 base, or else a legacy flat one, if
+// either exists.
+func (img *segImage) loadBases(dir string, mapBase bool) error {
+	if ok, err := img.loadBase(dir, mapBase); ok || err != nil {
+		return err
+	}
+	return img.loadFlatBase(dir)
+}
+
+// loadBase installs the KDB4 base, reporting false when there is none.
+func (img *segImage) loadBase(dir string, mapBase bool) (bool, error) {
+	path := filepath.Join(dir, segBase4Name)
+	fi, err := os.Stat(path)
+	if os.IsNotExist(err) {
+		return false, nil
+	} else if err != nil {
+		return false, fmt.Errorf("kdb: loading %s: %w", segBase4Name, err)
+	}
+	var sn *Snapshot
+	if mapBase {
+		sn, err = OpenKDB4(path)
+	} else {
+		var data []byte
+		if data, err = os.ReadFile(path); err == nil {
+			sn, err = ParseKDB4(data)
+		}
+	}
+	if err != nil {
+		return false, fmt.Errorf("kdb: loading %s: %w", segBase4Name, err)
+	}
+	table, err := sn.Index()
+	if err != nil {
+		sn.Close()
+		return false, fmt.Errorf("kdb: loading %s: %w", segBase4Name, err)
+	}
+	// The records serve reads in place: install the snapshot and its
+	// precomputed probe table, and entries materialize lazily on first
+	// fetch. Startup cost is validation, not decoding.
+	img.mem.installSnapshot(sn, table)
+	img.snap, img.base, img.meta = sn, fi, sn.Meta()
+	// Mapping plus the lazy-materialization pointer array; decoded
+	// entries accrete on top as principals are first touched.
+	img.resident = sn.Bytes() + int64(sn.Count())*8
+	return true, nil
+}
+
+// loadFlatBase imports a legacy base.kdb dump, if there is one.
+func (img *segImage) loadFlatBase(dir string) error {
+	data, err := os.ReadFile(filepath.Join(dir, segBaseName))
+	if os.IsNotExist(err) {
+		return nil
+	} else if err != nil {
+		return fmt.Errorf("kdb: reading %s: %w", segBaseName, err)
+	}
+	entries, meta, err := ParseDumpFull(data)
+	if err != nil {
+		return fmt.Errorf("kdb: parsing %s: %w", segBaseName, err)
+	}
+	img.mem.ReplaceAll(entries, meta)
+	img.meta = meta
+	img.resident = flatResidentEstimate(entries)
+	return nil
+}
+
+// apply replays one change into the image.
+func (img *segImage) apply(c Change) {
+	if c.Op == ChangeDelete {
+		img.mem.Delete(c.Entry.ID())
+	} else {
+		img.mem.Put(c.Entry)
+	}
+	img.replayed++
+}
+
+// replay applies every segment's records on top of the base.
+func (img *segImage) replay(dir string, watch *DumpMeta) error {
+	seqs, err := listSegments(dir)
+	if err != nil {
+		return err
+	}
+	img.passed = watch != nil && img.meta == *watch
+	for i, seq := range seqs {
+		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
+		if os.IsNotExist(err) {
+			continue
+		} else if err != nil {
+			return fmt.Errorf("kdb: reading segment: %w", err)
+		}
+		end := replayLog(data, &img.meta, func(c Change) {
+			img.apply(c)
+			switch {
+			case img.passed:
+				img.after = append(img.after, c)
+			case watch != nil && img.meta == *watch:
+				img.passed = true
+			}
+		})
+		if i < len(seqs)-1 {
+			if end < len(data) {
+				return fmt.Errorf("%w: %s at offset %d", ErrBadSegment, segName(seq), end)
+			}
+			img.ends = append(img.ends, img.meta)
+		}
+		img.end, img.size = int64(end), int64(len(data))
+	}
+	img.seqs = seqs
+	return nil
+}
+
+// listSegments returns the segment seqs in dir, ascending.
+func listSegments(dir string) ([]uint64, error) {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("kdb: listing %s: %w", dir, err)
 	}
 	var seqs []uint64
 	for _, de := range ents {
@@ -313,51 +455,33 @@ func (s *SegmentStore) listSegments() ([]uint64, error) {
 	return seqs, nil
 }
 
-// replaySegment applies one segment's records to memory. A structurally
-// bad record in the last segment is a torn tail: the file is truncated
-// back to the last whole record. The same damage anywhere else is
-// corruption and refuses to load.
-func (s *SegmentStore) replaySegment(seq uint64, last bool) error {
-	path := filepath.Join(s.dir, segName(seq))
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("kdb: reading segment: %w", err)
-	}
+// replayLog walks the whole framed records at the head of data and, for
+// each change that extends meta's lineage, advances meta past it and
+// calls apply: the record at serial meta.Serial+1 whose digest chains from
+// meta.Digest over its encoding. Records at or below meta.Serial are
+// already in the base. A record that does not extend the lineage
+// belongs to one a later base replaced (a crash between ReplaceAll's
+// base install and its segment removal) and is skipped. It returns the
+// offset of the first incomplete or damaged record, len(data) when every
+// record is whole.
+func replayLog(data []byte, meta *DumpMeta, apply func(Change)) int {
 	off := 0
 	for off < len(data) {
 		rec, n, ok := readLogRecord(data[off:])
 		if !ok {
-			if !last {
-				return fmt.Errorf("%w: %s at offset %d", ErrBadSegment, segName(seq), off)
-			}
-			// Torn tail: drop the partial record, keep everything before.
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("kdb: truncating torn segment: %w", err)
-			}
-			return nil
+			return off
 		}
-		if rec.Serial > s.lastMeta.Serial {
+		if rec.Serial == meta.Serial+1 && rec.Digest == chainDigest(meta.Digest, rec.Enc) {
 			c, err := decodeOneChange(rec.Enc)
 			if err != nil {
-				if !last {
-					return fmt.Errorf("%w: %s at offset %d: %v", ErrBadSegment, segName(seq), off, err)
-				}
-				if err := os.Truncate(path, int64(off)); err != nil {
-					return fmt.Errorf("kdb: truncating torn segment: %w", err)
-				}
-				return nil
+				return off
 			}
-			if c.Op == ChangeDelete {
-				s.mem.Delete(c.Entry.ID())
-			} else {
-				s.mem.Put(c.Entry)
-			}
-			s.replayRecords++
-			s.lastMeta = DumpMeta{Serial: rec.Serial, Digest: rec.Digest}
+			*meta = DumpMeta{Serial: rec.Serial, Digest: rec.Digest}
+			apply(c)
 		}
 		off += n
 	}
-	return nil
+	return off
 }
 
 // readLogRecord parses one framed record from the head of data. ok is
@@ -541,37 +665,8 @@ func (s *SegmentStore) compactor() {
 	}
 }
 
-// readBaseForFold loads the current base (either format) as heap
-// entries for a compaction fold. KDB4 bytes are read (not mmapped) so
-// the folded entries' backing buffer is garbage-collected normally.
-func (s *SegmentStore) readBaseForFold() ([]*Entry, DumpMeta, error) {
-	if data, err := os.ReadFile(filepath.Join(s.dir, segBase4Name)); err == nil {
-		sn, perr := ParseKDB4(data)
-		if perr != nil {
-			return nil, DumpMeta{}, fmt.Errorf("kdb: compacting: parsing %s: %w", segBase4Name, perr)
-		}
-		entries, merr := sn.MaterializePtrs()
-		if merr != nil {
-			return nil, DumpMeta{}, fmt.Errorf("kdb: compacting: %w", merr)
-		}
-		return entries, sn.Meta(), nil
-	} else if !os.IsNotExist(err) {
-		return nil, DumpMeta{}, fmt.Errorf("kdb: compacting: %w", err)
-	}
-	if data, err := os.ReadFile(filepath.Join(s.dir, segBaseName)); err == nil {
-		entries, m, perr := ParseDumpFull(data)
-		if perr != nil {
-			return nil, DumpMeta{}, fmt.Errorf("kdb: compacting: parsing base: %w", perr)
-		}
-		return entries, m, nil
-	} else if !os.IsNotExist(err) {
-		return nil, DumpMeta{}, fmt.Errorf("kdb: compacting: %w", err)
-	}
-	return nil, DumpMeta{}, nil
-}
-
-// Compact folds the sealed segments into a fresh base snapshot and deletes
-// them. Sealed segments and the current base are immutable, so the fold
+// Compact folds every sealed segment but the newest into a fresh base
+// snapshot and deletes them. Sealed segments and the current base are immutable, so the fold
 // runs without blocking appends; only the final install (rename + segment
 // deletion) takes the file lock. Safe to call concurrently with
 // mutations; also called synchronously by tests.
@@ -582,57 +677,36 @@ func (s *SegmentStore) Compact() error {
 	s.fileMu.Lock()
 	seqs := append([]uint64(nil), s.sealed...)
 	s.fileMu.Unlock()
-	if len(seqs) == 0 {
+	// The newest sealed segment stays: a follower a poll behind may not
+	// have read its last records yet, and a fold that took them would
+	// send it to re-read the whole shard.
+	if len(seqs) < 2 {
 		return nil
 	}
+	seqs = seqs[:len(seqs)-1]
 
-	// Fold base + sealed segments outside the lock.
-	byID := make(map[string]*Entry)
-	meta := DumpMeta{}
-	entries, m, err := s.readBaseForFold()
-	if err != nil {
-		return err
+	// Fold base + sealed segments outside the lock, on the heap (the
+	// base is read, not mapped, so the fold's memory is collected
+	// normally).
+	img := &segImage{mem: NewEpochStore()}
+	if err := img.loadBases(s.dir, false); err != nil {
+		return fmt.Errorf("kdb: compacting: %w", err)
 	}
-	for _, e := range entries {
-		byID[e.ID()] = e
-	}
-	meta = m
 	for _, seq := range seqs {
 		data, err := os.ReadFile(filepath.Join(s.dir, segName(seq)))
 		if err != nil {
 			return fmt.Errorf("kdb: compacting: %w", err)
 		}
-		off := 0
-		for off < len(data) {
-			rec, n, ok := readLogRecord(data[off:])
-			if !ok {
-				return fmt.Errorf("%w: %s at offset %d (sealed)", ErrBadSegment, segName(seq), off)
-			}
-			if rec.Serial > meta.Serial {
-				c, err := decodeOneChange(rec.Enc)
-				if err != nil {
-					return fmt.Errorf("kdb: compacting %s: %w", segName(seq), err)
-				}
-				if c.Op == ChangeDelete {
-					delete(byID, c.Entry.ID())
-				} else {
-					byID[c.Entry.ID()] = c.Entry
-				}
-				meta = DumpMeta{Serial: rec.Serial, Digest: rec.Digest}
-			}
-			off += n
+		if end := replayLog(data, &img.meta, img.apply); end < len(data) {
+			return fmt.Errorf("%w: %s at offset %d (sealed)", ErrBadSegment, segName(seq), end)
 		}
 	}
-	ids := make([]string, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	baseEntries := make([]*Entry, len(ids))
-	for i, id := range ids {
-		baseEntries[i] = byID[id]
-	}
-	data, err := EncodeKDB4(baseEntries, meta)
+	entries := make([]*Entry, 0, img.mem.Len())
+	img.mem.Range(func(e *Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	data, err := EncodeKDB4(entries, img.meta)
 	if err != nil {
 		return fmt.Errorf("kdb: compacting: encoding base: %w", err)
 	}
@@ -679,7 +753,7 @@ func (s *SegmentStore) CompactErr() error {
 }
 
 // Close stops the compactor, closes the active segment, and releases
-// the base mapping. Entries served from the store (shared fetches over
+// the base mapping and the directory lock. Entries served from the store (shared fetches over
 // the mmapped slab) must not be used after Close — the same discipline
 // file handles already imposed. Closing an already-closed store is a
 // no-op.
@@ -702,6 +776,12 @@ func (s *SegmentStore) Close() error {
 		}
 		s.snap = nil
 	}
+	if s.unlock != nil {
+		if cerr := s.unlock(); cerr != nil && err == nil {
+			err = cerr
+		}
+		s.unlock = nil
+	}
 	return err
 }
 
@@ -720,32 +800,39 @@ func (s *SegmentStore) Range(fn func(*Entry) bool) { s.mem.Range(fn) }
 // Len implements Store.
 func (s *SegmentStore) Len() int { return s.mem.Len() }
 
-// ReplaceAll implements Store: bulk replacement (propagation install,
-// LoadDump) writes a fresh base snapshot and starts an empty segment —
-// the one legitimately whole-file write left, and it is O(new
-// contents). It waits out any running compaction: both write the base
-// file, and a fold of the old segments must not land over the new base.
-func (s *SegmentStore) ReplaceAll(entries []*Entry, meta DumpMeta) {
+// ReplaceAll implements Store: bulk replacement (a propagated full
+// dump) writes a fresh base snapshot and starts an empty segment — the
+// one legitimately whole-file write left, and it is O(new contents). It
+// waits out any running compaction: both write the base file, and a
+// fold of the old segments must not land over the new base.
+//
+// On error the store keeps serving its previous contents and lineage.
+// The files may by then hold the new base beside the old segments; a
+// reopen loads that base and skips the old records, which do not extend
+// its lineage.
+func (s *SegmentStore) ReplaceAll(entries []*Entry, meta DumpMeta) error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
 	s.fileMu.Lock()
 	defer s.fileMu.Unlock()
 	data, err := EncodeKDB4(sortedEntriesByID(entries), meta)
 	if err != nil {
-		panic(fmt.Errorf("kdb: encoding base: %w", err))
+		return fmt.Errorf("kdb: encoding base: %w", err)
 	}
 	if err := s.installBase(data); err != nil {
-		panic(fmt.Errorf("kdb: replacing base: %w", err))
+		return fmt.Errorf("kdb: replacing base: %w", err)
 	}
 	// Drop every segment: the new base supersedes them all.
 	next := s.activeSeq + 1
-	f, err := os.OpenFile(filepath.Join(s.dir, segName(next)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
+	path := filepath.Join(s.dir, segName(next))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
-		panic(fmt.Errorf("kdb: rolling segment: %w", err))
+		return fmt.Errorf("kdb: rolling segment: %w", err)
 	}
 	if err := s.syncDir(); err != nil {
 		f.Close()
-		panic(fmt.Errorf("kdb: syncing %s after rolling segment: %w", s.dir, err))
+		os.Remove(path)
+		return fmt.Errorf("kdb: syncing %s after rolling segment: %w", s.dir, err)
 	}
 	old := append(append([]uint64(nil), s.sealed...), s.activeSeq)
 	s.active.Close()
@@ -755,21 +842,26 @@ func (s *SegmentStore) ReplaceAll(entries []*Entry, meta DumpMeta) {
 	for _, seq := range old {
 		os.Remove(filepath.Join(s.dir, segName(seq)))
 	}
-	s.mem.ReplaceAll(entries, meta)
+	return s.mem.ReplaceAll(entries, meta)
 }
 
 // OpenSegmentDB opens (or creates) a sharded database over segment-log
 // stores rooted at dir: shard i lives in dir/shard-NNN. The shard count
-// is fixed at creation; reopening with a different count is an error
-// (re-sharding is a dump/reload).
+// is fixed at creation. shards <= 0 takes an existing directory's count
+// (one shard for a new one); a positive count that differs from an
+// existing directory's is an error.
 func OpenSegmentDB(masterKey des.Key, dir string, shards int, opt SegmentOptions) (*Database, []*SegmentStore, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	if existing, err := DetectShards(dir); err != nil {
+	existing, err := DetectShards(dir)
+	if err != nil {
 		return nil, nil, err
-	} else if existing > 0 && existing != shards {
-		return nil, nil, fmt.Errorf("kdb: %s holds %d shards, asked for %d (re-shard via dump/reload)", dir, existing, shards)
+	}
+	switch {
+	case shards <= 0 && existing > 0:
+		shards = existing
+	case shards <= 0:
+		shards = 1
+	case existing > 0 && existing != shards:
+		return nil, nil, fmt.Errorf("kdb: %s holds %d shards, asked for %d", dir, existing, shards)
 	}
 	// Open every shard concurrently: each shard maps its own base and
 	// replays its own segment tail, so an N-shard cold start is the

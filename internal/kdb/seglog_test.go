@@ -65,6 +65,123 @@ func TestSegmentStoreReopenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFileStoreWriteThrough proves every mutation is on disk when it
+// returns: a follower opened beside the live writer, as another process
+// would open it, sees each add, key change and delete with no explicit
+// save having happened.
+func TestFileStoreWriteThrough(t *testing.T) {
+	dir := t.TempDir()
+	db, _ := openSegDB(t, dir, 1, SegmentOptions{})
+	key, _ := des.NewRandomKey()
+	if err := db.Add("jis", "", key, 0, "t", t0); err != nil {
+		t.Fatal(err)
+	}
+
+	fdb, f := openFollower(t, dir)
+	e, err := fdb.Get("jis", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := fdb.Key(e); err != nil || k != key {
+		t.Errorf("key round trip: %v", err)
+	}
+
+	k2, _ := des.NewRandomKey()
+	if err := db.SetKey("jis", "", k2, "t", t0.Add(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	poll(t, f)
+	if e, err := fdb.Get("jis", ""); err != nil || e.KVNO != 2 {
+		t.Errorf("kvno seen beside the writer = %v (%v)", e, err)
+	}
+
+	if err := db.Delete("jis", ""); err != nil {
+		t.Fatal(err)
+	}
+	poll(t, f)
+	if fdb.Len() != 0 {
+		t.Error("delete not persisted")
+	}
+}
+
+// TestFileStoreFreshAndCorrupt: an empty directory opens as an empty
+// database, and a base that is not a database refuses to open rather
+// than coming up empty.
+func TestFileStoreFreshAndCorrupt(t *testing.T) {
+	master := des.StringToKey("m", "R")
+	db, segs, err := OpenSegmentDB(master, filepath.Join(t.TempDir(), "new"), 1, SegmentOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs[0].Close()
+	if db.Len() != 0 || db.Serial() != 0 {
+		t.Errorf("fresh database holds %d entries at serial %d", db.Len(), db.Serial())
+	}
+
+	for _, base := range []string{segBase4Name, segBaseName} {
+		dir := t.TempDir()
+		sub := filepath.Join(dir, shardDirName(0))
+		if err := os.MkdirAll(sub, 0o700); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(sub, base), []byte("not a database"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, segs, err := OpenSegmentDB(master, dir, 1, SegmentOptions{}); err == nil {
+			segs[0].Close()
+			t.Errorf("corrupt %s opened", base)
+		}
+	}
+}
+
+// TestFileStoreReplaceAll: a propagated dump installed into a fresh
+// store is what a reopen finds.
+func TestFileStoreReplaceAll(t *testing.T) {
+	dir := t.TempDir()
+	db, segs := openSegDB(t, dir, 1, SegmentOptions{})
+
+	src := newTestDB(t)
+	key, _ := des.NewRandomKey()
+	for _, n := range []string{"a", "b", "c"} {
+		if err := src.Add(n, "", key, 0, "t", t0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.LoadDumpShard(0, src.DumpShard(0)); err != nil {
+		t.Fatal(err)
+	}
+	segs[0].Close()
+	reopened, _ := openSegDB(t, dir, 1, SegmentOptions{})
+	if reopened.Len() != 3 {
+		t.Errorf("persisted %d entries after ReplaceAll", reopened.Len())
+	}
+	if _, err := reopened.Get("b", ""); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFileStorePersistsSerialAcrossReopen: a reopened store resumes the
+// lineage it was closed at, and its next write extends that lineage.
+func TestFileStorePersistsSerialAcrossReopen(t *testing.T) {
+	dir := t.TempDir()
+	db, segs := openSegDB(t, dir, 1, SegmentOptions{})
+	addN(t, db, 4)
+	wantSerial, wantDigest := db.Serial(), db.Digest()
+	segs[0].Close()
+
+	db2, _ := openSegDB(t, dir, 1, SegmentOptions{})
+	if db2.Serial() != wantSerial || db2.Digest() != wantDigest {
+		t.Fatalf("reopened at (%d, %x), want (%d, %x)",
+			db2.Serial(), db2.Digest(), wantSerial, wantDigest)
+	}
+	if err := db2.Delete("user000", ""); err != nil {
+		t.Fatal(err)
+	}
+	if db2.Serial() != wantSerial+1 {
+		t.Fatalf("serial after resume-write = %d", db2.Serial())
+	}
+}
+
 // TestSegmentStoreAppendsNotRewrites is the acceptance criterion in
 // file-size form: N mutations grow the active segment by O(change) each
 // and never rewrite a base file.
@@ -318,7 +435,7 @@ func TestSegmentStoreReplaceAllStartsFresh(t *testing.T) {
 
 	src := newTestDB(t)
 	addN(t, src, 7)
-	if err := db.LoadDump(src.Dump()); err != nil {
+	if err := db.LoadDumpShard(0, src.DumpShard(0)); err != nil {
 		t.Fatal(err)
 	}
 	if db.Len() != 7 || db.Serial() != src.Serial() || db.Digest() != src.Digest() {
@@ -328,6 +445,52 @@ func TestSegmentStoreReplaceAllStartsFresh(t *testing.T) {
 	db2, _ := openSegDB(t, dir, 1, SegmentOptions{})
 	if db2.Len() != 7 || db2.Serial() != src.Serial() || db2.Digest() != src.Digest() {
 		t.Fatalf("after LoadDump+reopen: len %d lineage (%d, %x)", db2.Len(), db2.Serial(), db2.Digest())
+	}
+}
+
+// TestSegmentStoreReplaceAllCrashWindow: a ReplaceAll that dies after
+// installing its base but before removing the old segments leaves
+// records of the replaced lineage beside the new base, some at serials
+// above it. A reopen — writer or follower — must load the new base
+// alone, not replay the old records on top of it.
+func TestSegmentStoreReplaceAllCrashWindow(t *testing.T) {
+	dir := t.TempDir()
+	db, segs := openSegDB(t, dir, 1, SegmentOptions{NoFsync: true})
+	addN(t, db, 20)
+	segs[0].Close()
+
+	src := newTestDB(t)
+	addN2 := func(db *Database, from, to int) {
+		for i := from; i < to; i++ {
+			key := des.StringToKey(fmt.Sprintf("other%d", i), "R")
+			if err := db.Add(fmt.Sprintf("other%03d", i), "", key, core.DefaultTGTLife, "test", t0); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	addN2(src, 0, 5)
+	entries, meta, err := ParseDumpFull(src.DumpShard(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := EncodeKDB4(entries, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, shardDirName(0), segBase4Name), base, 0o600); err != nil {
+		t.Fatal(err)
+	}
+
+	fdb, _ := openFollower(t, dir)
+	wdb, _ := openSegDB(t, dir, 1, SegmentOptions{NoFsync: true})
+	for name, got := range map[string]*Database{"writer": wdb, "follower": fdb} {
+		if got.Len() != 5 || got.Serial() != meta.Serial || got.Digest() != meta.Digest {
+			t.Fatalf("%s after the crash window: len %d lineage (%d, %x), want 5 (%d, %x)",
+				name, got.Len(), got.Serial(), got.Digest(), meta.Serial, meta.Digest)
+		}
+		if _, err := got.Get("user019", ""); err == nil {
+			t.Fatalf("%s serves a principal of the replaced lineage", name)
+		}
 	}
 }
 
@@ -406,21 +569,63 @@ func TestSegmentStoreRollDirSyncError(t *testing.T) {
 	}
 }
 
-// TestSegmentStoreReplaceAllDirSyncError: ReplaceAll has no error
-// return, so a failing fsync of its fresh segment panics with the
-// wrapped error, as its other file failures do.
+// TestSegmentStoreReplaceAllDirSyncError: when the fsync of
+// ReplaceAll's fresh segment fails, the install fails with the wrapped
+// error. Through LoadDumpShard, the shard keeps serving its previous
+// contents, lineage and journal, the abandoned segment is removed, and
+// mutations go on landing in the current segment.
 func TestSegmentStoreReplaceAllDirSyncError(t *testing.T) {
 	dir := t.TempDir()
 	db, segs := openSegDB(t, dir, 1, SegmentOptions{NoFsync: true})
 	addN(t, db, 5)
 	s := segs[0]
-	s.dirSync = failOnceExists(filepath.Join(s.dir, segName(s.activeSeq+1)))
-	defer func() {
-		err, _ := recover().(error)
-		if !errors.Is(err, errDirSync) {
-			t.Fatalf("ReplaceAll with failing directory fsync: panic %v, want %v", err, errDirSync)
-		}
-	}()
-	s.ReplaceAll(nil, DumpMeta{})
-	t.Fatal("ReplaceAll did not panic")
+	next := filepath.Join(s.dir, segName(s.activeSeq+1))
+	s.dirSync = failOnceExists(next)
+	serial, digest, journal := db.Serial(), db.Digest(), db.JournalLen()
+
+	src := newTestDB(t)
+	addN(t, src, 9)
+	if err := db.LoadDumpShard(0, src.DumpShard(0)); !errors.Is(err, errDirSync) {
+		t.Fatalf("install with failing directory fsync: err = %v, want %v", err, errDirSync)
+	}
+	if db.Len() != 5 || db.Serial() != serial || db.Digest() != digest || db.JournalLen() != journal {
+		t.Fatalf("failed install changed the shard: len %d lineage (%d, %x) journal %d",
+			db.Len(), db.Serial(), db.Digest(), db.JournalLen())
+	}
+	if _, err := os.Stat(next); !os.IsNotExist(err) {
+		t.Fatalf("abandoned segment left behind: %v", err)
+	}
+	s.dirSync = nil
+	if err := db.Add("after", "", des.StringToKey("x", "R"), core.DefaultTGTLife, "t", t0); err != nil {
+		t.Fatal(err)
+	}
+	if ch, v := db.ChangesSinceShard(0, serial, digest); v != DeltaOK || len(ch) != 1 {
+		t.Fatalf("journal after the failed install: %d changes, %v", len(ch), v)
+	}
+}
+
+// TestSegmentStoreOneWriter: a directory a store holds open refuses a
+// second writer, with ErrLocked, until the first closes it.
+func TestSegmentStoreOneWriter(t *testing.T) {
+	if !dirLocking {
+		t.Skip("no directory lock on this platform")
+	}
+	dir := t.TempDir()
+	_, segs := openSegDB(t, dir, 2, SegmentOptions{NoFsync: true})
+	if _, _, err := OpenSegmentDB(des.StringToKey("m", "R"), dir, 0, SegmentOptions{}); !errors.Is(err, ErrLocked) {
+		t.Fatalf("second writer: err = %v, want ErrLocked", err)
+	}
+	for _, s := range segs {
+		s.Close()
+	}
+	db, segs2, err := OpenSegmentDB(des.StringToKey("m", "R"), dir, 0, SegmentOptions{})
+	if err != nil {
+		t.Fatalf("writer after the first closed: %v", err)
+	}
+	if db.Shards() != 2 {
+		t.Fatalf("autodetected %d shards, want 2", db.Shards())
+	}
+	for _, s := range segs2 {
+		s.Close()
+	}
 }

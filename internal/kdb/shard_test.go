@@ -2,7 +2,6 @@ package kdb
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -84,26 +83,24 @@ func newShardedEpochDB(master des.Key, n int) *Database {
 	return NewSharded(master, stores)
 }
 
-// dumpEntryList returns the entry-list bytes of a v2 or v3 dump: the
-// part that is shard-agnostic, past the lineage header.
-func dumpEntryList(t *testing.T, dump []byte) []byte {
-	t.Helper()
-	switch [4]byte(dump[:4]) {
-	case dumpMagicV2:
-		return dump[4+16:]
-	case dumpMagicV3:
-		return dump[4+4+16*int(binary.BigEndian.Uint32(dump[4:])):]
-	}
-	t.Fatalf("unexpected dump magic %q", dump[:4])
-	return nil
+// contents encodes every entry of db in global ID order, with no
+// lineage: two databases holding the same principals encode the same,
+// whatever their shard shapes.
+func contents(db *Database) []byte {
+	var entries []*Entry
+	db.Range(func(e *Entry) bool {
+		entries = append(entries, e)
+		return true
+	})
+	return EncodeEntriesAt(entries, DumpMeta{})
 }
 
 // TestShardedStoreEquivalence is the sharding property test: a
 // database over N EpochStore shards, driven by any seeded random
-// sequence of Add/SetKey/SetExpiration/Delete/LoadDump, is
+// sequence of Add/SetKey/SetExpiration/Delete/full loads, is
 // observationally equivalent to the flat database driven by the same
 // sequence — same per-op errors, Len, List order, Get and Key results,
-// and byte-identical dump entries (only the lineage header differs).
+// and byte-identical contents.
 func TestShardedStoreEquivalence(t *testing.T) {
 	master := des.StringToKey("master-password", "ATHENA.MIT.EDU")
 	keys := make([]des.Key, 6)
@@ -145,9 +142,12 @@ func TestShardedStoreEquivalence(t *testing.T) {
 					for j := rng.Intn(25); j > 0; j-- {
 						src.Add(fmt.Sprintf("u%03d", rng.Intn(60)), instances[rng.Intn(3)], key, 0, "load", now)
 					}
-					dump := src.Dump()
-					for i, db := range dbs {
-						errs[i] = db.LoadDump(dump)
+					entries, err := ParseDump(src.DumpShard(0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, db := range dbs {
+						loadEntries(t, db, entries, DumpMeta{})
 					}
 				}
 				if (errs[0] == nil) != (errs[1] == nil) {
@@ -176,8 +176,8 @@ func TestShardedStoreEquivalence(t *testing.T) {
 			if _, err := sharded.Get("nobody", "nowhere"); err == nil {
 				t.Fatal("phantom entry in sharded database")
 			}
-			if !bytes.Equal(dumpEntryList(t, flat.Dump()), dumpEntryList(t, sharded.Dump())) {
-				t.Fatal("dump entries over equivalent databases differ")
+			if !bytes.Equal(contents(flat), contents(sharded)) {
+				t.Fatal("contents of equivalent databases differ")
 			}
 		})
 	}
@@ -239,54 +239,19 @@ func TestShardedDatabaseEquivalence(t *testing.T) {
 			t.Fatalf("Key(%s) disagrees (%v)", id, err)
 		}
 	}
-	// Dump entry payloads agree (the v3 header differs by design).
-	ea, _ := ParseDump(flat.Dump())
-	eb, err := ParseDump(sharded.Dump())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ea) != len(eb) {
-		t.Fatalf("dump entries: %d vs %d", len(ea), len(eb))
-	}
-	for i := range ea {
-		if !entryEqual(ea[i], eb[i]) {
-			t.Fatalf("dump entry %d differs: %s vs %s", i, ea[i].ID(), eb[i].ID())
-		}
+	if !bytes.Equal(contents(flat), contents(sharded)) {
+		t.Fatal("contents differ")
 	}
 }
 
-// TestShardedDumpRoundTrip proves v3 dump/load resumes every shard's
-// lineage on a same-shape database and restarts it on a different shape.
+// TestShardedDumpRoundTrip proves per-shard dumps round-trip shard by
+// shard, resuming every shard's lineage, and that a shard dump routed to
+// the wrong shard is refused.
 func TestShardedDumpRoundTrip(t *testing.T) {
 	master := des.StringToKey("m", "R")
 	mk := func(n int) *Database { return newShardedEpochDB(master, n) }
 	src := mk(4)
 	addN(t, src, 50)
-	dump := src.Dump()
-
-	same := mk(4)
-	if err := same.LoadDump(dump); err != nil {
-		t.Fatal(err)
-	}
-	if same.Len() != 50 || same.Serial() != src.Serial() || same.Digest() != src.Digest() {
-		t.Fatalf("same-shape load: len %d serial %d digest %x", same.Len(), same.Serial(), same.Digest())
-	}
-	for i := 0; i < 4; i++ {
-		if same.ShardSerial(i) != src.ShardSerial(i) || same.ShardDigest(i) != src.ShardDigest(i) {
-			t.Fatalf("shard %d lineage not resumed", i)
-		}
-	}
-
-	other := mk(8)
-	if err := other.LoadDump(dump); err != nil {
-		t.Fatal(err)
-	}
-	if other.Len() != 50 {
-		t.Fatalf("cross-shape load: len %d", other.Len())
-	}
-	if other.Serial() != 0 {
-		t.Fatalf("cross-shape load must restart lineage, serial %d", other.Serial())
-	}
 
 	// Per-shard dumps round-trip shard by shard.
 	dst := mk(4)
@@ -297,6 +262,11 @@ func TestShardedDumpRoundTrip(t *testing.T) {
 	}
 	if dst.Len() != 50 || dst.Serial() != src.Serial() {
 		t.Fatalf("per-shard load: len %d serial %d", dst.Len(), dst.Serial())
+	}
+	for i := 0; i < 4; i++ {
+		if dst.ShardSerial(i) != src.ShardSerial(i) || dst.ShardDigest(i) != src.ShardDigest(i) {
+			t.Fatalf("shard %d lineage not resumed", i)
+		}
 	}
 	// A shard dump routed to the wrong shard is rejected.
 	for i := 0; i < 4; i++ {
@@ -355,13 +325,5 @@ func TestShardedDeltaPlane(t *testing.T) {
 			t.Fatalf("misrouted delta for shard 0 accepted by shard %d", i)
 		}
 		break
-	}
-	// Whole-database delta calls on a sharded database refuse rather
-	// than guess.
-	if _, v := src.ChangesSince(0, 0); v != FallbackRetention {
-		t.Fatalf("whole-db ChangesSince on sharded db = %v", v)
-	}
-	if err := dst.ApplyChanges(nil, 0); err == nil {
-		t.Fatal("whole-db ApplyChanges on sharded db accepted")
 	}
 }

@@ -488,7 +488,7 @@ func TestHandleGarbage(t *testing.T) {
 func TestSlaveServesAuth(t *testing.T) {
 	master := newRealm(t, testRealm)
 	slaveDB := kdb.New(master.db.MasterKey())
-	if err := slaveDB.LoadDump(master.db.Dump()); err != nil {
+	if err := slaveDB.LoadDumpShard(0, master.db.DumpShard(0)); err != nil {
 		t.Fatal(err)
 	}
 	slaveDB.SetReadOnly(true)

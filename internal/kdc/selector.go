@@ -203,8 +203,10 @@ var errAnswered = errors.New("kdc: exchange already answered")
 // stale and discarded, and the exchange goes on as if nothing had
 // arrived; if the budget runs out with only refused replies, the last
 // refusal is the error. On success the answering KDC becomes the
-// preferred one; when every address fails, the preference rotates so
-// the next call leads with a different KDC.
+// preferred one. When every address fails, the preference rotates so the
+// next call leads with a different KDC — unless a KDC did answer and
+// only the check refused it (a wrong password refuses every reply): a
+// KDC that answers is alive, so the preference stays on it.
 //
 //kerb:clockadapter -- failover budget is a wall-clock I/O deadline shared across KDCs
 func (s *Selector) Exchange(req []byte, accept func(reply []byte) error, timeout time.Duration) ([]byte, error) {
@@ -226,21 +228,25 @@ func (s *Selector) Exchange(req []byte, accept func(reply []byte) error, timeout
 	// result is dropped.
 	var mu sync.Mutex
 	answered, returned := false, false
-	check := func(reply []byte) error {
-		mu.Lock()
-		defer mu.Unlock()
-		switch {
-		case returned:
-			return nil
-		case answered:
-			return errAnswered
+	heard := make([]bool, n) // addresses whose replies reached accept
+	checkFor := func(idx int) func([]byte) error {
+		return func(reply []byte) error {
+			mu.Lock()
+			defer mu.Unlock()
+			switch {
+			case returned:
+				return nil
+			case answered:
+				return errAnswered
+			}
+			heard[idx] = true
+			err := accept(reply)
+			if err != nil {
+				s.stale.Inc()
+			}
+			answered = err == nil
+			return err
 		}
-		err := accept(reply)
-		if err != nil {
-			s.stale.Inc()
-		}
-		answered = err == nil
-		return err
 	}
 	defer func() {
 		mu.Lock()
@@ -248,7 +254,7 @@ func (s *Selector) Exchange(req []byte, accept func(reply []byte) error, timeout
 		mu.Unlock()
 	}()
 	if n == 1 {
-		return exchangeDeadline(udp, dialTCP, s.addrs[0], req, check, deadline)
+		return exchangeDeadline(udp, dialTCP, s.addrs[0], req, checkFor(0), deadline)
 	}
 
 	type result struct {
@@ -264,7 +270,7 @@ func (s *Selector) Exchange(req []byte, accept func(reply []byte) error, timeout
 		idx := (start + launched) % n
 		launched++
 		go func() {
-			reply, err := exchangeDeadline(udp, dialTCP, s.addrs[idx], req, check, deadline)
+			reply, err := exchangeDeadline(udp, dialTCP, s.addrs[idx], req, checkFor(idx), deadline)
 			results <- result{idx: idx, reply: reply, err: err}
 		}()
 	}
@@ -298,8 +304,18 @@ func (s *Selector) Exchange(req []byte, accept func(reply []byte) error, timeout
 			}
 		}
 	}
-	// Everyone failed. Rotate the preference: the old favourite may be
-	// down for a while, so the next call should lead elsewhere.
-	s.preferred.Store(int32((start + 1) % n))
+	// Everyone failed. Keep leading with the favourite if it answered;
+	// else lead with the first KDC in try order that did; and if none
+	// did, rotate: the old favourite may be down for a while.
+	mu.Lock()
+	next := (start + 1) % n
+	for k := 0; k < n; k++ {
+		if idx := (start + k) % n; heard[idx] {
+			next = idx
+			break
+		}
+	}
+	mu.Unlock()
+	s.preferred.Store(int32(next))
 	return nil, fmt.Errorf("kdc: no KDC answered: %w", lastErr)
 }

@@ -157,6 +157,35 @@ func TestSelectorRotatesOnTotalFailure(t *testing.T) {
 	}
 }
 
+// TestSelectorKeepsLiveKDCOnRefusedReplies: a wrong password makes the
+// acceptance check refuse every reply. The KDCs answered, so they are
+// alive: the exchange fails, but the preference stays on the first KDC
+// instead of rotating off a healthy master.
+func TestSelectorKeepsLiveKDCOnRefusedReplies(t *testing.T) {
+	r := newRealm(t, testRealm)
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		l, err := Serve(r.server, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		addrs = append(addrs, l.Addr())
+	}
+	s := NewSelector(addrs...)
+	s.HeadStart = 20 * time.Millisecond
+	refuse := func([]byte) error { return errors.New("reply does not open under the password's key") }
+	if _, err := s.Exchange(asReqBytes(r), refuse, 300*time.Millisecond); err == nil {
+		t.Fatal("exchange with every reply refused succeeded")
+	}
+	if s.StaleReplies() == 0 {
+		t.Fatal("no reply reached the acceptance check")
+	}
+	if got := s.Preferred(); got != addrs[0] {
+		t.Errorf("preference moved off the live first KDC to %s", got)
+	}
+}
+
 // TestFlappingSlave: a KDC that answers, dies, and comes back. The
 // selector demotes it while it is down and recovers it once it is the
 // only one answering again.

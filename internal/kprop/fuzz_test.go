@@ -7,15 +7,15 @@ import (
 	"kerberos/internal/kdb"
 )
 
-// FuzzDelta drives adversarial bytes through every v2 decoder and the
+// FuzzDelta drives adversarial bytes through every wire decoder and the
 // full slave-side delta apply path: no panics, no unbounded allocation
 // from hostile length prefixes or deflate bombs, and anything that
 // survives decoding must re-encode byte-identically (canonical form).
 func FuzzDelta(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("KPv2"))
-	f.Add(MasterHello{Version: wireVersion, Serial: 1, Digest: 2}.Encode())
-	f.Add(MasterHello{Version: wireVersionV3, Serial: 1, Digest: 2, Shard: 3, Shards: 8}.Encode())
+	f.Add(MasterHello{Version: wireVersion, Serial: 1, Digest: 2, Shards: 1}.Encode())
+	f.Add(MasterHello{Version: wireVersion, Serial: 1, Digest: 2, Shard: 3, Shards: 8}.Encode())
 	f.Add(AckMsg{Serial: 9, NeedFull: true, Err: "gap"}.Encode())
 	// A hostile count prefix on a tiny change set: DecodeChanges must
 	// reject it before pre-allocating count slots (amplification guard).
@@ -52,7 +52,7 @@ func FuzzDelta(f *testing.F) {
 		if changes, err := kdb.DecodeChanges(data); err == nil {
 			db := kdb.New(des.StringToKey("fuzz", "FUZZ.REALM"))
 			db.SetReadOnly(true)
-			_ = db.ApplyChanges(changes, 0)
+			_ = db.ApplyChangesShard(0, changes, 0)
 		}
 	})
 }

@@ -9,14 +9,15 @@
 // matches the checksum sent by the master, the new information is used
 // to update the slave's database."
 //
-// On top of the paper's full-dump scheme this package speaks kprop v2:
-// the slave advertises the (serial, digest) its copy is at and the
-// master ships only the flate-compressed journal segment it is missing —
-// O(churn) instead of O(database) per round — falling back to a
-// compressed full dump whenever the slave's state cannot be verified
-// (out of retention, diverged, ahead, or the slave rejects the delta).
-// Fan-out to the slave set runs with bounded concurrency and optional
-// per-slave retry/backoff instead of one serial round per slave.
+// On top of the paper's full-dump scheme, one conversation per shard of
+// the database (an unsharded database is one shard): the slave
+// advertises the (serial, digest) its shard is at and the master ships
+// only the flate-compressed journal segment it is missing — O(churn)
+// instead of O(database) per round — falling back to a compressed full
+// dump of the shard whenever the slave's state cannot be verified (out
+// of retention, diverged, ahead, or the slave rejects the delta).
+// Fan-out over (slave, shard) pairs runs with bounded concurrency and
+// optional per-slave retry/backoff instead of one serial round per slave.
 package kprop
 
 import (
@@ -189,25 +190,17 @@ func NewMaster(db *kdb.Database, slaveAddrs []string, logger *log.Logger, opts .
 	return m
 }
 
-// shardKey renders the acked-map key for one slave's shard (the bare
-// address for a v2 whole-database exchange).
+// shardKey renders the acked-map key for one slave's shard.
 func shardKey(addr string, shard int) string {
-	if shard < 0 {
-		return addr
-	}
 	return fmt.Sprintf("%s#%d", addr, shard)
 }
 
 // AckedSerial reports the last serial a slave acknowledged (0 before the
-// first successful push this process made to it). Against a sharded
-// database this is the sum of the per-shard acked serials, comparable to
-// Database.Serial.
+// first successful push this process made to it): the sum of the
+// per-shard acked serials, comparable to Database.Serial.
 func (m *Master) AckedSerial(addr string) uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.db.Shards() == 1 {
-		return m.acked[addr]
-	}
 	var sum uint64
 	for i := 0; i < m.db.Shards(); i++ {
 		sum += m.acked[shardKey(addr, i)]
@@ -250,12 +243,11 @@ func openSum(key des.Key, sealed []byte) (uint64, error) {
 }
 
 // round caches the expensive full-dump artifacts so one fan-out round
-// dumps, checksums, and compresses each dump unit (the whole database,
-// or one shard of it) at most once no matter how many slaves need the
-// full path.
+// dumps, checksums, and compresses each shard at most once no matter how
+// many slaves need the full path.
 type round struct {
 	m     *Master
-	fulls []roundFull // index shard+1 (0 is the whole-database unit)
+	fulls []roundFull // by shard
 }
 
 type roundFull struct {
@@ -266,20 +258,14 @@ type roundFull struct {
 }
 
 func newRound(m *Master) *round {
-	return &round{m: m, fulls: make([]roundFull, m.db.Shards()+1)}
+	return &round{m: m, fulls: make([]roundFull, m.db.Shards())}
 }
 
-// fullMsg returns the cached full-dump message for one unit: shard < 0
-// is the whole database (v2), otherwise one shard's v2 dump.
+// fullMsg returns the cached full-dump message for one shard.
 func (r *round) fullMsg(shard int) ([]byte, int, int) {
-	rf := &r.fulls[shard+1]
+	rf := &r.fulls[shard]
 	rf.once.Do(func() {
-		var dump []byte
-		if shard < 0 {
-			dump = r.m.db.Dump()
-		} else {
-			dump = r.m.db.DumpShard(shard)
-		}
+		dump := r.m.db.DumpShard(shard)
 		payload := deflate(dump)
 		f := FullDumpMsg{SealedSum: sealSum(r.m.db.MasterKey(), dump), Payload: payload}
 		rf.msg = f.Encode()
@@ -298,37 +284,19 @@ type pushResult struct {
 	serial    uint64 // serial the slave acked
 }
 
-// shardUnits lists the exchange units for this database: the single
-// whole-database unit (-1, the v2 conversation) for an unsharded
-// database, one unit per shard otherwise.
-func (m *Master) shardUnits() []int {
-	if m.db.Shards() == 1 {
-		return []int{-1}
-	}
-	units := make([]int, m.db.Shards())
-	for i := range units {
-		units[i] = i
-	}
-	return units
-}
-
 // PropagateTo pushes one update (delta if possible) to a single kpropd —
-// every shard of a sharded database, in parallel bounded by the fanout.
+// every shard, in parallel bounded by the fanout.
 //
 //kerb:clockadapter -- propagation latency metrics and dial deadlines are wall-clock
 func (m *Master) PropagateTo(addr string) error {
 	rnd := newRound(m)
-	units := m.shardUnits()
-	if len(units) == 1 {
-		return m.push(addr, units[0], rnd)
-	}
 	sem := make(chan struct{}, m.fanout)
 	var (
 		wg   sync.WaitGroup
 		emu  sync.Mutex
 		errs []error
 	)
-	for _, shard := range units {
+	for shard := 0; shard < m.db.Shards(); shard++ {
 		wg.Add(1)
 		sem <- struct{}{}
 		go func(shard int) {
@@ -345,8 +313,7 @@ func (m *Master) PropagateTo(addr string) error {
 	return errors.Join(errs...)
 }
 
-// push runs one instrumented exchange with one slave (one shard of it,
-// for a sharded database).
+// push runs one instrumented exchange with one shard of one slave.
 //
 //kerb:clockadapter -- propagation latency metrics are wall-clock observability
 func (m *Master) push(addr string, shard int, rnd *round) error {
@@ -404,8 +371,7 @@ func (m *Master) push(addr string, shard int, rnd *round) error {
 	return err
 }
 
-// exchange speaks one conversation with a slave: v2 when shard < 0 (the
-// whole database), v3 scoped to one shard otherwise.
+// exchange speaks one conversation with a slave about one shard.
 //
 //kerb:clockadapter -- connection deadlines are wall-clock I/O timeouts
 func (m *Master) exchange(addr string, shard int, rnd *round) (pushResult, error) {
@@ -417,17 +383,12 @@ func (m *Master) exchange(addr string, shard int, rnd *round) (pushResult, error
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(60 * time.Second))
 
-	var hello MasterHello
-	if shard < 0 {
-		hello = MasterHello{Version: wireVersion, Serial: m.db.Serial(), Digest: m.db.Digest()}
-	} else {
-		hello = MasterHello{
-			Version: wireVersionV3,
-			Serial:  m.db.ShardSerial(shard),
-			Digest:  m.db.ShardDigest(shard),
-			Shard:   uint32(shard),
-			Shards:  uint32(m.db.Shards()),
-		}
+	hello := MasterHello{
+		Version: wireVersion,
+		Serial:  m.db.ShardSerial(shard),
+		Digest:  m.db.ShardDigest(shard),
+		Shard:   uint32(shard),
+		Shards:  uint32(m.db.Shards()),
 	}
 	if err := writeFrame(conn, hello.Encode()); err != nil {
 		return res, fmt.Errorf("kprop: sending hello to %s: %w", addr, err)
@@ -443,13 +404,7 @@ func (m *Master) exchange(addr string, shard int, rnd *round) (pushResult, error
 
 	sendFull := m.forceFull
 	if !sendFull {
-		var changes []kdb.Change
-		var verdict kdb.DeltaVerdict
-		if shard < 0 {
-			changes, verdict = m.db.ChangesSince(sh.Serial, sh.Digest)
-		} else {
-			changes, verdict = m.db.ChangesSinceShard(shard, sh.Serial, sh.Digest)
-		}
+		changes, verdict := m.db.ChangesSinceShard(shard, sh.Serial, sh.Digest)
 		if verdict != kdb.DeltaOK {
 			sendFull = true
 			res.fallback = verdict.String()
@@ -534,15 +489,14 @@ func (m *Master) pushWithRetry(addr string, shard int, rnd *round) error {
 
 // PropagateAll pushes to every configured slave with bounded
 // concurrency, collecting errors; one sick slave does not block the
-// others. Against a sharded database the work units are (slave, shard)
-// pairs, so independent shards of independent slaves ship in parallel.
-// Each full dump unit, if any slave needs it, is computed once.
+// others. The work units are (slave, shard) pairs, so independent shards
+// of independent slaves ship in parallel. Each shard's full dump, if any
+// slave needs it, is computed once.
 //
 //kerb:clockadapter -- fan-out round latency metric is wall-clock observability
 func (m *Master) PropagateAll() error {
 	start := time.Now()
 	rnd := newRound(m)
-	units := m.shardUnits()
 	sem := make(chan struct{}, m.fanout)
 	var (
 		wg   sync.WaitGroup
@@ -550,7 +504,7 @@ func (m *Master) PropagateAll() error {
 		errs []error
 	)
 	for _, addr := range m.slaves {
-		for _, shard := range units {
+		for shard := 0; shard < m.db.Shards(); shard++ {
 			wg.Add(1)
 			sem <- struct{}{}
 			go func(addr string, shard int) {
@@ -618,7 +572,8 @@ func (m *slaveMetrics) register(reg *obs.Registry) {
 
 // Slave is the kpropd side: it receives updates, verifies them against
 // the encrypted checksum, and applies them to the local read-only
-// database — deltas atomically in place, full dumps as a swap.
+// database — deltas atomically in place, full dumps as a swap. Over a
+// SegmentStore every update is durable before it is acknowledged.
 type Slave struct {
 	db      *kdb.Database
 	logger  *log.Logger
@@ -655,8 +610,7 @@ func (s *Slave) Resyncs() uint64 { return s.metrics.resyncs.Load() }
 // Fulls reports how many full-dump installs have been applied.
 func (s *Slave) Fulls() uint64 { return s.metrics.fulls.Load() }
 
-// handleConn processes one kprop connection: v2 if the first frame is a
-// MasterHello, the paper's original two-frame exchange otherwise.
+// handleConn processes one kprop conversation about one shard.
 //
 //kerb:clockadapter -- connection read deadlines are wall-clock I/O timeouts
 func (s *Slave) handleConn(conn net.Conn) {
@@ -667,46 +621,29 @@ func (s *Slave) handleConn(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	if !isV2(first) {
-		s.handleLegacy(conn, first)
-		return
-	}
 	hello, err := DecodeMasterHello(first)
 	if err != nil {
 		return
 	}
-	// A v3 hello scopes the conversation to one shard; it is only valid
-	// when the slave's shard shape matches the master's. On a mismatch
-	// the slave still answers the handshake but NACKs the update — the
-	// operator re-shards deliberately, never by propagation accident.
-	shard := -1
+	// The conversation is only valid when the slave's shard shape
+	// matches the master's. On a mismatch the slave still answers the
+	// handshake but NACKs the update — the operator re-shards
+	// deliberately, never by propagation accident.
+	shard := int(hello.Shard)
 	mismatch := ""
-	if hello.Version >= wireVersionV3 {
-		if int(hello.Shards) != s.db.Shards() {
-			mismatch = fmt.Sprintf("kpropd: master has %d shards, slave has %d", hello.Shards, s.db.Shards())
-		} else {
-			shard = int(hello.Shard)
-		}
+	if int(hello.Shards) != s.db.Shards() {
+		mismatch = fmt.Sprintf("kpropd: master has %d shards, slave has %d", hello.Shards, s.db.Shards())
 	}
-	var sh SlaveHello
-	switch {
-	case mismatch != "":
-		// Zero state: never tempt the master into a delta it would build
-		// against the wrong shard shape.
-		sh = SlaveHello{}
-	case shard >= 0:
+	sh := SlaveHello{}
+	if mismatch == "" {
 		sh = SlaveHello{
 			Serial:     s.db.ShardSerial(shard),
 			Digest:     s.db.ShardDigest(shard),
 			Principals: uint32(s.db.ShardLen(shard)),
 		}
-	default:
-		sh = SlaveHello{
-			Serial:     s.db.Serial(),
-			Digest:     s.db.Digest(),
-			Principals: uint32(s.db.Len()),
-		}
 	}
+	// On a mismatch the zero state never tempts the master into a delta
+	// it would build against the wrong shard shape.
 	if err := writeFrame(conn, sh.Encode()); err != nil {
 		return
 	}
@@ -741,32 +678,8 @@ func (s *Slave) handleConn(conn net.Conn) {
 	writeFrame(conn, ack.Encode())
 }
 
-// handleLegacy speaks the original §5.3 exchange: a sealed checksum
-// frame, a dump frame, and a textual ack.
-func (s *Slave) handleLegacy(conn net.Conn, sealedSum []byte) {
-	dump, err := readFrame(conn)
-	if err != nil {
-		return
-	}
-	if err := s.Install(sealedSum, dump); err != nil {
-		s.logger.Printf("kpropd: rejected update: %v", err)
-		writeFrame(conn, []byte(err.Error()))
-		return
-	}
-	writeFrame(conn, []byte("OK"))
-}
-
-// ackSerial is the serial an ack reports: the shard's for a v3
-// conversation, the database's for v2.
-func (s *Slave) ackSerial(shard int) uint64 {
-	if shard >= 0 {
-		return s.db.ShardSerial(shard)
-	}
-	return s.db.Serial()
-}
-
-// applyUpdate dispatches one update message and returns the ack. shard
-// scopes a v3 conversation; -1 is the whole database (v2).
+// applyUpdate dispatches one update message for a shard and returns the
+// ack.
 func (s *Slave) applyUpdate(hello MasterHello, msg []byte, shard int) AckMsg {
 	if len(msg) >= 5 && [4]byte(msg[:4]) == wireMagic {
 		switch msg[4] {
@@ -777,7 +690,7 @@ func (s *Slave) applyUpdate(hello MasterHello, msg []byte, shard int) AckMsg {
 		}
 	}
 	s.metrics.rejected.Inc()
-	return AckMsg{Serial: s.ackSerial(shard), Err: "kpropd: unknown update message"}
+	return AckMsg{Serial: s.db.ShardSerial(shard), Err: "kpropd: unknown update message"}
 }
 
 // applyDelta verifies and atomically applies a journal segment. Any
@@ -789,19 +702,15 @@ func (s *Slave) applyDelta(hello MasterHello, msg []byte, shard int) AckMsg {
 	if err != nil {
 		s.metrics.rejected.Inc() // install() was never reached
 	} else {
-		apply := func() error { return s.db.ApplyChanges(changes, wantDigest) }
-		if shard >= 0 {
-			apply = func() error { return s.db.ApplyChangesShard(shard, changes, wantDigest) }
-		}
-		err = s.install(apply, payloadLen)
+		err = s.install(func() error { return s.db.ApplyChangesShard(shard, changes, wantDigest) }, payloadLen)
 	}
 	if err != nil {
 		s.logger.Printf("kpropd: delta rejected: %v", err)
-		return AckMsg{Serial: s.ackSerial(shard), NeedFull: true, Err: err.Error()}
+		return AckMsg{Serial: s.db.ShardSerial(shard), NeedFull: true, Err: err.Error()}
 	}
 	s.metrics.deltas.Inc()
 	s.logger.Printf("kpropd: applied delta of %d changes, serial %d", len(changes), s.db.Serial())
-	return AckMsg{Serial: s.ackSerial(shard), OK: true}
+	return AckMsg{Serial: s.db.ShardSerial(shard), OK: true}
 }
 
 // verifyDelta decodes, decompresses, and checksum-verifies a delta
@@ -838,8 +747,10 @@ func (s *Slave) verifyDelta(hello MasterHello, msg []byte) (changes []kdb.Change
 	return changes, len(d.Payload), wantDigest, nil
 }
 
-// applyFull verifies and installs a compressed full dump (of the whole
-// database, or of one shard in a v3 conversation).
+// applyFull verifies and installs a compressed full dump of one shard.
+// A dump that fails to install — a bad checksum, or a disk error under
+// the store — is refused, and the shard keeps serving its previous
+// copy.
 func (s *Slave) applyFull(msg []byte, shard int) AckMsg {
 	f, err := DecodeFullDumpMsg(msg)
 	var dump []byte
@@ -847,48 +758,22 @@ func (s *Slave) applyFull(msg []byte, shard int) AckMsg {
 		dump, err = inflate(f.Payload)
 	}
 	if err != nil {
-		s.metrics.rejected.Inc() // Install() was never reached
+		s.metrics.rejected.Inc() // InstallShard() was never reached
 		s.logger.Printf("kpropd: rejected update: %v", err)
-		return AckMsg{Serial: s.ackSerial(shard), Err: err.Error()}
+		return AckMsg{Serial: s.db.ShardSerial(shard), Err: err.Error()}
 	}
-	if shard >= 0 {
-		err = s.InstallShard(shard, f.SealedSum, dump)
-	} else {
-		err = s.Install(f.SealedSum, dump)
-	}
-	if err != nil {
+	if err := s.InstallShard(shard, f.SealedSum, dump); err != nil {
 		s.logger.Printf("kpropd: rejected update: %v", err)
-		return AckMsg{Serial: s.ackSerial(shard), Err: err.Error()}
+		return AckMsg{Serial: s.db.ShardSerial(shard), Err: err.Error()}
 	}
 	s.metrics.fulls.Inc()
-	return AckMsg{Serial: s.ackSerial(shard), OK: true}
+	return AckMsg{Serial: s.db.ShardSerial(shard), OK: true}
 }
 
-// Install verifies a (sealed checksum, uncompressed dump) pair and swaps
-// it into the database. "it is essential that only information from the
-// master host be accepted by the slaves, and that tampering of data be
-// detected, thus the checksum" (§5.3).
-//
-//kerb:clockadapter -- install latency metrics are wall-clock observability, not protocol time
-func (s *Slave) Install(sealedSum, dump []byte) error {
-	return s.install(func() error {
-		want, err := openSum(s.db.MasterKey(), sealedSum)
-		if err != nil {
-			return err
-		}
-		if got := kdb.DumpChecksum(s.db.MasterKey(), dump); got != want {
-			return fmt.Errorf("kpropd: dump checksum %x does not match master's %x", got, want)
-		}
-		if err := s.db.LoadDump(dump); err != nil {
-			return fmt.Errorf("kpropd: installing dump: %w", err)
-		}
-		return nil
-	}, len(dump))
-}
-
-// InstallShard is Install scoped to one shard: the checksum is verified
-// the same way, and the dump replaces only that shard's contents and
-// lineage.
+// InstallShard verifies a (sealed checksum, uncompressed dump) pair and
+// swaps it into one shard, contents and lineage. "it is essential that
+// only information from the master host be accepted by the slaves, and
+// that tampering of data be detected, thus the checksum" (§5.3).
 //
 //kerb:clockadapter -- install latency metrics are wall-clock observability, not protocol time
 func (s *Slave) InstallShard(shard int, sealedSum, dump []byte) error {

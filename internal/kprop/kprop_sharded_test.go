@@ -2,6 +2,7 @@ package kprop
 
 import (
 	"fmt"
+	"net"
 	"strings"
 	"testing"
 
@@ -128,7 +129,7 @@ func TestShardedFullResync(t *testing.T) {
 	}
 }
 
-// TestShardCountMismatchNACKed: a v3 master pushing to a slave with a
+// TestShardCountMismatchNACKed: a master pushing to a slave with a
 // different shard count gets a clean refusal, not a corrupted database.
 func TestShardCountMismatchNACKed(t *testing.T) {
 	master := shardedMasterDB(t, 4, 10)
@@ -157,10 +158,40 @@ func TestShardCountMismatchNACKed(t *testing.T) {
 	}
 }
 
-// TestShardedToFlatStaysV2: a single-shard master speaks plain v2 — the
-// sharded machinery must not leak into the wire when there is one shard.
-func TestShardedToFlatStaysV2(t *testing.T) {
+// TestUnshardedSpeaksShardZeroOfOne: an unsharded database is one
+// shard of the per-shard conversation — the hello a slave receives names
+// shard 0 of 1 — and propagates whole.
+func TestUnshardedSpeaksShardZeroOfOne(t *testing.T) {
 	master := masterDB(t, 12)
+	ln, err := net.Listen("tcp4", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hellos := make(chan MasterHello, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		if frame, err := readFrame(conn); err == nil {
+			if h, err := DecodeMasterHello(frame); err == nil {
+				hellos <- h
+			}
+		}
+	}()
+	NewMaster(master, []string{ln.Addr().String()}, nil).PropagateAll()
+	ln.Close()
+	select {
+	case h := <-hellos:
+		if h.Version != wireVersion || h.Shard != 0 || h.Shards != 1 ||
+			h.Serial != master.Serial() || h.Digest != master.Digest() {
+			t.Fatalf("hello = %+v", h)
+		}
+	default:
+		t.Fatal("no well-formed hello reached the slave")
+	}
+
 	slaveDB := kdb.New(master.MasterKey())
 	slave := NewSlave(slaveDB, nil)
 	l, err := Serve(slave, "127.0.0.1:0")
@@ -172,6 +203,6 @@ func TestShardedToFlatStaysV2(t *testing.T) {
 		t.Fatal(err)
 	}
 	if slaveDB.Len() != master.Len() || slaveDB.Digest() != master.Digest() {
-		t.Fatal("v2 path broken for single-shard databases")
+		t.Fatal("unsharded propagation broken")
 	}
 }

@@ -3,6 +3,7 @@ package kprop
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"net"
 	"strings"
 	"testing"
@@ -117,14 +118,14 @@ func TestTamperedDumpRejected(t *testing.T) {
 	slaveDB := kdb.New(master.MasterKey())
 	slave := NewSlave(slaveDB, nil)
 
-	dump := master.Dump()
+	dump := master.DumpShard(0)
 	var sumBytes [8]byte
 	binary.BigEndian.PutUint64(sumBytes[:], kdb.DumpChecksum(master.MasterKey(), dump))
 	sealed := des.Seal(master.MasterKey(), sumBytes[:])
 
 	mut := append([]byte(nil), dump...)
 	mut[len(mut)/3] ^= 0x01
-	if err := slave.Install(sealed, mut); err == nil {
+	if err := slave.InstallShard(0, sealed, mut); err == nil {
 		t.Fatal("tampered dump installed")
 	}
 	if slaveDB.Len() != 0 {
@@ -145,12 +146,12 @@ func TestForgedChecksumRejected(t *testing.T) {
 	evil := kdb.New(des.StringToKey("evil", "EVIL"))
 	ek, _ := des.NewRandomKey()
 	evil.Add("mallory", "", ek, 0, "evil", t0)
-	dump := evil.Dump()
+	dump := evil.DumpShard(0)
 	var sumBytes [8]byte
 	binary.BigEndian.PutUint64(sumBytes[:], kdb.DumpChecksum(evil.MasterKey(), dump))
 	sealed := des.Seal(evil.MasterKey(), sumBytes[:])
 
-	if err := slave.Install(sealed, dump); err == nil {
+	if err := slave.InstallShard(0, sealed, dump); err == nil {
 		t.Fatal("forged propagation accepted")
 	}
 	if slave.Rejected() != 1 { // every failed verification counts, even off-socket
@@ -233,7 +234,7 @@ func TestSocketRejectionPath(t *testing.T) {
 	defer l.Close()
 
 	// Hand-roll a kprop push with a corrupted dump.
-	dump := master.Dump()
+	dump := master.DumpShard(0)
 	var sumBytes [8]byte
 	binary.BigEndian.PutUint64(sumBytes[:], kdb.DumpChecksum(master.MasterKey(), dump))
 	sealed := des.Seal(master.MasterKey(), sumBytes[:])
@@ -244,18 +245,23 @@ func TestSocketRejectionPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := kdc.WriteFrame(conn, sealed); err != nil {
+	hello := MasterHello{Version: wireVersion, Serial: master.Serial(), Digest: master.Digest(), Shards: 1}
+	if err := kdc.WriteFrame(conn, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
-	if err := kdc.WriteFrame(conn, dump); err != nil {
+	if _, err := kdc.ReadFrame(conn); err != nil {
 		t.Fatal(err)
 	}
-	ack, err := kdc.ReadFrame(conn)
+	full := FullDumpMsg{SealedSum: sealed, Payload: deflate(dump)}
+	if err := kdc.WriteFrame(conn, full.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := kdc.ReadFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(ack) == "OK" {
-		t.Error("corrupted dump acknowledged OK")
+	if ack, err := DecodeAckMsg(frame); err != nil || ack.OK {
+		t.Errorf("corrupted dump ack = %+v, %v", ack, err)
 	}
 	if slave.Rejected() != 1 {
 		t.Errorf("rejected = %d", slave.Rejected())
@@ -265,4 +271,43 @@ func TestSocketRejectionPath(t *testing.T) {
 // dial is a tiny helper for hand-rolled pushes.
 func dial(addr string) (net.Conn, error) {
 	return net.Dial("tcp4", addr)
+}
+
+// diskFullStore is an in-memory store whose bulk replacement fails, as
+// a SegmentStore's does when the disk refuses the new base.
+type diskFullStore struct{ *kdb.EpochStore }
+
+func (diskFullStore) ReplaceAll([]*kdb.Entry, kdb.DumpMeta) error {
+	return errors.New("no space left on device")
+}
+
+// TestFullInstallDiskErrorRefused: a full dump the slave's store cannot
+// write is refused — the master hears the error — and the slave keeps
+// serving its previous copy, lineage and journal.
+func TestFullInstallDiskErrorRefused(t *testing.T) {
+	master := masterDB(t, 8)
+	slaveDB := kdb.NewWithStore(master.MasterKey(), diskFullStore{kdb.NewEpochStore()})
+	slave := NewSlave(slaveDB, nil)
+	l, err := Serve(slave, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// The master's journal reaches back to serial 0, so this is a delta.
+	if err := NewMaster(master, []string{l.Addr()}, nil).PropagateAll(); err != nil {
+		t.Fatal(err)
+	}
+	serial, digest, n, journal := slaveDB.Serial(), slaveDB.Digest(), slaveDB.Len(), slaveDB.JournalLen()
+	if err := master.Add("late", "", des.StringToKey("pw", testRealm), 0, "register", t0); err != nil {
+		t.Fatal(err)
+	}
+	err = NewMaster(master, []string{l.Addr()}, nil, WithForceFull()).PropagateAll()
+	if err == nil || !strings.Contains(err.Error(), "no space left") {
+		t.Fatalf("full push onto a full disk: err = %v", err)
+	}
+	if slaveDB.Serial() != serial || slaveDB.Digest() != digest || slaveDB.Len() != n ||
+		slaveDB.JournalLen() != journal || slave.Fulls() != 0 || slave.Rejected() == 0 {
+		t.Fatalf("failed install changed the slave: len %d serial %d journal %d fulls %d rejected %d",
+			slaveDB.Len(), slaveDB.Serial(), slaveDB.JournalLen(), slave.Fulls(), slave.Rejected())
+	}
 }

@@ -223,7 +223,7 @@ func TestNeedFullRecoveryOnConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello := MasterHello{Version: wireVersion, Serial: master.Serial(), Digest: master.Digest()}
+	hello := MasterHello{Version: wireVersion, Serial: master.Serial(), Digest: master.Digest(), Shards: 1}
 	if err := writeFrame(conn, hello.Encode()); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestNeedFullRecoveryOnConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A gapped delta: claim it starts two serials ahead of the slave.
-	changes, verdict := master.ChangesSince(sh.Serial, sh.Digest)
+	changes, verdict := master.ChangesSinceShard(0, sh.Serial, sh.Digest)
 	if verdict != kdb.DeltaOK || len(changes) != 1 {
 		t.Fatalf("changes = %d, %v", len(changes), verdict)
 	}
@@ -263,7 +263,7 @@ func TestNeedFullRecoveryOnConnection(t *testing.T) {
 		t.Fatalf("gapped delta ack = %+v", ack)
 	}
 	// Heal with the full dump on the same connection.
-	dump := master.Dump()
+	dump := master.DumpShard(0)
 	full := FullDumpMsg{SealedSum: sealSum(master.MasterKey(), dump), Payload: deflate(dump)}
 	if err := writeFrame(conn, full.Encode()); err != nil {
 		t.Fatal(err)
@@ -392,9 +392,10 @@ func TestForceFull(t *testing.T) {
 	}
 }
 
-// TestLegacyPushStillAccepted: the original two-frame §5.3 exchange
-// keeps working against a v2 slave.
-func TestLegacyPushStillAccepted(t *testing.T) {
+// TestLegacyPushRefused: the paper's two-frame exchange (a sealed
+// checksum frame, then the dump) is no longer spoken; a slave drops the
+// connection at the first frame and its database is untouched.
+func TestLegacyPushRefused(t *testing.T) {
 	master := masterDB(t, 5)
 	slaveDB := kdb.New(master.MasterKey())
 	slave := NewSlave(slaveDB, nil)
@@ -404,31 +405,20 @@ func TestLegacyPushStillAccepted(t *testing.T) {
 	}
 	defer l.Close()
 
-	dump := master.Dump()
-	sealed := sealSum(master.MasterKey(), dump)
+	dump := master.DumpShard(0)
 	conn, err := dial(l.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, sealed); err != nil {
+	if err := writeFrame(conn, sealSum(master.MasterKey(), dump)); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeFrame(conn, dump); err != nil {
-		t.Fatal(err)
+	writeFrame(conn, dump)
+	if ack, err := readFrame(conn); err == nil {
+		t.Fatalf("legacy push answered: %q", ack)
 	}
-	ack, err := readFrame(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(ack) != "OK" {
-		t.Fatalf("legacy push rejected: %s", ack)
-	}
-	if slave.Updates() != 1 || slaveDB.Len() != master.Len() {
-		t.Errorf("updates=%d len=%d/%d", slave.Updates(), slaveDB.Len(), master.Len())
-	}
-	// The legacy dump is v2 on disk, so the slave even has the serial.
-	if slaveDB.Serial() != master.Serial() {
-		t.Errorf("slave serial = %d, master %d", slaveDB.Serial(), master.Serial())
+	if slave.Updates() != 0 || slaveDB.Len() != 0 {
+		t.Errorf("legacy push installed: updates=%d len=%d", slave.Updates(), slaveDB.Len())
 	}
 }

@@ -9,20 +9,17 @@ import (
 	"io"
 )
 
-// kprop v2 wire format. Every message is one length-prefixed frame (the
+// kprop wire format. Every message is one length-prefixed frame (the
 // same u32 big-endian framing the KDC TCP transport uses, with a larger
-// cap because full dumps outgrow KDC messages). A v2 conversation is:
+// cap because full dumps outgrow KDC messages). One conversation covers
+// one shard of the database (an unsharded database is shard 0 of 1):
 //
-//	master → slave   MasterHello   (serial + digest the master is at)
-//	slave  → master  SlaveHello    (serial + digest the slave is at)
+//	master → slave   MasterHello   (shard, shard count, serial + digest the master's shard is at)
+//	slave  → master  SlaveHello    (serial + digest the slave's shard is at)
 //	master → slave   DeltaMsg      (journal segment)  — or FullDumpMsg
 //	slave  → master  AckMsg        (ok, or need-full)
 //	master → slave   FullDumpMsg   (only if the ack asked for one)
 //	slave  → master  AckMsg
-//
-// A first frame that does not begin with the v2 magic is handled as the
-// legacy §5.3 exchange (sealed checksum frame, dump frame, "OK" ack), so
-// old masters keep working against new slaves.
 //
 // Payloads (journal segments and dumps) travel flate-compressed; the
 // keyed checksum of §5.3 is computed over the *uncompressed* bytes, so
@@ -38,7 +35,7 @@ const MaxMessage = 64 << 20
 // can expand ~1000×, so the inflater stops at this many bytes.
 const MaxInflate = 64 << 20
 
-// Message kind bytes (fifth byte of every v2 message, after the magic).
+// Message kind bytes (fifth byte of every message, after the magic).
 const (
 	kindMasterHello = 0x01
 	kindSlaveHello  = 0x02
@@ -47,16 +44,11 @@ const (
 	kindAck         = 0x05
 )
 
-// Protocol revisions carried in MasterHello. v2 is the whole-database
-// delta plane; v3 scopes one conversation to one shard of a sharded
-// database (the hello gains the shard index and the master's shard
-// count), so the per-shard deltas of a large realm ship in parallel over
-// independent connections. A v3 master falls back to v2 framing when the
-// database has a single shard, so unsharded deployments are untouched.
-const (
-	wireVersion   = 2
-	wireVersionV3 = 3
-)
+// wireVersion is the protocol revision MasterHello carries; a slave
+// refuses any other. A conversation covers one shard (the hello names the
+// shard and the master's shard count), so the per-shard deltas of a large
+// realm ship in parallel over independent connections.
+const wireVersion = 3
 
 var wireMagic = [4]byte{'K', 'P', 'v', '2'}
 
@@ -93,12 +85,7 @@ func writeFrame(w io.Writer, msg []byte) error {
 	return err
 }
 
-// isV2 reports whether a first frame opens a v2 conversation.
-func isV2(frame []byte) bool {
-	return len(frame) >= 5 && [4]byte(frame[:4]) == wireMagic && frame[4] == kindMasterHello
-}
-
-// wireReader consumes v2 message bodies.
+// wireReader consumes message bodies.
 type wireReader struct {
 	data []byte
 	err  error
@@ -163,7 +150,7 @@ func appendBlob(buf, b []byte) []byte {
 	return append(buf, b...)
 }
 
-// header emits magic + kind, the shared prefix of every v2 message.
+// header emits magic + kind, the shared prefix of every message.
 func header(kind byte) []byte {
 	return append(append(make([]byte, 0, 64), wireMagic[:]...), kind)
 }
@@ -176,16 +163,15 @@ func body(data []byte, kind byte) ([]byte, error) {
 	return data[5:], nil
 }
 
-// MasterHello opens a conversation: the protocol version and the
-// (serial, digest) the master is at. In a v3 hello the serial and digest
-// are those of one shard, named by Shard out of the master's Shards; a
-// v2 hello covers the whole database and carries no shard fields.
+// MasterHello opens a conversation: the protocol version, the shard it
+// covers out of the master's shard count, and the (serial, digest) the
+// master's shard is at.
 type MasterHello struct {
 	Version uint8
 	Serial  uint64
 	Digest  uint64
-	Shard   uint32 // v3 only: which shard this conversation covers
-	Shards  uint32 // v3 only: the master's total shard count
+	Shard   uint32 // which shard this conversation covers
+	Shards  uint32 // the master's total shard count
 }
 
 // Encode serializes the hello.
@@ -194,11 +180,8 @@ func (h MasterHello) Encode() []byte {
 	buf = append(buf, h.Version)
 	buf = binary.BigEndian.AppendUint64(buf, h.Serial)
 	buf = binary.BigEndian.AppendUint64(buf, h.Digest)
-	if h.Version >= wireVersionV3 {
-		buf = binary.BigEndian.AppendUint32(buf, h.Shard)
-		buf = binary.BigEndian.AppendUint32(buf, h.Shards)
-	}
-	return buf
+	buf = binary.BigEndian.AppendUint32(buf, h.Shard)
+	return binary.BigEndian.AppendUint32(buf, h.Shards)
 }
 
 // DecodeMasterHello parses a MasterHello message.
@@ -212,21 +195,16 @@ func DecodeMasterHello(data []byte) (MasterHello, error) {
 	h.Version = r.u8()
 	h.Serial = r.u64()
 	h.Digest = r.u64()
-	if h.Version >= wireVersionV3 {
-		h.Shard = r.u32()
-		h.Shards = r.u32()
-	}
+	h.Shard = r.u32()
+	h.Shards = r.u32()
 	if err := r.done(); err != nil {
 		return h, err
 	}
-	switch h.Version {
-	case wireVersion:
-	case wireVersionV3:
-		if h.Shards == 0 || h.Shard >= h.Shards {
-			return h, fmt.Errorf("%w: shard %d of %d", ErrBadMessage, h.Shard, h.Shards)
-		}
-	default:
+	if h.Version != wireVersion {
 		return h, fmt.Errorf("%w: unsupported version %d", ErrBadMessage, h.Version)
+	}
+	if h.Shards == 0 || h.Shard >= h.Shards {
+		return h, fmt.Errorf("%w: shard %d of %d", ErrBadMessage, h.Shard, h.Shards)
 	}
 	return h, nil
 }
@@ -302,12 +280,12 @@ func DecodeDeltaMsg(data []byte) (DeltaMsg, error) {
 	return d, nil
 }
 
-// FullDumpMsg carries a compressed full database dump. SealedSum is the
-// keyed checksum of the *uncompressed* dump — exactly the legacy §5.3
+// FullDumpMsg carries a compressed full dump of one shard. SealedSum is
+// the keyed checksum of the *uncompressed* dump — exactly the §5.3
 // integrity check.
 type FullDumpMsg struct {
 	SealedSum []byte
-	Payload   []byte // flate-compressed kdb dump
+	Payload   []byte // flate-compressed kdb.Database.DumpShard output
 }
 
 // Encode serializes the full-dump message.

@@ -71,7 +71,7 @@ func goldenFullDumpMsg() FullDumpMsg {
 
 func kpropVectors() map[string][]byte {
 	return map[string][]byte{
-		"masterhello.golden": MasterHello{Version: wireVersion, Serial: 43, Digest: 0xfeedfacecafef00d}.Encode(),
+		"masterhello.golden": MasterHello{Version: wireVersion, Serial: 43, Digest: 0xfeedfacecafef00d, Shards: 1}.Encode(),
 		"slavehello.golden":  SlaveHello{Serial: 41, Digest: 0x0123456789abcdef, Principals: 5000}.Encode(),
 		"deltamsg.golden":    goldenDeltaMsg().Encode(),
 		"fulldumpmsg.golden": goldenFullDumpMsg().Encode(),
@@ -102,7 +102,7 @@ func TestKpropGoldenVectors(t *testing.T) {
 	}
 }
 
-// writeDeltaFuzzCorpus seeds FuzzDelta with every v2 message plus the
+// writeDeltaFuzzCorpus seeds FuzzDelta with every wire message plus the
 // raw (uncompressed) change-set encoding.
 func writeDeltaFuzzCorpus(t *testing.T, vecs map[string][]byte) {
 	t.Helper()
@@ -143,7 +143,7 @@ func TestKpropGoldenRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if h.Version != wireVersion || h.Serial != 43 || h.Digest != 0xfeedfacecafef00d {
+		if h.Version != wireVersion || h.Serial != 43 || h.Digest != 0xfeedfacecafef00d || h.Shard != 0 || h.Shards != 1 {
 			t.Errorf("decoded = %+v", h)
 		}
 		if !bytes.Equal(h.Encode(), read("masterhello.golden")) {
@@ -275,10 +275,17 @@ func TestWireMessageRejectsCorruption(t *testing.T) {
 			t.Errorf("%s: wrong kind byte accepted", name)
 		}
 	}
-	// Wrong version in an otherwise valid MasterHello.
-	bad := MasterHello{Version: 9, Serial: 1, Digest: 2}.Encode()
-	if _, err := DecodeMasterHello(bad); err == nil {
-		t.Error("unsupported hello version accepted")
+	// Wrong version, or a shard outside the count, in an otherwise valid
+	// MasterHello.
+	for _, h := range []MasterHello{
+		{Version: 9, Serial: 1, Digest: 2, Shards: 1},
+		{Version: 2, Serial: 1, Digest: 2, Shards: 1},
+		{Version: wireVersion, Shard: 1, Shards: 1},
+		{Version: wireVersion},
+	} {
+		if _, err := DecodeMasterHello(h.Encode()); err == nil {
+			t.Errorf("hello %+v accepted", h)
+		}
 	}
 	// A delta running backwards.
 	d := goldenDeltaMsg()

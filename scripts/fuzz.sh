@@ -29,7 +29,7 @@ done
 echo "== go test -fuzz=FuzzDelta -fuzztime=$FUZZTIME ./internal/kprop"
 go test -run '^$' -fuzz='^FuzzDelta$' -fuzztime="$FUZZTIME" ./internal/kprop
 
-for target in FuzzParseDump FuzzParseKDB4; do
+for target in FuzzParseDump FuzzParseKDB4 FuzzSegmentReplay; do
     echo "== go test -fuzz=$target -fuzztime=$FUZZTIME ./internal/kdb"
     go test -run '^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/kdb
 done
