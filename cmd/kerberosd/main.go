@@ -36,7 +36,7 @@ func main() {
 	masterPw := strings.TrimRight(line, "\r\n")
 	masterKey := des.StringToKey(masterPw, *realm)
 	// The database holds its own copy of the master key; wipe the local
-	// when main unwinds (§4.1 keyzero discipline). Registered before the
+	// when main unwinds (§4.1; kervet's deferwipe checks it). Registered before the
 	// open/load error exits so every path is covered.
 	defer clear(masterKey[:])
 

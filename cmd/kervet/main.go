@@ -5,10 +5,9 @@
 //
 //	consttime   secret keys and keyed checksums are compared in
 //	            constant time (crypto/subtle), §2.1/§4.3
-//	keyzero     key material materialized into locals is zeroized
-//	            (somewhere) before return, §4.1
-//	deferwipe   the wipes keyzero found cover EVERY exit path — early
-//	            returns and panic paths included (kerflow CFG)
+//	deferwipe   key material materialized into locals is zeroized, and
+//	            on EVERY exit path — early returns and panic paths
+//	            included (kerflow CFG), §4.1
 //	secretflow  key material never flows into fmt/log/error sinks,
 //	            telemetry, or unsealed writes (kerflow taint)
 //	lockflow    mutex discipline: per-path lock/unlock balance, no
@@ -53,7 +52,6 @@ import (
 	"kerberos/internal/analysis/consttime"
 	"kerberos/internal/analysis/deferwipe"
 	"kerberos/internal/analysis/hotpath"
-	"kerberos/internal/analysis/keyzero"
 	"kerberos/internal/analysis/lockflow"
 	"kerberos/internal/analysis/secretflow"
 	"kerberos/internal/analysis/wiresym"
@@ -116,7 +114,6 @@ type options struct {
 func allAnalyzers(modRoot string) []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		consttime.Analyzer,
-		keyzero.Analyzer,
 		deferwipe.Analyzer,
 		secretflow.Analyzer,
 		lockflow.Analyzer,

@@ -271,6 +271,20 @@ func TestEndToEndBinaries(t *testing.T) {
 	if err != nil {
 		t.Fatalf("kinit against slave: %v\n%s", err, out)
 	}
+	// One more change leaves the slave one behind. A one-shot kprop reads
+	// the master's directory afresh and journals the records on disk, so
+	// it ships that change as a delta, not a full dump.
+	out, err = run(t, bins["kadmin"], "admin-pw\n",
+		"-realm", e2eRealm, "-kdc", kdcAddr, "-kdbm", kdbmAddr, "-admin", "root",
+		"addrandom", "rcmd.e2ehost2")
+	if err != nil {
+		t.Fatalf("kadmin addrandom: %v\n%s", err, out)
+	}
+	out, err = run(t, bins["kprop"], masterPw+"\n",
+		"-realm", e2eRealm, "-dbdir", dbDir, "-slaves", kpropdAddr)
+	if err != nil || !strings.Contains(out, "kprop: delta 1 changes") || strings.Contains(out, "full dump") {
+		t.Fatalf("second one-shot kprop did not ship a delta: %v\n%s", err, out)
+	}
 
 	// --- ktrace: the Figure 9 wire trace ---------------------------------
 	out, err = run(t, bins["ktrace"], "")
@@ -369,7 +383,9 @@ func TestIncrementalPropagationE2E(t *testing.T) {
 	}
 
 	// Slave 1 bootstraps from nothing: its first update must be a full
-	// dump (the master's journal cannot reach back to serial 0).
+	// dump. kprop journals every record on disk when it opens, so its
+	// journal is capped below the master's history (-journal 2 below) to
+	// keep serial 0 out of its reach.
 	slave1Dir := filepath.Join(dir, "slave1")
 	s1, s1Cmd := startDaemon(t, bins["kpropd"], masterPw+"\n", 2,
 		"-realm", e2eRealm, "-dbdir", slave1Dir, "-addr", "127.0.0.1:0",
@@ -401,10 +417,11 @@ func TestIncrementalPropagationE2E(t *testing.T) {
 	s2Addr, s2Admin := s2[0], s2[1]
 
 	// The kprop daemon: push every 500ms, following the kadmind-written
-	// directory so every change lands in its journal.
+	// directory so every change lands in its journal. Each later push is
+	// one change, well inside a two-record journal.
 	propAdmin := daemon(t, bins["kprop"], masterPw+"\n",
 		"-realm", e2eRealm, "-dbdir", dbDir, "-slaves", s1Addr+","+s2Addr,
-		"-interval", "500ms", "-admin", "127.0.0.1:0")
+		"-interval", "500ms", "-journal", "2", "-admin", "127.0.0.1:0")
 
 	kstat := func(addr string) string {
 		t.Helper()

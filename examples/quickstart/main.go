@@ -69,7 +69,7 @@ func main() {
 	fmt.Println("phase 3: client verified the server (mutual authentication)")
 
 	// The two sides now share a session key: exchange a private message.
-	//kerb:ignore keyzero -- "secret" is the sealed PRIVATE message (ciphertext), not key material
+	//kerb:ignore deferwipe -- "secret" is the sealed PRIVATE message (ciphertext), not key material
 	secret := serverSession.MkPriv([]byte("welcome to priam, your shell awaits"))
 	plain, err := session.RdPriv(secret, kerberos.Addr{})
 	if err != nil {

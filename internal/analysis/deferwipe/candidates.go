@@ -1,26 +1,8 @@
-// Package keyzero enforces the paper's §4.1 key-handling rule — "the
-// user's password and DES key are erased from memory" — over functions
-// that materialize key material into locals: a local of a Key-named
-// byte-array type (des.Key), or a byte buffer named as key/schedule/
-// password material, must be zeroized before the function returns,
-// unless the value's whole point is to outlive the call (it is
-// returned, or stored into a longer-lived structure).
-//
-// keyzero is the syntactic half of the rule: it decides WHICH locals
-// are key material (name- and type-based, plus copy-contamination) and
-// whether any zeroization exists at all — a deferred wipe (defer
-// clear(k[:]), defer wipe(k)), an inline wipe (clear, a zero-composite
-// assignment, a zeroing loop, or a call to a zero*/wipe*/erase*/scrub*
-// helper) — or whether the value escapes (returned, or stored into a
-// longer-lived structure) and is therefore someone else's to wipe.
-//
-// Whether the wipes that do exist cover EVERY exit path is a
-// flow-sensitive question, answered by the deferwipe analyzer over the
-// kerflow CFG; keyzero exports Candidates so deferwipe scrutinizes
-// exactly the same locals. (Historically keyzero demanded defer for any
-// function with more than one return statement; deferwipe replaced
-// that heuristic with real path coverage.)
-package keyzero
+package deferwipe
+
+// Which locals hold key material, and how each is used: the syntactic
+// half of the §4.1 rule, which the flow analysis in deferwipe.go and
+// the secretflow analyzer build on.
 
 import (
 	"go/ast"
@@ -30,14 +12,9 @@ import (
 	"kerberos/internal/analysis"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name: "keyzero",
-	Doc:  "key material materialized into locals must be zeroized on all return paths",
-	Run:  run,
-}
-
-// keyWords name byte buffers that hold key material.
-var keyWords = map[string]bool{
+// KeyWords name values that hold key material; secretflow applies them
+// to struct fields and result types too.
+var KeyWords = map[string]bool{
 	"key": true, "sched": true, "schedule": true, "subkey": true,
 	"password": true, "passwd": true, "secret": true,
 }
@@ -48,50 +25,18 @@ var wipeWords = map[string]bool{
 	"destroy": true, "forget": true,
 }
 
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Pkg.Files {
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
-				continue
-			}
-			checkFunc(pass, fn)
-		}
-	}
-	return nil
+// A candidate is one key-material local under scrutiny.
+type candidate struct {
+	Decl    *ast.Ident
+	Escapes bool // returned or stored into something longer-lived
+	Wiped   bool // any zeroizer mentions it
 }
 
-// A Candidate is one key-material local under scrutiny.
-type Candidate struct {
-	Obj          types.Object
-	Decl         *ast.Ident
-	Escapes      bool // returned or stored into something longer-lived
-	Wiped        bool // any zeroizer mentions it
-	DeferredWipe bool // a deferred zeroizer mentions it
-}
-
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
-	for _, c := range Candidates(pass.Pkg.Info, fn) {
-		switch {
-		case c.Escapes:
-			// Returned or stored into something longer-lived: the value
-			// is meant to outlive the call; its owner wipes it.
-		case c.Wiped:
-			// Some zeroizer exists; whether it covers every exit path is
-			// deferwipe's flow-sensitive question, not keyzero's.
-		default:
-			pass.Reportf(c.Decl.Pos(),
-				"key material %q is not zeroized before return (clear it, or defer a wipe)",
-				c.Decl.Name)
-		}
-	}
-}
-
-// Candidates finds fn's key-material locals and classifies every use:
-// escapes, wipes, deferred wipes, and copy-contamination. deferwipe
-// builds on the same classification.
-func Candidates(info *types.Info, fn *ast.FuncDecl) map[types.Object]*Candidate {
-	cands := map[types.Object]*Candidate{}
+// candidates finds fn's key-material locals, those declared in its
+// function literals included, and classifies every use: escapes, wipes,
+// and copy-contamination.
+func candidates(info *types.Info, fn *ast.FuncDecl) map[types.Object]*candidate {
+	cands := map[types.Object]*candidate{}
 
 	// Pass 1: find key-material locals declared in the body.
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
@@ -104,7 +49,7 @@ func Candidates(info *types.Info, fn *ast.FuncDecl) map[types.Object]*Candidate 
 			return true
 		}
 		if IsKeyMaterial(obj) {
-			cands[obj] = &Candidate{Obj: obj, Decl: id}
+			cands[obj] = &candidate{Decl: id}
 		}
 		return true
 	})
@@ -145,7 +90,7 @@ func Candidates(info *types.Info, fn *ast.FuncDecl) map[types.Object]*Candidate 
 				decl = exprIdent(call.Args[1])
 			}
 			if decl != nil {
-				cands[srcVar] = &Candidate{Obj: srcVar, Decl: decl}
+				cands[srcVar] = &candidate{Decl: decl}
 				grew = true
 			}
 			return true
@@ -155,19 +100,14 @@ func Candidates(info *types.Info, fn *ast.FuncDecl) map[types.Object]*Candidate 
 		}
 	}
 	// Pass 2: classify every use.
-	classify(info, fn.Body, cands, false)
+	classify(info, fn.Body, cands)
 	return cands
 }
 
 // classify walks stmts recording escapes and wipes of candidates.
-// inDefer marks that the traversal is inside a defer statement.
-func classify(info *types.Info, n ast.Node, cands map[types.Object]*Candidate, inDefer bool) {
+func classify(info *types.Info, n ast.Node, cands map[types.Object]*candidate) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.DeferStmt:
-			markWipe(info, n.Call, cands, true)
-			classify(info, n.Call, cands, true)
-			return false
 		case *ast.ReturnStmt:
 			for _, res := range n.Results {
 				markEscapes(info, res, cands)
@@ -183,21 +123,15 @@ func classify(info *types.Info, n ast.Node, cands map[types.Object]*Candidate, i
 					lhs = n.Lhs[i]
 				}
 				// A zero-composite store (k = Key{}) is a wipe, not use.
-				if c := candOf(info, n.Lhs[min(i, len(n.Lhs)-1)], cands); c != nil && IsZeroComposite(rhs) {
+				if c := cands[ResolveObj(info, n.Lhs[min(i, len(n.Lhs)-1)])]; c != nil && isZeroComposite(rhs) {
 					c.Wiped = true
-					if inDefer {
-						c.DeferredWipe = true
-					}
 					continue
 				}
 				// Zeroing element stores (k[i] = 0, the explicit wipe
 				// loop) count as a wipe of k.
-				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && IsZeroLiteral(rhs) {
-					if c := candOf(info, idx.X, cands); c != nil {
+				if idx, ok := ast.Unparen(lhs).(*ast.IndexExpr); ok && isZeroLiteral(rhs) {
+					if c := cands[ResolveObj(info, idx.X)]; c != nil {
 						c.Wiped = true
-						if inDefer {
-							c.DeferredWipe = true
-						}
 						continue
 					}
 				}
@@ -218,14 +152,18 @@ func classify(info *types.Info, n ast.Node, cands map[types.Object]*Candidate, i
 				markEscapes(info, n.X, cands)
 			}
 		case *ast.CallExpr:
-			markWipe(info, n, cands, inDefer)
+			for _, obj := range WipeTargets(info, n) {
+				if c := cands[obj]; c != nil {
+					c.Wiped = true
+				}
+			}
 		}
 		return true
 	})
 }
 
 // markEscapes marks any candidate identifier inside e as escaping.
-func markEscapes(info *types.Info, e ast.Expr, cands map[types.Object]*Candidate) {
+func markEscapes(info *types.Info, e ast.Expr, cands map[types.Object]*candidate) {
 	if e == nil {
 		return
 	}
@@ -239,10 +177,10 @@ func markEscapes(info *types.Info, e ast.Expr, cands map[types.Object]*Candidate
 	})
 }
 
-// IsWiper reports whether call is a recognized zeroizer: the clear
+// isWiper reports whether call is a recognized zeroizer: the clear
 // builtin, or a callee whose name carries a wipe word
 // (zero*/wipe*/erase*/scrub*/clear*/destroy*/forget*).
-func IsWiper(info *types.Info, call *ast.CallExpr) bool {
+func isWiper(info *types.Info, call *ast.CallExpr) bool {
 	if analysis.IsBuiltin(info, call, "clear") {
 		return true
 	}
@@ -254,7 +192,7 @@ func IsWiper(info *types.Info, call *ast.CallExpr) bool {
 // clear(k[:]), wipe(&k), zeroKey(k[:]) all resolve to k. Returns nil
 // for non-wiper calls.
 func WipeTargets(info *types.Info, call *ast.CallExpr) []types.Object {
-	if !IsWiper(info, call) {
+	if !isWiper(info, call) {
 		return nil
 	}
 	var objs []types.Object
@@ -267,25 +205,6 @@ func WipeTargets(info *types.Info, call *ast.CallExpr) []types.Object {
 		}
 	}
 	return objs
-}
-
-// markWipe records call-based zeroizers: clear(k), clear(k[:]),
-// wipe(&k), zeroKey(k[:]), ...
-func markWipe(info *types.Info, call *ast.CallExpr, cands map[types.Object]*Candidate, deferred bool) {
-	if !IsWiper(info, call) {
-		return
-	}
-	for _, arg := range call.Args {
-		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
-			arg = u.X
-		}
-		if c := candOf(info, arg, cands); c != nil {
-			c.Wiped = true
-			if deferred {
-				c.DeferredWipe = true
-			}
-		}
-	}
 }
 
 // ResolveObj resolves an expression (k, k[:], (k)) to its object.
@@ -325,29 +244,15 @@ func exprIdent(e ast.Expr) *ast.Ident {
 	return nil
 }
 
-// candOf resolves an expression (k, k[:], (k)) to a candidate.
-func candOf(info *types.Info, e ast.Expr, cands map[types.Object]*Candidate) *Candidate {
-	if e == nil {
-		return nil
-	}
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return cands[info.Uses[e]]
-	case *ast.SliceExpr:
-		return candOf(info, e.X, cands)
-	}
-	return nil
-}
-
-// IsZeroComposite reports whether e is an empty composite literal
+// isZeroComposite reports whether e is an empty composite literal
 // (Key{}, [8]byte{}).
-func IsZeroComposite(e ast.Expr) bool {
+func isZeroComposite(e ast.Expr) bool {
 	cl, ok := ast.Unparen(e).(*ast.CompositeLit)
 	return ok && len(cl.Elts) == 0
 }
 
-// IsZeroLiteral reports whether e is the literal 0.
-func IsZeroLiteral(e ast.Expr) bool {
+// isZeroLiteral reports whether e is the literal 0.
+func isZeroLiteral(e ast.Expr) bool {
 	lit, ok := ast.Unparen(e).(*ast.BasicLit)
 	return ok && lit.Value == "0"
 }
@@ -360,8 +265,8 @@ func IsKeyMaterial(obj types.Object) bool {
 	if !analysis.IsByteMaterial(t) {
 		return false
 	}
-	if analysis.HasWord(analysis.NamedName(t), keyWords) {
+	if analysis.HasWord(analysis.NamedName(t), KeyWords) {
 		return true
 	}
-	return analysis.HasWord(obj.Name(), keyWords)
+	return analysis.HasWord(obj.Name(), KeyWords)
 }

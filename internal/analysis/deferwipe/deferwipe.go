@@ -1,19 +1,23 @@
-// Package deferwipe is the flow-sensitive half of the §4.1 key-wiping
-// rule: every key-material local (as identified by keyzero.Candidates)
-// must be dead or wiped on EVERY path to function exit — ordinary
-// returns, explicit panics, and fall-off-the-end alike.
+// Package deferwipe enforces the paper's §4.1 key-handling rule — "the
+// user's password and DES key are erased from memory" — over functions
+// that materialize key material into locals: a local of a Key-named
+// byte-array type (des.Key), a byte buffer named as key/schedule/
+// password material, or a buffer copied into either, must be dead or
+// wiped on EVERY path to function exit — ordinary returns, explicit
+// panics, and fall-off-the-end alike — unless the value's whole point is
+// to outlive the call (it is returned, or stored into a longer-lived
+// structure, and is someone else's to wipe).
 //
-// keyzero's original return-path heuristic demanded a deferred wipe
-// whenever a function had more than one return statement, because a
-// purely syntactic check cannot prove an inline wipe dominates every
-// exit. deferwipe replaces that heuristic with the real property over
-// the kerflow CFG: a candidate is "exposed" from its first non-wipe use
-// onward, a wipe (clear, zero-store, wipe-word helper, a same-package
-// helper that provably clears its parameter, or a zeroing loop over the
-// buffer) clears the exposure, and a deferred wipe covers every exit
-// reachable after the defer executes. A finding means some concrete
-// path — typically an early error return or a panic branch — leaks the
-// secret bytes in place.
+// Two findings come out of it. A candidate no zeroizer touches at all
+// is "not zeroized"; this holds for locals declared in function
+// literals too. A candidate that is wiped somewhere is judged over the
+// kerflow CFG: it is "exposed" from its first non-wipe use onward, a
+// wipe (clear, zero-store, wipe-word helper, a same-package helper that
+// provably clears its parameter, or a zeroing loop over the buffer)
+// clears the exposure, and a deferred wipe covers every exit reachable
+// after the defer executes. A finding means some concrete path —
+// typically an early error return or a panic branch — leaks the secret
+// bytes in place.
 //
 // The same-package helper summaries are what keeps honestly-factored
 // code silent: a helper with no wipe word in its name that does nothing
@@ -27,12 +31,11 @@ import (
 
 	"kerberos/internal/analysis"
 	"kerberos/internal/analysis/kerflow"
-	"kerberos/internal/analysis/keyzero"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "deferwipe",
-	Doc:  "key material must be dead or wiped on every exit path (flow-sensitive keyzero)",
+	Doc:  "key material materialized into locals must be dead or wiped on every exit path",
 	Run:  run,
 }
 
@@ -58,46 +61,44 @@ func run(pass *analysis.Pass) error {
 
 func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, wipes map[*types.Func]uint32) {
 	info := pass.Pkg.Info
-	cands := map[types.Object]*keyzero.Candidate{}
-	for obj, c := range keyzero.Candidates(info, fn) {
+	fl := &flow{info: info, cands: map[types.Object]*candidate{}, wipes: wipes}
+	for obj, c := range candidates(info, fn) {
 		if !c.Escapes {
-			cands[obj] = c
+			fl.cands[obj] = c
 		}
 	}
-	if len(cands) == 0 {
-		return
-	}
-	fl := &flow{
-		info:      info,
-		cands:     cands,
-		wipes:     wipes,
-		wipeLoops: wipeLoops(info, fn, cands),
-	}
-	cfg := kerflow.New(fn, info)
-	res := kerflow.Forward[fact](cfg, fl)
-	exit, ok := res.ExitFact()
-	if !ok {
-		return // no reachable exit (infinite loop)
-	}
-	// Candidates with no wipe anywhere are keyzero's finding ("not
-	// zeroized at all"); deferwipe judges only whether the wipes that do
-	// exist cover every path, so the two analyzers never double-report.
-	everWiped := map[types.Object]bool{}
+	// A candidate no zeroizer touches is a finding whatever the paths,
+	// and leaves the flow analysis, which judges only whether the wipes
+	// that do exist cover every path.
+	wiped := map[types.Object]bool{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		if _, ok := n.(*ast.FuncLit); ok {
 			return false
 		}
 		if call, ok := n.(*ast.CallExpr); ok {
 			for _, obj := range fl.wipeCallTargets(call) {
-				everWiped[obj] = true
+				wiped[obj] = true
 			}
 		}
 		return true
 	})
-	for obj, c := range cands {
-		if !c.Wiped && !everWiped[obj] {
-			continue
+	for obj, c := range fl.cands {
+		if !c.Wiped && !wiped[obj] {
+			pass.Reportf(c.Decl.Pos(),
+				"key material %q is not zeroized before return (clear it, or defer a wipe)", c.Decl.Name)
+			delete(fl.cands, obj)
 		}
+	}
+	if len(fl.cands) == 0 {
+		return
+	}
+	fl.wipeLoops = wipeLoops(info, fn, fl.cands)
+	res := kerflow.Forward[fact](kerflow.New(fn, info), fl)
+	exit, ok := res.ExitFact()
+	if !ok {
+		return // no reachable exit (infinite loop)
+	}
+	for obj, c := range fl.cands {
 		if exit[obj]&exposed != 0 {
 			pass.Reportf(c.Decl.Pos(),
 				"key material %q is wiped on some paths but reaches a function exit un-zeroized on another (early return or panic path); wipe it on every path or defer the wipe",
@@ -115,7 +116,7 @@ type fact map[types.Object]uint8
 // every joining path registered it.
 type flow struct {
 	info      *types.Info
-	cands     map[types.Object]*keyzero.Candidate
+	cands     map[types.Object]*candidate
 	wipes     map[*types.Func]uint32
 	wipeLoops map[*ast.RangeStmt]types.Object
 }
@@ -202,9 +203,9 @@ func (f *flow) assign(as *ast.AssignStmt, s fact) {
 		}
 		lhs = ast.Unparen(lhs)
 		// Whole-variable stores.
-		if obj := keyzero.ResolveObj(f.info, lhs); obj != nil {
+		if obj := ResolveObj(f.info, lhs); obj != nil {
 			if _, ok := f.cands[obj]; ok {
-				if rhs != nil && keyzero.IsZeroComposite(rhs) {
+				if rhs != nil && isZeroComposite(rhs) {
 					f.wipe(s, obj)
 				} else {
 					f.expose(s, obj)
@@ -215,9 +216,9 @@ func (f *flow) assign(as *ast.AssignStmt, s fact) {
 		// Element stores: k[i] = 0 wipes (the explicit zeroing loop);
 		// k[i] = secret exposes.
 		if idx, ok := lhs.(*ast.IndexExpr); ok {
-			if obj := keyzero.ResolveObj(f.info, idx.X); obj != nil {
+			if obj := ResolveObj(f.info, idx.X); obj != nil {
 				if _, ok := f.cands[obj]; ok {
-					if rhs != nil && keyzero.IsZeroLiteral(rhs) {
+					if rhs != nil && isZeroLiteral(rhs) {
 						f.wipe(s, obj)
 					} else {
 						f.expose(s, obj)
@@ -231,8 +232,8 @@ func (f *flow) assign(as *ast.AssignStmt, s fact) {
 // scanUses marks candidates exposed by any appearance inside n, except
 // appearances inside recognized wipe calls and len/cap reads, which
 // carry no secret out. Function literals are skipped: they are separate
-// functions (and a capture already marks the candidate as escaping in
-// keyzero, removing it from scrutiny here).
+// functions (and a capture already marks the candidate as escaping,
+// removing it from scrutiny here).
 func (f *flow) scanUses(n ast.Node, s fact) {
 	ast.Inspect(n, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -273,11 +274,11 @@ func (f *flow) expose(s fact, obj types.Object) {
 }
 
 // wipeCallTargets resolves the objects a call zeroizes: the clear
-// builtin and wipe-word helpers (keyzero.WipeTargets), plus same-package
+// builtin and wipe-word helpers (WipeTargets), plus same-package
 // helpers whose summary proves they clear a parameter regardless of
 // what their name says.
 func (f *flow) wipeCallTargets(call *ast.CallExpr) []types.Object {
-	if objs := keyzero.WipeTargets(f.info, call); objs != nil {
+	if objs := WipeTargets(f.info, call); objs != nil {
 		return objs
 	}
 	callee := analysis.Callee(f.info, call)
@@ -296,7 +297,7 @@ func (f *flow) wipeCallTargets(call *ast.CallExpr) []types.Object {
 		if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
 			arg = u.X
 		}
-		if obj := keyzero.ResolveObj(f.info, arg); obj != nil {
+		if obj := ResolveObj(f.info, arg); obj != nil {
 			objs = append(objs, obj)
 		}
 	}
@@ -305,14 +306,14 @@ func (f *flow) wipeCallTargets(call *ast.CallExpr) []types.Object {
 
 // wipeLoops finds range loops that are nothing but a zeroing pass over
 // a candidate buffer: `for i := range k { k[i] = 0 }`.
-func wipeLoops(info *types.Info, fn *ast.FuncDecl, cands map[types.Object]*keyzero.Candidate) map[*ast.RangeStmt]types.Object {
+func wipeLoops(info *types.Info, fn *ast.FuncDecl, cands map[types.Object]*candidate) map[*ast.RangeStmt]types.Object {
 	loops := map[*ast.RangeStmt]types.Object{}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
 		}
-		obj := keyzero.ResolveObj(info, rs.X)
+		obj := ResolveObj(info, rs.X)
 		if obj == nil {
 			return true
 		}
@@ -323,11 +324,11 @@ func wipeLoops(info *types.Info, fn *ast.FuncDecl, cands map[types.Object]*keyze
 			return true
 		}
 		as, ok := rs.Body.List[0].(*ast.AssignStmt)
-		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || !keyzero.IsZeroLiteral(as.Rhs[0]) {
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 || !isZeroLiteral(as.Rhs[0]) {
 			return true
 		}
 		idx, ok := ast.Unparen(as.Lhs[0]).(*ast.IndexExpr)
-		if !ok || keyzero.ResolveObj(info, idx.X) != obj {
+		if !ok || ResolveObj(info, idx.X) != obj {
 			return true
 		}
 		loops[rs] = obj
@@ -375,7 +376,7 @@ func wipeSummaries(pkg *analysis.Package) map[*types.Func]uint32 {
 			if !inDefer && returns > 1 {
 				return
 			}
-			targets := keyzero.WipeTargets(info, call)
+			targets := WipeTargets(info, call)
 			if targets == nil {
 				if callee := analysis.Callee(info, call); callee != nil {
 					if sub := get(callee); sub != 0 {
@@ -383,7 +384,7 @@ func wipeSummaries(pkg *analysis.Package) map[*types.Func]uint32 {
 							if i >= 32 || sub&(1<<uint(i)) == 0 {
 								continue
 							}
-							if obj := keyzero.ResolveObj(info, arg); obj != nil {
+							if obj := ResolveObj(info, arg); obj != nil {
 								targets = append(targets, obj)
 							}
 						}

@@ -1,8 +1,9 @@
-// Package a is the deferwipe fixture: path-sensitive wipe coverage.
-// Every // want here is a path the syntactic keyzero rule could not
-// judge; every silent case is a shape the old multi-return heuristic
-// would have flagged falsely (or a known false-positive shape that must
-// stay silent).
+// Package a is the deferwipe fixture. This file is path-sensitive wipe
+// coverage: every // want here is a path that leaks although a wipe
+// exists; every silent case is a shape a syntactic "more than one
+// return needs a defer" rule would have flagged falsely (or a known
+// false-positive shape that must stay silent). b.go holds key material
+// that is never wiped at all.
 package a
 
 import "errors"
@@ -40,8 +41,8 @@ func panicPath(err error) {
 }
 
 // branchMergeLeak: one arm wipes, the other does not, and the function
-// has a single return — the old keyzero heuristic (inline wipe + one
-// return = fine) missed exactly this.
+// has a single return — a syntactic rule (inline wipe + one return =
+// fine) misses exactly this.
 func branchMergeLeak(cond bool) {
 	k := derive() // want `reaches a function exit un-zeroized`
 	if cond {
@@ -160,10 +161,10 @@ func escapes(cond bool) Key {
 	return k
 }
 
-// neverWiped is keyzero's finding ("not zeroized at all"), not
-// deferwipe's; exactly one analyzer must own each defect. Silent HERE.
+// neverWiped is reported once, as not zeroized at all, and not also as
+// a path leak.
 func neverWiped() {
-	k := derive()
+	k := derive() // want `key material "k" is not zeroized`
 	use(k)
 }
 

@@ -1,16 +1,11 @@
-// Package a is the keyzero fixture.
+// The "not zeroized" half of the fixture: key material no zeroizer
+// touches, which candidates count as key material, and which uses hand
+// the duty to wipe to someone else.
 package a
-
-// Key mimics des.Key.
-type Key [8]byte
 
 type entry struct{ key Key }
 
 var vault = map[string]entry{}
-
-func use(...any) {}
-
-func derive() Key { var k Key; k[0] = 1; return k }
 
 // leak materializes a key and drops it on the floor.
 func leak() {
@@ -46,13 +41,9 @@ func zeroAssign() {
 	var k Key
 	use(k)
 	k = Key{}
-	use(k)
 }
 
-// multiExitInline: inline wipes on both return paths. keyzero only asks
-// that a wipe exists; whether the wipes cover every exit path is the
-// deferwipe analyzer's flow-sensitive question (historically keyzero
-// demanded defer here, syntactically — see that analyzer's fixtures).
+// multiExitInline: inline wipes on both return paths cover every exit.
 func multiExitInline(cond bool) int {
 	var k Key
 	use(k)
@@ -115,9 +106,9 @@ func publicBuf() {
 	use(data)
 }
 
-// ignored: a justified suppression silences the finding.
-func ignored() {
-	var k Key //kerb:ignore keyzero -- fixture: lifetime owned by caller convention
+// ignoredNeverWiped: a justified suppression silences the finding.
+func ignoredNeverWiped() {
+	var k Key //kerb:ignore deferwipe -- fixture: lifetime owned by caller convention
 	use(k)
 }
 
@@ -160,3 +151,19 @@ func contaminatedChain(enc []byte) Key {
 }
 
 var errTooShort = (error)(nil)
+
+// inLiteral: a candidate declared in a function literal is judged by
+// the same rule, and a wipe inside the literal satisfies it.
+func inLiteral() {
+	leaky := func() {
+		k := derive() // want `key material "k" is not zeroized`
+		use(k)
+	}
+	wiped := func() {
+		k := derive()
+		defer clear(k[:])
+		use(k)
+	}
+	leaky()
+	wiped()
+}

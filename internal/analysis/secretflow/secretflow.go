@@ -31,22 +31,14 @@ import (
 	"strings"
 
 	"kerberos/internal/analysis"
+	"kerberos/internal/analysis/deferwipe"
 	"kerberos/internal/analysis/kerflow"
-	"kerberos/internal/analysis/keyzero"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "secretflow",
 	Doc:  "key material must not flow into logs, errors, traces, or unsealed writes, nor live in package-level variables",
 	Run:  run,
-}
-
-// keyWords name values that hold key material (mirrors keyzero's
-// notion; secretflow additionally applies it to struct fields and
-// result types).
-var keyWords = map[string]bool{
-	"key": true, "sched": true, "schedule": true, "subkey": true,
-	"password": true, "passwd": true, "secret": true,
 }
 
 // boundaryWords name crypto-boundary callees: functions a key
@@ -70,7 +62,7 @@ var sealedWords = map[string]bool{
 // isKeyName reports whether a name claims key material: it carries a
 // key word and no sealed word.
 func isKeyName(name string) bool {
-	return analysis.HasWord(name, keyWords) && !analysis.HasWord(name, sealedWords)
+	return analysis.HasWord(name, deferwipe.KeyWords) && !analysis.HasWord(name, sealedWords)
 }
 
 // srcBit marks "tainted by a key source" in a taint mask; bits 0..30
@@ -162,19 +154,19 @@ func (f flow) Transfer(n ast.Node, fact taintFact) taintFact {
 				return false
 			}
 			if id, ok := n.(*ast.Ident); ok {
-				if obj, ok := f.s.info.Defs[id].(*types.Var); ok && !obj.IsField() && keyzero.IsKeyMaterial(obj) {
+				if obj, ok := f.s.info.Defs[id].(*types.Var); ok && !obj.IsField() && deferwipe.IsKeyMaterial(obj) {
 					fact[obj] = true
 				}
 			}
 			if call, ok := n.(*ast.CallExpr); ok {
 				// A wipe kills the taint: zeroed bytes hold no secret.
-				for _, obj := range keyzero.WipeTargets(f.s.info, call) {
+				for _, obj := range deferwipe.WipeTargets(f.s.info, call) {
 					delete(fact, obj)
 				}
 				// copy(dst, src) moves the secret into dst's buffer.
 				if analysis.IsBuiltin(f.s.info, call, "copy") && len(call.Args) == 2 {
 					if f.s.mask(call.Args[1], look) != 0 {
-						if obj := keyzero.ResolveObj(f.s.info, call.Args[0]); obj != nil {
+						if obj := deferwipe.ResolveObj(f.s.info, call.Args[0]); obj != nil {
 							fact[obj] = true
 						}
 					}
@@ -194,7 +186,7 @@ func (f flow) Transfer(n ast.Node, fact taintFact) taintFact {
 				}
 				if f.s.mask(as.Rhs[i], look) != 0 {
 					fact[obj] = true
-				} else if as.Tok == token.ASSIGN && !keyzero.IsKeyMaterial(obj) {
+				} else if as.Tok == token.ASSIGN && !deferwipe.IsKeyMaterial(obj) {
 					// Strong update: overwritten with a clean value. Key-
 					// material names stay tainted — refills are their norm.
 					delete(fact, obj)
@@ -446,7 +438,7 @@ func (s *state) checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	entry := taintFact{}
 	for _, field := range paramFields(fn) {
 		for _, name := range field.Names {
-			if obj, ok := s.info.Defs[name].(*types.Var); ok && keyzero.IsKeyMaterial(obj) {
+			if obj, ok := s.info.Defs[name].(*types.Var); ok && deferwipe.IsKeyMaterial(obj) {
 				entry[obj] = true
 			}
 		}

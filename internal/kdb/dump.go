@@ -235,7 +235,7 @@ func (db *Database) LoadDumpShard(i int, dump []byte) error {
 	if err := sh.store.ReplaceAll(entries, meta); err != nil {
 		return err
 	}
-	sh.resetJournalLocked(meta.Serial, meta.Digest)
+	sh.resetJournalLocked(meta, nil)
 	return nil
 }
 

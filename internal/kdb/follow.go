@@ -23,20 +23,21 @@ const FollowPeriod = 250 * time.Millisecond
 // machine the same way (§5): KDBM is its only writer, the KDC only reads.
 //
 // A follower maps the shards' bases and replays their whole records at
-// open. It never creates, truncates, renames or deletes a file, and
-// takes no lock. Each poll reads the records appended since the last one
-// and feeds them to the shard through the same path a kprop delta takes
-// (ApplyChangesShard), with each record's own digest as the chain end:
-// the shard's journal fills as on a writer, so kprop can serve deltas
-// from a follower, and a record that does not extend the lineage is
-// caught by the digest check.
+// open, and journals the records it replayed. It never creates,
+// truncates, renames or deletes a file, and takes no lock. Each poll
+// reads the records appended since the last one and feeds them to the
+// shard through the same path a kprop delta takes (ApplyChangesShard),
+// each checked against its recorded digest: the shard's journal fills
+// as on a writer, so kprop can serve deltas from a follower, and a
+// record that does not extend the lineage is caught.
 //
 // When the records cannot be bridged — a compaction folded ones the
 // follower had not read, or a ReplaceAll (a full kprop install) started
 // a new lineage — the follower re-reads the shard from disk. If what it
 // reads still holds the follower's (serial, digest), only the records
 // past it are applied and the journal is kept; otherwise the re-read
-// image replaces the shard's contents and lineage in one step.
+// image replaces the shard's contents and lineage in one step, and its
+// records become the journal.
 type Follower struct {
 	shards []*followShard
 	db     *Database
@@ -98,7 +99,7 @@ func OpenFollower(masterKey des.Key, dir string) (*Database, *Follower, error) {
 			defer wg.Done()
 			start := time.Now()
 			fs := &followShard{dir: filepath.Join(dir, shardDirName(i))}
-			imgs[i], errs[i] = readImage(fs.dir, true, nil)
+			imgs[i], errs[i] = readImage(fs.dir, true)
 			if errs[i] != nil {
 				return
 			}
@@ -107,7 +108,7 @@ func OpenFollower(masterKey des.Key, dir string) (*Database, *Follower, error) {
 			fs.seek(img)
 			fs.stats = StartupStats{
 				StartupNS:     time.Since(start).Nanoseconds(),
-				ReplayRecords: img.replayed,
+				ReplayRecords: len(img.changes),
 				ResidentBytes: img.resident,
 				MappedBase:    img.snap != nil && img.snap.Mapped(),
 			}
@@ -129,7 +130,7 @@ func OpenFollower(masterKey des.Key, dir string) (*Database, *Follower, error) {
 	}
 	f.db = NewSharded(masterKey, stores)
 	for i, sh := range f.db.shards {
-		sh.resetJournalLocked(imgs[i].meta.Serial, imgs[i].meta.Digest)
+		sh.resetJournalLocked(imgs[i].from, records(imgs[i].changes))
 	}
 	f.db.SetReadOnly(true)
 	return f.db, f, nil
@@ -302,31 +303,19 @@ func (fs *followShard) readTail(sh *dbShard) error {
 		} else if err != nil {
 			return err
 		}
-		off := 0
-		for off < len(data) {
-			rec, n, ok := readLogRecord(data[off:])
-			if !ok {
-				break
-			}
-			c, err := decodeOneChange(rec.Enc)
-			if err != nil {
-				break
-			}
+		off := readChanges(data, func(c Change) {
 			changes = append(changes, c)
-			at = DumpMeta{Serial: rec.Serial, Digest: rec.Digest}
-			off += n
-		}
+			at = DumpMeta{Serial: c.Serial, Digest: c.Digest}
+		})
 		if off < len(data) && i < len(seqs)-1 {
 			return fmt.Errorf("%w: %s at offset %d", ErrBadSegment, segName(seq), start+int64(off))
 		}
 		fs.seq, fs.off = seq, start+int64(off)
 	}
-	if len(changes) > 0 {
-		// The records must continue the shard's serials and chain to the
-		// digest the last one carries; the apply checks both.
-		if err := sh.applyChanges(changes, at.Digest); err != nil {
-			return fmt.Errorf("%w: %v", errUnbridged, err)
-		}
+	// Each record must extend the shard's lineage, its recorded digest
+	// included; the apply checks.
+	if err := sh.applyChanges(changes, 0); err != nil {
+		return fmt.Errorf("%w: %v", errUnbridged, err)
 	}
 	fs.noteEnds(ends)
 	return nil
@@ -350,11 +339,10 @@ func readFrom(path string, off int64) ([]byte, error) {
 // still the base when it is done; a few tries cover back-to-back
 // compactions.
 func (fs *followShard) resync(sh *dbShard) error {
-	cur := DumpMeta{Serial: sh.serial.Load(), Digest: sh.digest.Load()}
 	var img *segImage
 	for try := 0; ; try++ {
 		var err error
-		if img, err = readImage(fs.dir, false, &cur); err != nil {
+		if img, err = readImage(fs.dir, false); err != nil {
 			return err
 		}
 		fi, err := os.Stat(filepath.Join(fs.dir, segBase4Name))
@@ -367,17 +355,15 @@ func (fs *followShard) resync(sh *dbShard) error {
 	}
 	fs.base = img.base
 	fs.seek(img)
-	if img.passed {
+	cur := DumpMeta{Serial: sh.serial.Load(), Digest: sh.digest.Load()}
+	if after, ok := img.since(cur); ok {
 		// The disk still holds this shard's history: keep the journal
 		// and apply only what lies past it.
-		if len(img.after) == 0 {
-			return nil
-		}
-		return sh.applyChanges(img.after, img.meta.Digest)
+		return sh.applyChanges(after, 0)
 	}
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
 	fs.mem.adopt(img.mem)
-	sh.resetJournalLocked(img.meta.Serial, img.meta.Digest)
+	sh.resetJournalLocked(img.from, records(img.changes))
 	return nil
 }

@@ -220,6 +220,10 @@ func TestFollowerReplaceAll(t *testing.T) {
 	addRange(t, w, 200, 203)
 	poll(t, f)
 	sameAs(t, "new lineage with records after it", fdb, w)
+	// The resync journals the records past the new base.
+	if recs, v := fdb.ChangesSinceShard(0, other.Serial(), other.Digest()); v != DeltaOK || len(recs) != 3 {
+		t.Fatalf("from the new base: %d changes (%v), want 3", len(recs), v)
+	}
 
 	// Back to a point of the follower's own history: the lineage the
 	// writer now holds is an ancestor of the follower's.
@@ -241,9 +245,9 @@ func TestFollowerHalfWrittenTail(t *testing.T) {
 	fdb, f := openFollower(t, dir)
 
 	// The next record, as the writer would frame it.
-	c := Change{Serial: w.Serial() + 1, Op: ChangeUpsert, Entry: mkEntry(7, 1)}
-	enc := encodeChange(c)
-	rec := appendLogRecord(nil, LogRec{Enc: enc, Serial: c.Serial, Digest: chainDigest(w.Digest(), enc)})
+	serial, e := w.Serial()+1, mkEntry(7, 1)
+	enc := appendChange(nil, serial, ChangeUpsert, e)
+	rec := appendLogRecord(nil, LogRec{Enc: enc, Serial: serial, Digest: chainDigest(w.Digest(), enc)})
 	s := segs[0]
 	write := func(b []byte) {
 		s.fileMu.Lock()
@@ -274,10 +278,10 @@ func TestFollowerHalfWrittenTail(t *testing.T) {
 	poll(t, f)
 	write(rec[len(rec)/2:])
 	poll(t, f)
-	if fdb.Serial() != c.Serial {
-		t.Fatalf("completed record not applied: serial %d, want %d", fdb.Serial(), c.Serial)
+	if fdb.Serial() != serial {
+		t.Fatalf("completed record not applied: serial %d, want %d", fdb.Serial(), serial)
 	}
-	if _, err := fdb.Get(c.Entry.Name, c.Entry.Instance); err != nil {
+	if _, err := fdb.Get(e.Name, e.Instance); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -428,5 +432,72 @@ func TestFollowerStartupStats(t *testing.T) {
 	}
 	if replayed != 30 {
 		t.Fatalf("replayed %d records, want 30", replayed)
+	}
+}
+
+// TestFollowerOpenJournal: a follower opened over a directory with
+// records past its base journals them, so it serves a slave one change
+// behind — and one at the base — a delta of the records on disk.
+func TestFollowerOpenJournal(t *testing.T) {
+	dir := t.TempDir()
+	w, segs := openSegDB(t, dir, 1, SegmentOptions{SegmentBytes: 512, CompactAfter: 1000, NoFsync: true})
+	addRange(t, w, 0, 40)
+	if err := segs[0].Compact(); err != nil {
+		t.Fatal(err)
+	}
+	addRange(t, w, 40, 45)
+	base, err := readKDB4Meta(filepath.Join(dir, shardDirName(0), segBase4Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The records past the base, as the writer framed them on disk.
+	var onDisk []LogRec
+	seqs, err := listSegments(filepath.Join(dir, shardDirName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seq := range seqs {
+		data, err := os.ReadFile(filepath.Join(dir, shardDirName(0), segName(seq)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		readChanges(data, func(c Change) {
+			if c.Serial > base.Serial {
+				onDisk = append(onDisk, c.LogRec)
+			}
+		})
+	}
+	if len(onDisk) == 0 || onDisk[len(onDisk)-1].Serial != w.Serial() {
+		t.Fatalf("%d records past the base at %d, writer at %d", len(onDisk), base.Serial, w.Serial())
+	}
+
+	fdb, _ := openFollower(t, dir)
+	n := len(onDisk)
+	for _, tc := range []struct {
+		name string
+		at   DumpMeta
+		want []LogRec
+	}{
+		{"one change behind", DumpMeta{onDisk[n-2].Serial, onDisk[n-2].Digest}, onDisk[n-1:]},
+		{"at the base", base, onDisk},
+	} {
+		got, v := fdb.ChangesSinceShard(0, tc.at.Serial, tc.at.Digest)
+		if v != DeltaOK || len(got) != len(tc.want) {
+			t.Fatalf("%s: %d changes (%v), want %d", tc.name, len(got), v, len(tc.want))
+		}
+		for i := range got {
+			if got[i].Serial != tc.want[i].Serial || got[i].Digest != tc.want[i].Digest ||
+				!bytes.Equal(got[i].Enc, tc.want[i].Enc) {
+				t.Fatalf("%s: record %d is not the one on disk", tc.name, i)
+			}
+		}
+		changes, err := DecodeChanges(EncodeChanges(got))
+		if err != nil || len(changes) != len(tc.want) {
+			t.Fatalf("%s: served records do not decode: %v", tc.name, err)
+		}
+	}
+	// Below the base the records are folded away: a full dump.
+	if _, v := fdb.ChangesSinceShard(0, base.Serial-1, 0); v != FallbackRetention {
+		t.Fatalf("below the base: %v", v)
 	}
 }

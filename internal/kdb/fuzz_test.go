@@ -120,14 +120,11 @@ func fixKDB4CRCs(data []byte) {
 func FuzzSegmentReplay(f *testing.F) {
 	src := New(followMaster)
 	addN(f, src, 8)
-	changes, _ := src.ChangesSinceShard(0, 0, 0)
+	recs, _ := src.ChangesSinceShard(0, 0, 0)
 	var log []byte
 	var ends []int
-	var meta DumpMeta
-	for _, c := range changes {
-		enc := encodeChange(c)
-		meta = DumpMeta{Serial: c.Serial, Digest: chainDigest(meta.Digest, enc)}
-		log = appendLogRecord(log, LogRec{Enc: enc, Serial: meta.Serial, Digest: meta.Digest})
+	for _, rec := range recs {
+		log = appendLogRecord(log, rec)
 		ends = append(ends, len(log))
 	}
 	sealed, last := log[:ends[3]], log[ends[3]:]

@@ -1,6 +1,8 @@
 package kdb
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -10,7 +12,7 @@ import (
 // scheme ships the whole database "about once an hour"; at millions of
 // principals that is the dominant replication cost, so the database now
 // keeps a monotonic serial, a rolling content digest, and a bounded
-// in-memory journal of entry-level changes. A slave that advertises a
+// in-memory journal of the last change records. A slave that advertises a
 // (serial, digest) the master can still verify receives only the journal
 // segment it is missing — O(churn) instead of O(database) — and anything
 // the master cannot verify (serial out of retention, digest mismatch, a
@@ -32,27 +34,23 @@ const (
 	ChangeDelete ChangeOp = 2 // Entry carries only Name/Instance
 )
 
-// Change is one journaled mutation: the serial it was applied under and
-// the entry it created, replaced, or removed.
-type Change struct {
-	Serial uint64
-	Op     ChangeOp
-	Entry  *Entry
-}
-
-// LogRec is one durable change record: the canonical encoding plus the
-// lineage coordinates it moves the shard to. Store.ApplyLogged receives
-// the records of every mutation it applies.
+// LogRec is one change record, the only form a change takes from the
+// mutation that makes it to the segment log, the journal and the kprop
+// delta payload: its canonical encoding plus the lineage coordinates it
+// moves the shard to. Store.ApplyLogged receives the records of every
+// mutation it applies.
 type LogRec struct {
 	Enc    []byte // appendChange encoding (op, serial, id, body)
 	Serial uint64
-	Digest uint64
+	Digest uint64 // 0 when not recorded: a delta payload carries no digests
 }
 
-// journalRec pairs a change with the database digest after applying it.
-type journalRec struct {
-	change Change
-	digest uint64
+// Change is one decoded change record: the record, and the entry it
+// created, replaced, or removed.
+type Change struct {
+	LogRec
+	Op    ChangeOp
+	Entry *Entry
 }
 
 // DefaultJournalCap bounds the in-memory journal: at 1% hourly churn it
@@ -84,47 +82,77 @@ func chainDigest(prev uint64, encodedChange []byte) uint64 {
 	return h.Sum64()
 }
 
-// appendChange serializes one change canonically (the encoding both the
-// journal digest and the kprop delta payload use).
-func appendChange(buf []byte, c Change) []byte {
-	buf = append(buf, byte(c.Op))
-	u64 := func(b []byte, v uint64) []byte {
-		return append(b,
-			byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-			byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-	}
-	buf = u64(buf, c.Serial)
-	buf = appendString(buf, c.Entry.Name)
-	buf = appendString(buf, c.Entry.Instance)
-	if c.Op == ChangeUpsert {
-		buf = appendEntryBody(buf, c.Entry)
+// next is the lineage rule every applied record obeys — the writer's
+// replay, a follower's tail and a slave's delta alike: rec extends the
+// lineage at m when its serial is m.Serial+1, and it moves the lineage to
+// its serial and to m's digest chained over its encoding, which a
+// recorded digest must equal. It returns that lineage and whether rec
+// extends m.
+func (m DumpMeta) next(rec LogRec) (DumpMeta, bool) {
+	to := DumpMeta{Serial: rec.Serial, Digest: chainDigest(m.Digest, rec.Enc)}
+	return to, rec.Serial == m.Serial+1 && (rec.Digest == 0 || rec.Digest == to.Digest)
+}
+
+// appendChange serializes one change canonically. Only a local mutation
+// encodes a change; everywhere else the change travels as these bytes.
+func appendChange(buf []byte, serial uint64, op ChangeOp, e *Entry) []byte {
+	buf = append(buf, byte(op))
+	buf = binary.BigEndian.AppendUint64(buf, serial)
+	buf = appendString(buf, e.Name)
+	buf = appendString(buf, e.Instance)
+	if op == ChangeUpsert {
+		buf = appendEntryBody(buf, e)
 	}
 	return buf
 }
 
-// encodeChange serializes a single change (journal digest unit).
-func encodeChange(c Change) []byte { return appendChange(nil, c) }
+// decodeChange parses the change encoded at the head of data. The
+// change's Enc is the exact span it was decoded from, a subslice of
+// data; its Digest is not recorded.
+func decodeChange(data []byte) (Change, error) {
+	r := dumpReader{data: data}
+	op := ChangeOp(r.u8())
+	serial := r.u64()
+	e := &Entry{Name: r.str(), Instance: r.str()}
+	switch op {
+	case ChangeUpsert:
+		readEntryBody(&r, e)
+	case ChangeDelete:
+		// name+instance only
+	default:
+		return Change{}, fmt.Errorf("%w: unknown op %d", ErrBadChanges, op)
+	}
+	if r.err != nil {
+		return Change{}, fmt.Errorf("%w: %v", ErrBadChanges, r.err)
+	}
+	n := len(data) - len(r.data)
+	return Change{LogRec: LogRec{Enc: data[:n:n], Serial: serial}, Op: op, Entry: e}, nil
+}
 
-// EncodeChanges serializes a journal segment for the wire. The serials
-// ride inside, so a keyed checksum of this buffer covers them.
-func EncodeChanges(changes []Change) []byte {
-	buf := append([]byte(nil), changesMagic[:]...)
-	var n [4]byte
-	n[0], n[1], n[2], n[3] = byte(len(changes)>>24), byte(len(changes)>>16), byte(len(changes)>>8), byte(len(changes))
-	buf = append(buf, n[:]...)
-	for _, c := range changes {
-		buf = appendChange(buf, c)
+// EncodeChanges frames journal records for the wire: the header, then
+// each record's encoding as it was written. The serials ride inside, so
+// a keyed checksum of this buffer covers them.
+func EncodeChanges(recs []LogRec) []byte {
+	n := 8
+	for _, rec := range recs {
+		n += len(rec.Enc)
+	}
+	buf := make([]byte, 0, n)
+	buf = append(buf, changesMagic[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
+	for _, rec := range recs {
+		buf = append(buf, rec.Enc...)
 	}
 	return buf
 }
 
 // DecodeChanges parses a wire journal segment, validating structure and
-// strictly ascending, contiguous serials.
+// strictly ascending, contiguous serials. Each change's Enc aliases data.
 func DecodeChanges(data []byte) ([]Change, error) {
 	if len(data) < 8 || [4]byte(data[:4]) != changesMagic {
 		return nil, ErrBadChanges
 	}
-	count := uint32(data[4])<<24 | uint32(data[5])<<16 | uint32(data[6])<<8 | uint32(data[7])
+	count := binary.BigEndian.Uint32(data[4:])
 	// Each change is ≥ 11 bytes (op + serial + two empty strings), so a
 	// count the payload cannot possibly hold is rejected before the
 	// pre-allocation below can amplify a small hostile delta into a
@@ -132,31 +160,21 @@ func DecodeChanges(data []byte) ([]Change, error) {
 	if uint64(count) > uint64(len(data))/minChangeSize {
 		return nil, fmt.Errorf("%w: implausible count %d", ErrBadChanges, count)
 	}
-	r := dumpReader{data: data[8:]}
+	rest := data[8:]
 	changes := make([]Change, 0, count)
 	for i := uint32(0); i < count; i++ {
-		op := ChangeOp(r.u8())
-		c := Change{Op: op, Serial: r.u64()}
-		e := &Entry{Name: r.str(), Instance: r.str()}
-		switch op {
-		case ChangeUpsert:
-			readEntryBody(&r, e)
-		case ChangeDelete:
-			// name+instance only
-		default:
-			return nil, fmt.Errorf("%w: unknown op %d", ErrBadChanges, op)
+		c, err := decodeChange(rest)
+		if err != nil {
+			return nil, err
 		}
-		if r.err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadChanges, r.err)
-		}
-		c.Entry = e
 		if n := len(changes); n > 0 && c.Serial != changes[n-1].Serial+1 {
 			return nil, fmt.Errorf("%w: serials not contiguous", ErrBadChanges)
 		}
 		changes = append(changes, c)
+		rest = rest[len(c.Enc):]
 	}
-	if len(r.data) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadChanges, len(r.data))
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadChanges, len(rest))
 	}
 	return changes, nil
 }
@@ -218,31 +236,59 @@ func (db *Database) JournalLen() int {
 	return n
 }
 
-// apply journals one mutation and applies it to the shard store
-// durably. Callers hold sh.wmu. The store receives the already-encoded
-// record, so a persisting Store writes the post-change lineage alongside
-// the data — and SegmentStore appends O(change) bytes instead of
-// rewriting the database.
-func (sh *dbShard) apply(op ChangeOp, e *Entry) {
-	c := Change{Serial: sh.serial.Load() + 1, Op: op, Entry: e.clone()}
-	enc := encodeChange(c)
-	digest := chainDigest(sh.digest.Load(), enc)
-	sh.serial.Store(c.Serial)
-	sh.digest.Store(digest)
-	sh.journal = append(sh.journal, journalRec{change: c, digest: digest})
-	sh.trimJournalLocked(false)
-	recs := []LogRec{{Enc: enc, Serial: c.Serial, Digest: digest}}
+// apply makes one local mutation: it encodes the change as the shard's
+// next record, has the store apply it durably, and only then advances
+// the shard's serial, digest and journal. Callers hold sh.wmu. A store
+// that fails (a disk error under a SegmentStore) leaves the shard as it
+// was, and the error is the mutation's. This is the only place a change
+// is encoded; every other path carries the record's bytes.
+func (sh *dbShard) apply(op ChangeOp, e *Entry) error {
+	serial := sh.serial.Load() + 1
+	enc := appendChange(nil, serial, op, e)
+	recs := []LogRec{{Enc: enc, Serial: serial, Digest: chainDigest(sh.digest.Load(), enc)}}
 	var err error
 	if op == ChangeDelete {
-		err = sh.store.ApplyLogged(recs, nil, []string{c.Entry.ID()})
+		err = sh.store.ApplyLogged(recs, nil, []string{e.ID()})
 	} else {
-		err = sh.store.ApplyLogged(recs, []*Entry{c.Entry}, nil)
+		err = sh.store.ApplyLogged(recs, []*Entry{e}, nil)
 	}
 	if err != nil {
-		// Continuing with a diverged file or log would silently violate
-		// the single-definitive-copy rule of §5.
-		panic(fmt.Errorf("kdb: appending change: %w", err))
+		return fmt.Errorf("kdb: appending change: %w", err)
 	}
+	sh.journalLocked(recs)
+	return nil
+}
+
+// journalLocked appends applied records, the last of which is the
+// shard's new lineage, to the journal. Each keeps its own copy of its
+// encoding, so the journal never pins the buffer a record was read from
+// (a segment file, a delta payload). Records older than the cap would be
+// trimmed at once, so they are skipped before being copied.
+func (sh *dbShard) journalLocked(recs []LogRec) {
+	if len(recs) == 0 {
+		return
+	}
+	if drop := len(recs) - sh.cap(); drop > 0 {
+		sh.journal = nil
+		sh.preBaseDigest = recs[drop-1].Digest
+		recs = recs[drop:]
+	}
+	for _, rec := range recs {
+		rec.Enc = bytes.Clone(rec.Enc)
+		sh.journal = append(sh.journal, rec)
+	}
+	last := recs[len(recs)-1]
+	sh.serial.Store(last.Serial)
+	sh.digest.Store(last.Digest)
+	sh.trimJournalLocked(false)
+}
+
+// cap is the journal's retention.
+func (sh *dbShard) cap() int {
+	if sh.journalCap <= 0 {
+		return DefaultJournalCap
+	}
+	return sh.journalCap
 }
 
 // trimJournalLocked drops the oldest records past the cap, remembering
@@ -253,10 +299,7 @@ func (sh *dbShard) apply(op ChangeOp, e *Entry) {
 // of one full-journal copy per change. exact forces an immediate trim
 // to the cap (SetJournalCap shrinking retention).
 func (sh *dbShard) trimJournalLocked(exact bool) {
-	cap := sh.journalCap
-	if cap <= 0 {
-		cap = DefaultJournalCap
-	}
+	cap := sh.cap()
 	slack := cap / 4
 	if exact {
 		slack = 0
@@ -265,17 +308,19 @@ func (sh *dbShard) trimJournalLocked(exact bool) {
 		return
 	}
 	drop := len(sh.journal) - cap
-	sh.preBaseDigest = sh.journal[drop-1].digest
+	sh.preBaseDigest = sh.journal[drop-1].Digest
 	sh.journal = append(sh.journal[:0:0], sh.journal[drop:]...)
 }
 
-// resetJournalLocked empties the journal after a bulk replacement; the
-// current digest becomes the retention boundary.
-func (sh *dbShard) resetJournalLocked(serial, digest uint64) {
-	sh.serial.Store(serial)
-	sh.digest.Store(digest)
+// resetJournalLocked puts the shard at base with an empty journal — a
+// bulk replacement — and then journals recs, the records that lead on
+// from base, so a slave the records reach can still be sent a delta.
+func (sh *dbShard) resetJournalLocked(base DumpMeta, recs []LogRec) {
+	sh.serial.Store(base.Serial)
+	sh.digest.Store(base.Digest)
 	sh.journal = nil
-	sh.preBaseDigest = digest
+	sh.preBaseDigest = base.Digest
+	sh.journalLocked(recs)
 }
 
 // DeltaVerdict says how the master can serve a slave at a given state.
@@ -305,15 +350,16 @@ func (v DeltaVerdict) String() string {
 	}
 }
 
-// ChangesSinceShard returns the journal segment a slave's shard i at
+// ChangesSinceShard returns the journal records a slave's shard i at
 // (serial, digest) is missing, verifying the digest against the
 // master's history at that serial. Any verdict other than DeltaOK means
-// the slave's shard must be healed with a full dump.
-func (db *Database) ChangesSinceShard(i int, serial, digest uint64) ([]Change, DeltaVerdict) {
+// the slave's shard must be healed with a full dump. The records' bytes
+// are the journal's own and must not be modified.
+func (db *Database) ChangesSinceShard(i int, serial, digest uint64) ([]LogRec, DeltaVerdict) {
 	return db.shards[i].changesSince(serial, digest)
 }
 
-func (sh *dbShard) changesSince(serial, digest uint64) ([]Change, DeltaVerdict) {
+func (sh *dbShard) changesSince(serial, digest uint64) ([]LogRec, DeltaVerdict) {
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
 	cur := sh.serial.Load()
@@ -329,7 +375,7 @@ func (sh *dbShard) changesSince(serial, digest uint64) ([]Change, DeltaVerdict) 
 	if len(sh.journal) == 0 {
 		return nil, FallbackRetention
 	}
-	base := sh.journal[0].change.Serial // oldest retained change
+	base := sh.journal[0].Serial // oldest retained change
 	if serial < base-1 {
 		return nil, FallbackRetention
 	}
@@ -338,30 +384,22 @@ func (sh *dbShard) changesSince(serial, digest uint64) ([]Change, DeltaVerdict) 
 	if serial == base-1 {
 		at = sh.preBaseDigest
 	} else {
-		at = sh.journal[serial-base].digest
+		at = sh.journal[serial-base].Digest
 	}
 	if at != digest {
 		return nil, FallbackDivergence
 	}
-	seg := sh.journal
-	if serial >= base {
-		seg = sh.journal[serial-base+1:]
-	}
-	changes := make([]Change, len(seg))
-	for i, rec := range seg {
-		changes[i] = rec.change
-	}
-	return changes, DeltaOK
+	return append([]LogRec(nil), sh.journal[serial+1-base:]...), DeltaOK
 }
 
 // ApplyChangesShard installs a verified journal segment on shard i of a
 // slave copy, bypassing the read-only discipline exactly like
-// LoadDumpShard. The segment must start at the shard's current serial + 1
-// (no gaps, no replays) and, when wantDigest is nonzero, must chain to
-// it — otherwise nothing is applied and the caller should request a full
-// resync. Every change must belong to shard i (the master sharded them
-// the same way); a misrouted change is rejected before anything is
-// applied.
+// LoadDumpShard. Every change must extend the shard's lineage in turn
+// (DumpMeta.next: no gaps, no replays, and a recorded digest must chain)
+// and, when wantDigest is nonzero, the last must land on it — otherwise
+// nothing is applied and the caller should request a full resync. Every
+// change must belong to shard i (the master sharded them the same way);
+// a misrouted change is rejected before anything is applied.
 func (db *Database) ApplyChangesShard(i int, changes []Change, wantDigest uint64) error {
 	for _, c := range changes {
 		if c.Entry == nil {
@@ -378,51 +416,52 @@ func (db *Database) ApplyChangesShard(i int, changes []Change, wantDigest uint64
 func (sh *dbShard) applyChanges(changes []Change, wantDigest uint64) error {
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	cur := sh.serial.Load()
-	if len(changes) == 0 {
-		if wantDigest != 0 && wantDigest != sh.digest.Load() {
-			return fmt.Errorf("%w: digest mismatch at serial %d", ErrSerialGap, cur)
-		}
-		return nil
-	}
-	if changes[0].Serial != cur+1 {
-		return fmt.Errorf("%w: have serial %d, delta starts at %d", ErrSerialGap, cur, changes[0].Serial)
-	}
+	at := DumpMeta{Serial: sh.serial.Load(), Digest: sh.digest.Load()}
 	// Validate and chain the digest before touching the store: the apply
-	// must be all-or-nothing.
-	digest := sh.digest.Load()
-	digests := make([]uint64, len(changes))
+	// must be all-or-nothing. The store takes a set, so only each
+	// principal's last change reaches it: a delete then a re-add of one
+	// principal must leave it present.
 	recs := make([]LogRec, len(changes))
-	var upserts []*Entry
-	var deletes []string
+	last := make(map[string]*Entry, len(changes))
+	var order []string
 	for i, c := range changes {
-		if c.Entry == nil || c.Serial != cur+1+uint64(i) {
-			return ErrBadChanges
+		next, ok := at.next(c.LogRec)
+		if !ok {
+			return fmt.Errorf("%w: have serial %d, change at %d does not extend it", ErrSerialGap, at.Serial, c.Serial)
+		}
+		id := c.Entry.ID()
+		if _, seen := last[id]; !seen {
+			order = append(order, id)
 		}
 		switch c.Op {
 		case ChangeUpsert:
-			upserts = append(upserts, c.Entry)
+			last[id] = c.Entry
 		case ChangeDelete:
-			deletes = append(deletes, c.Entry.ID())
+			last[id] = nil
 		default:
 			return ErrBadChanges
 		}
-		enc := encodeChange(c)
-		digest = chainDigest(digest, enc)
-		digests[i] = digest
-		recs[i] = LogRec{Enc: enc, Serial: c.Serial, Digest: digest}
+		recs[i] = LogRec{Enc: c.Enc, Serial: c.Serial, Digest: next.Digest}
+		at = next
 	}
-	if wantDigest != 0 && digest != wantDigest {
-		return fmt.Errorf("%w: digest mismatch after serial %d", ErrSerialGap, changes[len(changes)-1].Serial)
+	if wantDigest != 0 && at.Digest != wantDigest {
+		return fmt.Errorf("%w: digest mismatch at serial %d", ErrSerialGap, at.Serial)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	var upserts []*Entry
+	var deletes []string
+	for _, id := range order {
+		if e := last[id]; e != nil {
+			upserts = append(upserts, e)
+		} else {
+			deletes = append(deletes, id)
+		}
 	}
 	if err := sh.store.ApplyLogged(recs, upserts, deletes); err != nil {
 		return fmt.Errorf("kdb: appending delta: %w", err)
 	}
-	for i, c := range changes {
-		sh.journal = append(sh.journal, journalRec{change: c, digest: digests[i]})
-	}
-	sh.serial.Store(changes[len(changes)-1].Serial)
-	sh.digest.Store(digest)
-	sh.trimJournalLocked(false)
+	sh.journalLocked(recs)
 	return nil
 }

@@ -1,6 +1,7 @@
 package kdb
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"fmt"
@@ -22,6 +23,16 @@ func addN(t testing.TB, db *Database, n int) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// decoded is what a slave makes of journal records shipped to it.
+func decoded(t testing.TB, recs []LogRec) []Change {
+	t.Helper()
+	changes, err := DecodeChanges(EncodeChanges(recs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return changes
 }
 
 func TestSerialAdvancesOnEveryWrite(t *testing.T) {
@@ -93,12 +104,25 @@ func TestChangesSinceDeltaAndApply(t *testing.T) {
 	if len(ch) != 3 {
 		t.Fatalf("delta carries %d changes, want 3", len(ch))
 	}
-	if err := slave.ApplyChangesShard(0, ch, master.Digest()); err != nil {
+	from := DumpMeta{Serial: slave.Serial(), Digest: slave.Digest()}
+	payload := EncodeChanges(ch)
+	changes, err := DecodeChanges(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := slave.ApplyChangesShard(0, changes, master.Digest()); err != nil {
 		t.Fatal(err)
 	}
 	if slave.Serial() != master.Serial() || slave.Digest() != master.Digest() {
 		t.Fatalf("slave diverged after apply: (%d,%x) vs (%d,%x)",
 			slave.Serial(), slave.Digest(), master.Serial(), master.Digest())
+	}
+	// The slave's journal owns its records' bytes: reusing the payload
+	// buffer leaves what it serves on unchanged.
+	clear(payload)
+	if got, v := slave.ChangesSinceShard(0, from.Serial, from.Digest); v != DeltaOK ||
+		!bytes.Equal(EncodeChanges(got), EncodeChanges(ch)) {
+		t.Fatalf("slave journal does not serve the master's records after the payload was reused (%v)", v)
 	}
 	if !bytes.Equal(slave.DumpShard(0), master.DumpShard(0)) {
 		t.Fatal("slave contents differ from master after delta apply")
@@ -168,7 +192,7 @@ func TestApplyChangesRejectsGapsAndReplays(t *testing.T) {
 	if err := slave.LoadDumpShard(0, master.DumpShard(0)); err != nil {
 		t.Fatal(err)
 	}
-	addN2 := func() []Change {
+	addN2 := func() []LogRec {
 		key, _ := des.NewRandomKey()
 		if err := master.SetKey("user000", "", key, "x", t0); err != nil {
 			t.Fatal(err)
@@ -180,28 +204,28 @@ func TestApplyChangesRejectsGapsAndReplays(t *testing.T) {
 		return ch
 	}
 	ch := addN2()
-	if err := slave.ApplyChangesShard(0, ch, master.Digest()); err != nil {
+	if err := slave.ApplyChangesShard(0, decoded(t, ch), master.Digest()); err != nil {
 		t.Fatal(err)
 	}
 	// Replay: first serial ≤ current.
-	if err := slave.ApplyChangesShard(0, ch, 0); !errors.Is(err, ErrSerialGap) {
+	if err := slave.ApplyChangesShard(0, decoded(t, ch), 0); !errors.Is(err, ErrSerialGap) {
 		t.Fatalf("replay err = %v", err)
 	}
 	// Gap: skip ahead.
-	gap := []Change{{Serial: slave.Serial() + 5, Op: ChangeDelete, Entry: &Entry{Name: "x"}}}
+	gap := []Change{{LogRec: LogRec{Serial: slave.Serial() + 5}, Op: ChangeDelete, Entry: &Entry{Name: "x"}}}
 	if err := slave.ApplyChangesShard(0, gap, 0); !errors.Is(err, ErrSerialGap) {
 		t.Fatalf("gap err = %v", err)
 	}
 	// Wrong digest: all-or-nothing, nothing applied.
 	ch2 := addN2()
 	before := slave.Serial()
-	if err := slave.ApplyChangesShard(0, ch2, 0xbad); !errors.Is(err, ErrSerialGap) {
+	if err := slave.ApplyChangesShard(0, decoded(t, ch2), 0xbad); !errors.Is(err, ErrSerialGap) {
 		t.Fatalf("digest err = %v", err)
 	}
 	if slave.Serial() != before {
 		t.Fatal("failed apply advanced the serial")
 	}
-	if err := slave.ApplyChangesShard(0, ch2, master.Digest()); err != nil {
+	if err := slave.ApplyChangesShard(0, decoded(t, ch2), master.Digest()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -225,13 +249,21 @@ func TestEncodeDecodeChangesRoundTrip(t *testing.T) {
 		t.Fatalf("decoded %d changes, want %d", len(dec), len(ch))
 	}
 	for i := range ch {
-		if dec[i].Serial != ch[i].Serial || dec[i].Op != ch[i].Op ||
-			!entryEqual(dec[i].Entry, ch[i].Entry) && ch[i].Op == ChangeUpsert {
+		if dec[i].Serial != ch[i].Serial || !bytes.Equal(dec[i].Enc, ch[i].Enc) {
 			t.Fatalf("change %d round-trip mismatch", i)
 		}
+		if dec[i].Op != ChangeUpsert || dec[i].Entry.Name == "user002" {
+			continue // deleted since
+		}
+		if want, err := master.Get(dec[i].Entry.Name, ""); err != nil || !entryEqual(dec[i].Entry, want) {
+			t.Fatalf("change %d decodes to %+v, master holds %+v", i, dec[i].Entry, want)
+		}
 	}
-	// Re-encoding the decoded set is byte-identical (canonical form).
-	if !bytes.Equal(EncodeChanges(dec), enc) {
+	if dec[4].Op != ChangeDelete || dec[4].Entry.ID() != ID("user002", "") {
+		t.Fatalf("last change = %+v", dec[4])
+	}
+	// The decoded records' encodings frame back to the same payload.
+	if !bytes.Equal(EncodeChanges(records(dec)), enc) {
 		t.Fatal("re-encode differs")
 	}
 }
@@ -311,8 +343,9 @@ func TestJournalRetentionTrim(t *testing.T) {
 // TestKillMidSaveLeavesOldDump proves the temp+fsync+rename discipline
 // of WriteFileAtomic (every base install goes through it): a process
 // killed while saving leaves either the old dump or the new one, never
-// a torn file. The child process overwrites a dump in a loop until the
-// parent kills it mid-flight.
+// a torn file. The child process overwrites a dump in a loop, saying so
+// on stdout once its first save is complete; the parent then kills it
+// mid-flight.
 func TestKillMidSaveLeavesOldDump(t *testing.T) {
 	if os.Getenv("KDB_KILL_CHILD") == "1" {
 		path := os.Getenv("KDB_KILL_PATH")
@@ -328,28 +361,41 @@ func TestKillMidSaveLeavesOldDump(t *testing.T) {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
+			if i == 0 {
+				fmt.Println(killChildSaved)
+			}
 		}
 	}
 
 	dir := t.TempDir()
 	path := filepath.Join(dir, "kdb")
 	for round := 0; round < 3; round++ {
-		cmd := exec.Command(os.Args[0], "-test.run", "TestKillMidSaveLeavesOldDump")
+		cmd := exec.Command(os.Args[0], "-test.run", "^TestKillMidSaveLeavesOldDump$")
 		cmd.Env = append(os.Environ(), "KDB_KILL_CHILD=1", "KDB_KILL_PATH="+path)
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := cmd.Start(); err != nil {
 			t.Fatal(err)
 		}
-		time.Sleep(time.Duration(50+round*40) * time.Millisecond)
+		saved := false
+		for sc := bufio.NewScanner(stdout); !saved && sc.Scan(); {
+			saved = sc.Text() == killChildSaved
+		}
+		if saved {
+			time.Sleep(time.Duration(10+round*20) * time.Millisecond)
+		}
 		if err := cmd.Process.Kill(); err != nil {
 			t.Fatal(err)
 		}
 		cmd.Wait()
+		if !saved {
+			t.Fatalf("round %d: the child exited before its first save", round)
+		}
 
 		data, err := os.ReadFile(path)
 		if err != nil {
-			if os.IsNotExist(err) && round == 0 {
-				continue // killed before the very first save landed
-			}
 			t.Fatal(err)
 		}
 		if _, _, err := ParseDumpFull(data); err != nil {
@@ -357,6 +403,10 @@ func TestKillMidSaveLeavesOldDump(t *testing.T) {
 		}
 	}
 }
+
+// killChildSaved is the line TestKillMidSaveLeavesOldDump's child prints
+// once its first save is complete.
+const killChildSaved = "first save complete"
 
 // TestDecodeChangesImplausibleCount proves a hostile count prefix cannot
 // amplify a tiny delta into a multi-megabyte pre-allocation: each change
@@ -382,5 +432,92 @@ func TestDecodeChangesImplausibleCount(t *testing.T) {
 	enc := EncodeChanges(changes)
 	if got, err := DecodeChanges(enc); err != nil || len(got) != 1 {
 		t.Fatalf("legitimate change set rejected: %v", err)
+	}
+}
+
+// failingStore is an in-memory store whose ApplyLogged fails while fail
+// is set, as a SegmentStore's does when its disk is full.
+type failingStore struct {
+	*EpochStore
+	fail bool
+}
+
+var errDiskFull = errors.New("disk full")
+
+func (s *failingStore) ApplyLogged(recs []LogRec, upserts []*Entry, deletes []string) error {
+	if s.fail {
+		return errDiskFull
+	}
+	return s.EpochStore.ApplyLogged(recs, upserts, deletes)
+}
+
+// TestMutationStoreError: a mutation whose store append fails returns
+// the error and leaves serial, digest, journal and contents as they
+// were; the next good mutation lands at serial + 1 and chains.
+func TestMutationStoreError(t *testing.T) {
+	store := &failingStore{EpochStore: NewEpochStore()}
+	db := NewWithStore(followMaster, store)
+	addN(t, db, 3)
+	serial, digest, jlen := db.Serial(), db.Digest(), db.JournalLen()
+	key := des.StringToKey("pw", "R")
+
+	store.fail = true
+	for name, mutate := range map[string]func() error{
+		"Add":           func() error { return db.Add("new", "", key, core.DefaultTGTLife, "t", t0) },
+		"SetKey":        func() error { return db.SetKey("user000", "", key, "t", t0) },
+		"SetExpiration": func() error { return db.SetExpiration("user001", "", t0.Add(time.Hour), "t", t0) },
+		"Delete":        func() error { return db.Delete("user002", "") },
+	} {
+		if err := mutate(); !errors.Is(err, errDiskFull) {
+			t.Fatalf("%s on a failing store: %v", name, err)
+		}
+		if db.Serial() != serial || db.Digest() != digest || db.JournalLen() != jlen {
+			t.Fatalf("%s: failed mutation moved the shard to (%d, %x, journal %d)",
+				name, db.Serial(), db.Digest(), db.JournalLen())
+		}
+	}
+	if db.Len() != 3 {
+		t.Fatalf("failed mutations changed the contents: %d principals", db.Len())
+	}
+
+	store.fail = false
+	if err := db.Delete("user002", ""); err != nil {
+		t.Fatal(err)
+	}
+	recs, v := db.ChangesSinceShard(0, serial, digest)
+	if v != DeltaOK || len(recs) != 1 || recs[0].Serial != serial+1 ||
+		recs[0].Digest != chainDigest(digest, recs[0].Enc) || db.Digest() != recs[0].Digest {
+		t.Fatalf("next mutation does not extend the lineage: %+v, %v", recs, v)
+	}
+}
+
+// TestApplyChangesDeleteThenReAdd: a delta that deletes a principal and
+// adds it back leaves it present, as the master has it.
+func TestApplyChangesDeleteThenReAdd(t *testing.T) {
+	master := newTestDB(t)
+	addN(t, master, 2)
+	slave := New(master.masterKey)
+	if err := slave.LoadDumpShard(0, master.DumpShard(0)); err != nil {
+		t.Fatal(err)
+	}
+	from := DumpMeta{Serial: master.Serial(), Digest: master.Digest()}
+	if err := master.Delete("user001", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Add("user001", "", des.StringToKey("again", "R"), core.DefaultTGTLife, "t", t0); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Add("user002", "", des.StringToKey("x", "R"), core.DefaultTGTLife, "t", t0); err != nil {
+		t.Fatal(err)
+	}
+	if err := master.Delete("user002", ""); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := master.ChangesSinceShard(0, from.Serial, from.Digest)
+	if err := slave.ApplyChangesShard(0, decoded(t, recs), master.Digest()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(slave.DumpShard(0), master.DumpShard(0)) {
+		t.Fatalf("slave holds %v, master %v", slave.List(), master.List())
 	}
 }

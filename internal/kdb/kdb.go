@@ -193,7 +193,7 @@ type dbShard struct {
 	wmu           sync.Mutex
 	serial        atomic.Uint64
 	digest        atomic.Uint64
-	journal       []journalRec
+	journal       []LogRec
 	journalCap    int
 	preBaseDigest uint64
 }
@@ -309,8 +309,7 @@ func (db *Database) Add(name, instance string, key des.Key, maxLife core.Lifetim
 		ModTime:    now,
 		ModBy:      modBy,
 	}
-	sh.apply(ChangeUpsert, e)
-	return nil
+	return sh.apply(ChangeUpsert, e)
 }
 
 // Get fetches a principal's entry as a private copy the caller may
@@ -372,7 +371,7 @@ func (db *Database) KeyCipher(e *Entry) (*des.Cipher, error) {
 	}
 	plain, err := db.masterCipher.Unseal(e.EncKey)
 	// The unsealed buffer is the principal's private key in the clear;
-	// wipe it on every return path (§4.1 keyzero discipline).
+	// wipe it on every return path (§4.1; kervet's deferwipe checks it).
 	defer clear(plain)
 	if err != nil {
 		return nil, ErrMasterKey
@@ -404,8 +403,7 @@ func (db *Database) SetKey(name, instance string, key des.Key, modBy string, now
 	e.KVNO++
 	e.ModTime = now
 	e.ModBy = modBy
-	sh.apply(ChangeUpsert, e)
-	return nil
+	return sh.apply(ChangeUpsert, e)
 }
 
 // SetExpiration changes a principal's expiration date — the
@@ -425,8 +423,7 @@ func (db *Database) SetExpiration(name, instance string, expiration time.Time, m
 	e.Expiration = expiration
 	e.ModTime = now
 	e.ModBy = modBy
-	sh.apply(ChangeUpsert, e)
-	return nil
+	return sh.apply(ChangeUpsert, e)
 }
 
 // Delete removes a principal.
@@ -441,8 +438,7 @@ func (db *Database) Delete(name, instance string) error {
 	if _, ok := sh.store.FetchShared(ID(name, instance)); !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
 	}
-	sh.apply(ChangeDelete, &Entry{Name: name, Instance: instance})
-	return nil
+	return sh.apply(ChangeDelete, &Entry{Name: name, Instance: instance})
 }
 
 // Range iterates the database in deterministic (globally ID-sorted)

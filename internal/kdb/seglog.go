@@ -42,8 +42,8 @@ func flatResidentEstimate(entries []*Entry) int64 {
 // read once as an import, and the first compaction or ReplaceAll
 // upgrades it to KDB4, the only base format the store writes.)
 //
-// A mutation appends one framed record — the same canonical appendChange
-// encoding the journal digest and the kprop delta plane already use — to
+// A mutation appends one framed record — the change's appendChange
+// encoding, the very bytes the journal keeps and kprop ships — to
 // the active (highest-numbered) segment: O(change) bytes written, never a
 // full-file rewrite. When the active segment passes SegmentBytes it is
 // sealed by opening the next segment; sealed segments are immutable. A
@@ -147,8 +147,9 @@ func segName(seq uint64) string { return fmt.Sprintf("%s%08d%s", segPrefix, seq,
 //	[u32 payload len][u32 CRC-32 (IEEE) of payload][payload]
 //	payload = [u64 serial][u64 digest][appendChange encoding]
 //
-// The serial and digest ride in the frame (redundant with the encoding)
-// so replay can filter already-folded records without parsing entries.
+// The serial rides in the frame as well as in the encoding, and a reader
+// refuses a record whose two disagree; the digest lets a reader check
+// each record against the lineage rule (DumpMeta.next).
 func appendLogRecord(buf []byte, rec LogRec) []byte {
 	payloadLen := 16 + len(rec.Enc)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(payloadLen))
@@ -160,30 +161,6 @@ func appendLogRecord(buf []byte, rec LogRec) []byte {
 	crc := crc32.ChecksumIEEE(buf[start+4:])
 	binary.BigEndian.PutUint32(buf[start:], crc)
 	return buf
-}
-
-// decodeOneChange parses a single appendChange encoding.
-func decodeOneChange(data []byte) (Change, error) {
-	r := dumpReader{data: data}
-	op := ChangeOp(r.u8())
-	c := Change{Op: op, Serial: r.u64()}
-	e := &Entry{Name: r.str(), Instance: r.str()}
-	switch op {
-	case ChangeUpsert:
-		readEntryBody(&r, e)
-	case ChangeDelete:
-		// name+instance only
-	default:
-		return Change{}, fmt.Errorf("%w: unknown op %d", ErrBadChanges, op)
-	}
-	if r.err != nil {
-		return Change{}, fmt.Errorf("%w: %v", ErrBadChanges, r.err)
-	}
-	if len(r.data) != 0 {
-		return Change{}, fmt.Errorf("%w: %d trailing bytes", ErrBadChanges, len(r.data))
-	}
-	c.Entry = e
-	return c, nil
 }
 
 // OpenSegmentStore opens (or creates) a segment-log store in dir.
@@ -239,12 +216,12 @@ func (s *SegmentStore) open() error {
 // load replays base + segments into memory, truncates a torn tail, and
 // opens the active segment.
 func (s *SegmentStore) load() error {
-	img, err := readImage(s.dir, true, nil)
+	img, err := readImage(s.dir, true)
 	if err != nil {
 		return err
 	}
 	s.mem, s.snap, s.lastMeta = img.mem, img.snap, img.meta
-	s.replayRecords, s.residentBytes = img.replayed, img.resident
+	s.replayRecords, s.residentBytes = len(img.changes), img.resident
 	if len(img.seqs) == 0 {
 		s.activeSeq = 1
 	} else {
@@ -282,19 +259,14 @@ type segImage struct {
 	mem      *EpochStore
 	snap     *Snapshot   // base the image aliases; nil for a flat or absent base
 	base     os.FileInfo // the KDB4 base as found before reading it; nil if none
+	from     DumpMeta    // lineage of the base
 	meta     DumpMeta    // lineage after the last replayed record
+	changes  []Change    // the records replayed on top of the base, in order
 	seqs     []uint64    // segments found, ascending
 	end      int64       // offset after the last whole record of the last segment
 	size     int64       // length of the last segment as read
-	replayed int         // records replayed on top of the base
 	resident int64       // base mapping/heap + index estimate
 	ends     []DumpMeta  // lineage at the end of each segment but the last
-
-	// With a watch point, passed reports whether the image's history
-	// holds it (the base is at it, or a replayed record lands on it),
-	// and after holds every replayed change past it.
-	passed bool
-	after  []Change
 }
 
 // readImage loads dir's base and replays its segments. mapBase maps a
@@ -308,11 +280,12 @@ type segImage struct {
 // A KDB4 base is preferred over a legacy flat one: whenever both exist
 // the KDB4 file is the newer (bases are only written by compaction and
 // ReplaceAll, both of which remove the other format after installing).
-func readImage(dir string, mapBase bool, watch *DumpMeta) (*segImage, error) {
+func readImage(dir string, mapBase bool) (*segImage, error) {
 	img := &segImage{mem: NewEpochStore()}
 	err := img.loadBases(dir, mapBase)
 	if err == nil {
-		err = img.replay(dir, watch)
+		img.from = img.meta
+		err = img.replay(dir)
 	}
 	if err != nil {
 		if img.snap != nil {
@@ -394,16 +367,15 @@ func (img *segImage) apply(c Change) {
 	} else {
 		img.mem.Put(c.Entry)
 	}
-	img.replayed++
 }
 
-// replay applies every segment's records on top of the base.
-func (img *segImage) replay(dir string, watch *DumpMeta) error {
+// replay applies every segment's records on top of the base, keeping
+// them.
+func (img *segImage) replay(dir string) error {
 	seqs, err := listSegments(dir)
 	if err != nil {
 		return err
 	}
-	img.passed = watch != nil && img.meta == *watch
 	for i, seq := range seqs {
 		data, err := os.ReadFile(filepath.Join(dir, segName(seq)))
 		if os.IsNotExist(err) {
@@ -413,12 +385,7 @@ func (img *segImage) replay(dir string, watch *DumpMeta) error {
 		}
 		end := replayLog(data, &img.meta, func(c Change) {
 			img.apply(c)
-			switch {
-			case img.passed:
-				img.after = append(img.after, c)
-			case watch != nil && img.meta == *watch:
-				img.passed = true
-			}
+			img.changes = append(img.changes, c)
 		})
 		if i < len(seqs)-1 {
 			if end < len(data) {
@@ -455,30 +422,62 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// replayLog walks the whole framed records at the head of data and, for
-// each change that extends meta's lineage, advances meta past it and
-// calls apply: the record at serial meta.Serial+1 whose digest chains from
-// meta.Digest over its encoding. Records at or below meta.Serial are
-// already in the base. A record that does not extend the lineage
-// belongs to one a later base replaced (a crash between ReplaceAll's
-// base install and its segment removal) and is skipped. It returns the
-// offset of the first incomplete or damaged record, len(data) when every
-// record is whole.
+// since returns the image's records past the lineage point at, and
+// whether the image's history holds at (the base is at it, or a
+// replayed record lands on it).
+func (img *segImage) since(at DumpMeta) ([]Change, bool) {
+	if at.Serial < img.from.Serial || at.Serial-img.from.Serial > uint64(len(img.changes)) {
+		return nil, false
+	}
+	k := at.Serial - img.from.Serial
+	d := img.from.Digest
+	if k > 0 {
+		d = img.changes[k-1].Digest
+	}
+	return img.changes[k:], d == at.Digest
+}
+
+// records returns the LogRecs of changes.
+func records(changes []Change) []LogRec {
+	recs := make([]LogRec, len(changes))
+	for i, c := range changes {
+		recs[i] = c.LogRec
+	}
+	return recs
+}
+
+// replayLog calls apply on each record in data that extends meta's
+// lineage (DumpMeta.next), advancing meta past it. Records at or below
+// meta.Serial are already in the base. A record that does not extend the
+// lineage belongs to one a later base replaced (a crash between
+// ReplaceAll's base install and its segment removal) and is skipped. It
+// returns what readChanges returns.
 func replayLog(data []byte, meta *DumpMeta, apply func(Change)) int {
+	return readChanges(data, func(c Change) {
+		if next, ok := meta.next(c.LogRec); ok {
+			*meta = next
+			apply(c)
+		}
+	})
+}
+
+// readChanges decodes the whole framed records at the head of data and
+// calls fn with each, its Enc aliasing data. It returns the offset of the
+// first incomplete or damaged record, len(data) when every record is
+// whole.
+func readChanges(data []byte, fn func(Change)) int {
 	off := 0
 	for off < len(data) {
 		rec, n, ok := readLogRecord(data[off:])
 		if !ok {
 			return off
 		}
-		if rec.Serial == meta.Serial+1 && rec.Digest == chainDigest(meta.Digest, rec.Enc) {
-			c, err := decodeOneChange(rec.Enc)
-			if err != nil {
-				return off
-			}
-			*meta = DumpMeta{Serial: rec.Serial, Digest: rec.Digest}
-			apply(c)
+		c, err := decodeChange(rec.Enc)
+		if err != nil || len(c.Enc) != len(rec.Enc) || c.Serial != rec.Serial {
+			return off
 		}
+		c.Digest = rec.Digest
+		fn(c)
 		off += n
 	}
 	return off

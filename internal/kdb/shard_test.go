@@ -308,7 +308,7 @@ func TestShardedDeltaPlane(t *testing.T) {
 		if verdict != DeltaOK {
 			t.Fatalf("shard %d verdict %v", i, verdict)
 		}
-		if err := dst.ApplyChangesShard(i, changes, src.ShardDigest(i)); err != nil {
+		if err := dst.ApplyChangesShard(i, decoded(t, changes), src.ShardDigest(i)); err != nil {
 			t.Fatalf("shard %d apply: %v", i, err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestShardedDeltaPlane(t *testing.T) {
 		t.Skip("no retained changes for shard 0")
 	}
 	for i := 1; i < 4; i++ {
-		if err := dst.ApplyChangesShard(i, changes, 0); err == nil {
+		if err := dst.ApplyChangesShard(i, decoded(t, changes), 0); err == nil {
 			t.Fatalf("misrouted delta for shard 0 accepted by shard %d", i)
 		}
 		break

@@ -404,13 +404,13 @@ func (m *Master) exchange(addr string, shard int, rnd *round) (pushResult, error
 
 	sendFull := m.forceFull
 	if !sendFull {
-		changes, verdict := m.db.ChangesSinceShard(shard, sh.Serial, sh.Digest)
+		recs, verdict := m.db.ChangesSinceShard(shard, sh.Serial, sh.Digest)
 		if verdict != kdb.DeltaOK {
 			sendFull = true
 			res.fallback = verdict.String()
 		} else {
-			seg := kdb.EncodeChanges(changes)
-			to := sh.Serial + uint64(len(changes))
+			seg := kdb.EncodeChanges(recs)
+			to := sh.Serial + uint64(len(recs))
 			d := DeltaMsg{
 				From:      sh.Serial,
 				To:        to,
@@ -421,7 +421,7 @@ func (m *Master) exchange(addr string, shard int, rnd *round) (pushResult, error
 				return res, fmt.Errorf("kprop: sending delta to %s: %w", addr, err)
 			}
 			res.kind = "delta"
-			res.changes = len(changes)
+			res.changes = len(recs)
 			res.wireBytes = len(d.Payload)
 			ack, err := m.readAck(conn, addr)
 			if err != nil {

@@ -5,6 +5,8 @@ package kprop
 // and bounded-concurrency fan-out.
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -240,8 +242,10 @@ func TestNeedFullRecoveryOnConnection(t *testing.T) {
 	if verdict != kdb.DeltaOK || len(changes) != 1 {
 		t.Fatalf("changes = %d, %v", len(changes), verdict)
 	}
-	gapped := []kdb.Change{{Serial: changes[0].Serial + 2, Op: changes[0].Op, Entry: changes[0].Entry}}
-	seg := kdb.EncodeChanges(gapped)
+	// The record's serial follows its op byte.
+	gapped := kdb.LogRec{Enc: bytes.Clone(changes[0].Enc), Serial: changes[0].Serial + 2}
+	binary.BigEndian.PutUint64(gapped.Enc[1:], gapped.Serial)
+	seg := kdb.EncodeChanges([]kdb.LogRec{gapped})
 	d := DeltaMsg{
 		From:      sh.Serial + 2,
 		To:        sh.Serial + 3,

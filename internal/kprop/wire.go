@@ -125,8 +125,11 @@ func (r *wireReader) blob() []byte {
 	if r.err != nil {
 		return nil
 	}
+	// Only a length's minimal encoding is accepted, so a message decodes
+	// from exactly the bytes it encodes to.
+	var minimal [binary.MaxVarintLen64]byte
 	n, used := binary.Uvarint(r.data)
-	if used <= 0 || n > MaxMessage || uint64(len(r.data)-used) < n {
+	if used <= 0 || used != binary.PutUvarint(minimal[:], n) || n > MaxMessage || uint64(len(r.data)-used) < n {
 		r.err = ErrBadMessage
 		return nil
 	}

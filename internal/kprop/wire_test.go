@@ -11,6 +11,7 @@ package kprop
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"fmt"
 	"os"
@@ -44,10 +45,28 @@ func goldenEntry() *kdb.Entry {
 	}
 }
 
-func goldenChangeSet() []kdb.Change {
-	return []kdb.Change{
-		{Serial: 42, Op: kdb.ChangeUpsert, Entry: goldenEntry()},
-		{Serial: 43, Op: kdb.ChangeDelete, Entry: &kdb.Entry{Name: "old", Instance: "priam"}},
+// goldenChangeSet is an upsert of goldenEntry at serial 42 and a delete
+// of old.priam at 43, encoded here from the change format itself (op,
+// serial, name, instance, and for an upsert the entry body) — the
+// package has no change encoder of its own to use.
+func goldenChangeSet() []kdb.LogRec {
+	str := func(b []byte, s string) []byte { return append(binary.AppendUvarint(b, uint64(len(s))), s...) }
+	change := func(serial uint64, op kdb.ChangeOp, e *kdb.Entry) kdb.LogRec {
+		b := binary.BigEndian.AppendUint64([]byte{byte(op)}, serial)
+		b = str(str(b, e.Name), e.Instance)
+		if op == kdb.ChangeUpsert {
+			b = str(b, string(e.EncKey))
+			b = append(b, e.KVNO)
+			b = binary.BigEndian.AppendUint64(b, uint64(e.Expiration.Unix()))
+			b = append(b, byte(e.MaxLife))
+			b = binary.BigEndian.AppendUint64(b, uint64(e.ModTime.Unix()))
+			b = str(b, e.ModBy)
+		}
+		return kdb.LogRec{Enc: b, Serial: serial}
+	}
+	return []kdb.LogRec{
+		change(42, kdb.ChangeUpsert, goldenEntry()),
+		change(43, kdb.ChangeDelete, &kdb.Entry{Name: "old", Instance: "priam"}),
 	}
 }
 
@@ -188,11 +207,14 @@ func TestKpropGoldenRoundTrip(t *testing.T) {
 		if len(changes) != len(want) {
 			t.Fatalf("decoded %d changes, want %d", len(changes), len(want))
 		}
-		for i := range want {
-			if changes[i].Serial != want[i].Serial || changes[i].Op != want[i].Op ||
-				changes[i].Entry.Name != want[i].Entry.Name {
+		for i, op := range []kdb.ChangeOp{kdb.ChangeUpsert, kdb.ChangeDelete} {
+			if changes[i].Serial != want[i].Serial || changes[i].Op != op ||
+				!bytes.Equal(changes[i].Enc, want[i].Enc) {
 				t.Errorf("change %d = %+v", i, changes[i])
 			}
+		}
+		if changes[1].Entry.ID() != "old.priam" {
+			t.Errorf("delete names %s", changes[1].Entry.ID())
 		}
 		if changes[0].Entry.KVNO != 3 || !bytes.Equal(changes[0].Entry.EncKey, goldenEntry().EncKey) {
 			t.Errorf("upsert entry body diverged: %+v", changes[0].Entry)
