@@ -1,9 +1,9 @@
-// Package a is the deferwipe fixture. This file is path-sensitive wipe
-// coverage: every // want here is a path that leaks although a wipe
+// Package a is the path-sensitive half of the deferwipe fixture:
+// every // want here is a path that leaks although a wipe
 // exists; every silent case is a shape a syntactic "more than one
 // return needs a defer" rule would have flagged falsely (or a known
-// false-positive shape that must stay silent). b.go holds key material
-// that is never wiped at all.
+// false-positive shape that must stay silent). Package b holds key
+// material that is never wiped at all.
 package a
 
 import "errors"

@@ -1,7 +1,13 @@
-// The "not zeroized" half of the fixture: key material no zeroizer
-// touches, which candidates count as key material, and which uses hand
-// the duty to wipe to someone else.
-package a
+// Package b is the "not zeroized" half of the deferwipe fixture: key
+// material no zeroizer touches, which candidates count as key material,
+// and which uses hand the duty to wipe to someone else.
+package b
+
+// Key mimics des.Key.
+type Key [8]byte
+
+func use(...any)  {}
+func derive() Key { var k Key; k[0] = 1; return k }
 
 type entry struct{ key Key }
 
