@@ -35,14 +35,19 @@ race-regress:
 
 # Flake hunt: the test that flaked when a late reply reached a reused
 # client port (TestUDPBurstConcurrentExchanges) and the stale-reply
-# tests that pin its fix, 200 times under the race detector at
-# GOMAXPROCS 1, 2 and 4. Kept out of ci until the two remaining flaky
-# tests (ROADMAP item 10) are fixed and can join it.
+# tests that pin its fix, and zephyr's slow-subscriber test and the
+# test that a closed, undrained subscription releases its reader
+# goroutine, 200 times under the race detector at GOMAXPROCS 1, 2 and
+# 4. Kept out of ci until the two remaining flaky tests (ROADMAP item
+# 10) are fixed and can join it.
 flake-hunt:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p go test -race -count=200 -timeout 30m \
 			-run 'TestUDPBurstConcurrentExchanges|TestSelectorDiscardsStaleReply|TestPooledDiscardsStaleDuplicate|TestPooledUncleanExchangesClose' \
 			./internal/kdc/ || exit 1; \
+		GOMAXPROCS=$$p go test -race -count=200 -timeout 30m \
+			-run 'TestSlowSubscriberDoesNotBlockDelivery|TestClosedUndrainedSubscriptionReleasesReader' \
+			./internal/apps/zephyr/ || exit 1; \
 	done
 
 # Cross-compile for the other platforms the module builds on, so the

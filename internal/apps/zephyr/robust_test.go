@@ -2,6 +2,8 @@ package zephyr
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -94,4 +96,87 @@ func TestSubscriberDisconnectCleansUp(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestClosedUndrainedSubscriptionReleasesReader: a subscriber that
+// stops draining its stream and closes it must not leave the stream's
+// reader goroutine behind. Notices are published until the reader
+// blocks handing one over to the full stream (16 buffered; the hub may
+// drop some on the way when its own queue is full); Close must then
+// release it.
+func TestClosedUndrainedSubscriptionReleasesReader(t *testing.T) {
+	e := newEnv(t)
+	bcn, err := e.realm.NewLoggedInClient("bcn", "bcn-pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Subscribe(bcn, e.lst.Addr(), e.service)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			sub.Close()
+		}
+	}()
+	jis, err := e.realm.NewLoggedInClient("jis", "jis-pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocked := func(states []string) bool {
+		for _, s := range states {
+			if strings.HasPrefix(s, "chan send") || strings.HasPrefix(s, "select") {
+				return true
+			}
+		}
+		return false
+	}
+	for i := 0; !blocked(readerStates()); i++ {
+		if i == 200 {
+			t.Fatalf("reader not blocked on its full stream after %d notices: %q", i, readerStates())
+		}
+		if _, err := Send(jis, e.lst.Addr(), e.service, "bcn", fmt.Sprintf("n%d", i)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	sub.Close()
+	closed = true
+	waitReaders(t, "every reader gone after Close", func(states []string) bool { return len(states) == 0 })
+}
+
+// waitReaders polls the states of the live Subscribe reader goroutines
+// until cond holds, failing after 10 s.
+func waitReaders(t *testing.T, what string, cond func([]string) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		states := readerStates()
+		if cond(states) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 10s for %s; reader goroutines: %q", what, states)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// readerStates returns the wait state ("chan send", "IO wait", ...) of
+// each goroutine running Subscribe's reader.
+func readerStates() []string {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	var states []string
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if !strings.Contains(g, "zephyr.Subscribe.func1(") {
+			continue
+		}
+		head, _, _ := strings.Cut(g, "\n")
+		if _, state, ok := strings.Cut(head, "["); ok {
+			state, _, _ = strings.Cut(state, "]")
+			states = append(states, state)
+		}
+	}
+	return states
 }

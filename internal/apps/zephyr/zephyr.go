@@ -293,10 +293,19 @@ func Send(krb *client.Client, addr string, service core.Principal, to, body stri
 type Subscription struct {
 	Notices <-chan Notice
 	conn    net.Conn
+	closed  chan struct{} // closed by Close; releases a blocked reader
+	done    chan struct{} // closed when the reader goroutine exits
+	once    sync.Once
 }
 
-// Close terminates the stream.
-func (s *Subscription) Close() error { return s.conn.Close() }
+// Close terminates the stream and returns once its reader goroutine has
+// exited, even if the caller stopped draining Notices.
+func (s *Subscription) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	err := s.conn.Close()
+	<-s.done
+	return err
+}
 
 // Subscribe opens an authenticated notice stream for the user.
 func Subscribe(krb *client.Client, addr string, service core.Principal) (*Subscription, error) {
@@ -316,7 +325,9 @@ func Subscribe(krb *client.Client, addr string, service core.Principal) (*Subscr
 		return nil, fmt.Errorf("zephyr: subscription not acknowledged: %v", err)
 	}
 	ch := make(chan Notice, 16)
+	closed, done := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(done)
 		defer close(ch)
 		conn.SetDeadline(time.Time{})
 		for {
@@ -332,8 +343,12 @@ func Subscribe(krb *client.Client, addr string, service core.Principal) (*Subscr
 			if err != nil {
 				return
 			}
-			ch <- n
+			select {
+			case ch <- n:
+			case <-closed:
+				return
+			}
 		}
 	}()
-	return &Subscription{Notices: ch, conn: conn}, nil
+	return &Subscription{Notices: ch, conn: conn, closed: closed, done: done}, nil
 }

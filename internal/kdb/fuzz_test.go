@@ -117,33 +117,57 @@ func fixKDB4CRCs(data []byte) {
 // writer truncates a torn tail; the follower, which never truncates,
 // must see no change from that, and must see what the writer appends
 // after it.
+//
+// The input is the damage, not the log: each segment is a run of one
+// lineage's eight records (a run that starts past the other segment's
+// end, or before it, holds records of no lineage the base holds), then
+// the last segment loses cut bytes from its end and gains the raw tail
+// bytes, and patch is XORed into the two at patchAt. The byte arguments
+// stay short on purpose: the target makes two opens over real files,
+// about a thousand inputs a second, and the fuzzer minimizes every
+// input that finds new coverage with a search quadratic in the length
+// of each byte argument. Over raw ~330-byte segments one minimization
+// outlasts the whole -fuzztime, and the run explores nothing new.
 func FuzzSegmentReplay(f *testing.F) {
 	src := New(followMaster)
 	addN(f, src, 8)
 	recs, _ := src.ChangesSinceShard(0, 0, 0)
 	var log []byte
-	var ends []int
+	ends := []int{0}
 	for _, rec := range recs {
 		log = appendLogRecord(log, rec)
 		ends = append(ends, len(log))
 	}
-	sealed, last := log[:ends[3]], log[ends[3]:]
-	flipped := append([]byte(nil), sealed...)
-	flipped[len(flipped)/2] ^= 0x20
-	f.Add(sealed, last)
-	f.Add(sealed, last[:len(last)-3])                                          // torn tail
-	f.Add(sealed, append(append([]byte(nil), last...), last[:recHeader+2]...)) // half-written record
-	f.Add(flipped, last)                                                       // damage mid-log
-	f.Add(last, sealed)                                                        // records of no lineage the base holds
-	f.Add([]byte{}, append(append([]byte(nil), sealed...), last...))
-	f.Fuzz(func(t *testing.T, sealed, last []byte) {
+	run := func(from, to uint8) []byte {
+		a, b := int(from)%len(ends), int(to)%len(ends)
+		return append([]byte(nil), log[ends[a]:ends[max(a, b)]]...)
+	}
+	half := append([]byte(nil), log[ends[4]:ends[4]+recHeader+2]...)
+	f.Add(uint8(0), uint8(4), uint8(4), uint8(8), uint16(0), uint16(0), []byte{}, []byte{})
+	f.Add(uint8(0), uint8(4), uint8(4), uint8(8), uint16(3), uint16(0), []byte{}, []byte{})             // torn tail
+	f.Add(uint8(0), uint8(4), uint8(4), uint8(8), uint16(0), uint16(0), []byte{}, half)                 // half-written record
+	f.Add(uint8(0), uint8(4), uint8(4), uint8(8), uint16(0), uint16(ends[4]/2), []byte{0x20}, []byte{}) // damage mid-log
+	f.Add(uint8(4), uint8(8), uint8(0), uint8(4), uint16(0), uint16(0), []byte{}, []byte{})             // records of no lineage the base holds
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(8), uint16(0), uint16(0), []byte{}, []byte{})
+	f.Fuzz(func(t *testing.T, sealedFrom, sealedTo, lastFrom, lastTo uint8, cut, patchAt uint16, patch, tail []byte) {
+		sealed, last := run(sealedFrom, sealedTo), run(lastFrom, lastTo)
+		last = append(last[:len(last)-int(cut)%(len(last)+1)], tail...)
+		if n := len(sealed) + len(last); n > 0 {
+			for i, b := range patch {
+				if j := (int(patchAt) + i) % n; j < len(sealed) {
+					sealed[j] ^= b
+				} else {
+					last[j-len(sealed)] ^= b
+				}
+			}
+		}
 		dir := t.TempDir()
 		sub := filepath.Join(dir, shardDirName(0))
 		if err := os.MkdirAll(sub, 0o700); err != nil {
 			t.Fatal(err)
 		}
-		for seq, data := range map[uint64][]byte{1: sealed, 2: last} {
-			if err := os.WriteFile(filepath.Join(sub, segName(seq)), data, 0o600); err != nil {
+		for seq, data := range [][]byte{sealed, last} {
+			if err := os.WriteFile(filepath.Join(sub, segName(uint64(seq+1))), data, 0o600); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -25,9 +25,9 @@ func heapLive() int64 {
 // authenticator, with a memo attached to each as the KDC attaches one to
 // every TGS exchange. Every principal string is freshly allocated, as
 // the wire decoder allocates them, so a key that retained them would pay
-// for them here. 160 B covers the 24-byte key, the 40-byte entry (memo
-// included), the 32-byte queue element and the map's and slice's growth
-// slack.
+// for them here. 96 B covers the 56-byte ring slot (key and memo
+// included), the index's 4-byte positions at a load between a quarter
+// and a half, and the ring's partly filled first and last chunks.
 func TestReplayEntryFootprint(t *testing.T) {
 	const n = 200_000
 	c := New()
@@ -51,14 +51,14 @@ func TestReplayEntryFootprint(t *testing.T) {
 		t.Fatalf("remembered %d memos, want %d", got, n)
 	}
 	t.Logf("%.1f B per entry", perEntry)
-	if perEntry > 160 {
-		t.Errorf("replay cache holds %.1f B per entry, want <= 160", perEntry)
+	if perEntry > 96 {
+		t.Errorf("replay cache holds %.1f B per entry, want <= 96", perEntry)
 	}
 }
 
 // TestSweepReleasesPeakMemory: after a flood of 200k authenticators has
-// expired and been swept, the cache must not keep the flood's map
-// buckets and queue capacity — Go maps never shrink on their own.
+// expired and been swept, the cache must not keep the flood's ring
+// chunks and index tables — tables only double or split on their own.
 func TestSweepReleasesPeakMemory(t *testing.T) {
 	const flood, fresh = 200_000, 2000
 	c := New()
@@ -84,5 +84,34 @@ func TestSweepReleasesPeakMemory(t *testing.T) {
 	t.Logf("peak %d B, retained %d B", peak, retained)
 	if retained > peak/8 {
 		t.Errorf("drained cache retains %d B of its %d B peak, want <= 1/8", retained, peak)
+	}
+}
+
+// TestReplaySmallCacheFootprint prices the caches a realm keeps for
+// its services, most of them nearly empty: 65 caches at 16 and at 400
+// entries each. At 16 entries a cache must cost no more than the map
+// and queue shards it replaced (7.5 KB measured); at 400, at most 40 KB
+// (they cost 64.2 KB). The ring's first chunks are small for this: 65
+// caches of 16 shards would otherwise each hold a mostly empty chunk.
+func TestReplaySmallCacheFootprint(t *testing.T) {
+	for _, tc := range []struct {
+		entries int
+		limit   float64
+	}{{16, 7.5 * 1024}, {400, 40 * 1024}} {
+		const caches = 65
+		before := heapLive()
+		cs := make([]*Cache, caches)
+		for i := range cs {
+			cs[i] = New()
+			for j := 0; j < tc.entries; j++ {
+				cs[i].Seen(auth("user"+strconv.Itoa(j), t0, uint32(i)), t0)
+			}
+		}
+		perCache := float64(heapLive()-before) / caches
+		runtime.KeepAlive(cs)
+		t.Logf("%d entries: %.1f KB per cache", tc.entries, perCache/1024)
+		if perCache > tc.limit {
+			t.Errorf("a cache of %d entries holds %.1f KB, want <= %.1f KB", tc.entries, perCache/1024, tc.limit/1024)
+		}
 	}
 }

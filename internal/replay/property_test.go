@@ -170,9 +170,9 @@ func TestReplayCachesAgreeAcrossSeeds(t *testing.T) {
 	}
 	for i := range a.shards {
 		sa, sb := &a.shards[i], &b.shards[i]
-		if len(sa.seen) != len(sb.seen) || len(sa.queue)-sa.head != len(sb.queue)-sb.head {
+		if sa.idx.count != sb.idx.count || sa.ring.n != sb.ring.n {
 			t.Errorf("shard %d: %d entries / %d queued vs %d / %d", i,
-				len(sa.seen), len(sa.queue)-sa.head, len(sb.seen), len(sb.queue)-sb.head)
+				sa.idx.count, sa.ring.n, sb.idx.count, sb.ring.n)
 		}
 	}
 	if a.Len() != b.Len() {

@@ -164,7 +164,7 @@ func TestSweepIsBounded(t *testing.T) {
 	}
 	s := &c.shards[target]
 	s.mu.Lock()
-	before := len(s.seen)
+	before := s.idx.count
 	s.mu.Unlock()
 	if before != 100 {
 		t.Fatalf("planted %d entries in shard, want 100", before)
@@ -172,7 +172,7 @@ func TestSweepIsBounded(t *testing.T) {
 	// One check after everything expired retires at most sweepBatch.
 	c.Seen(probe, t0.Add(time.Hour))
 	s.mu.Lock()
-	after := len(s.seen)
+	after := s.idx.count
 	s.mu.Unlock()
 	if retired := before - (after - 1); retired > sweepBatch {
 		t.Errorf("one check retired %d entries, want <= %d", retired, sweepBatch)
@@ -259,7 +259,7 @@ func TestQueueCompaction(t *testing.T) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		qlen, slen := len(s.queue), len(s.seen)
+		qlen, slen := s.ring.n, s.idx.count
 		s.mu.Unlock()
 		if qlen > 4*slen+1024 {
 			t.Errorf("shard %d queue grew to %d for %d live entries", i, qlen, slen)
@@ -461,7 +461,7 @@ func TestDigestKnownAnswer(t *testing.T) {
 // queues are noscan memory the collector never walks, and the cache
 // cannot retain caller memory.
 func TestReplayEntryPointerFree(t *testing.T) {
-	for _, v := range []any{key{}, entry{}, expiring{}, Memo{}} {
+	for _, v := range []any{key{}, slot{}, Memo{}, uint32(0)} {
 		typ := reflect.TypeOf(v)
 		if path := pointerPath(typ); path != "" {
 			t.Errorf("%v holds a pointer at %s", typ, path)

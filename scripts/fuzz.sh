@@ -34,6 +34,9 @@ for target in FuzzParseDump FuzzParseKDB4 FuzzSegmentReplay; do
     go test -run '^$' -fuzz="^${target}\$" -fuzztime="$FUZZTIME" ./internal/kdb
 done
 
+echo "== go test -fuzz=FuzzReplayCache -fuzztime=$FUZZTIME ./internal/replay"
+go test -run '^$' -fuzz='^FuzzReplayCache$' -fuzztime="$FUZZTIME" ./internal/replay
+
 echo "== go test -fuzz=FuzzHandleBatch -fuzztime=$FUZZTIME ./internal/kdc"
 go test -run '^$' -fuzz='^FuzzHandleBatch$' -fuzztime="$FUZZTIME" ./internal/kdc
 
