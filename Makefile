@@ -1,7 +1,7 @@
 # Development targets. The repo is pure Go with no dependencies; every
 # target is a thin wrapper so CI and humans run the same commands.
 
-.PHONY: build test race race-regress flake-hunt cross vet lint bench bench-realm bench-coldstart coldstart-smoke sim verify ci fuzz cover
+.PHONY: build test race race-regress flake-hunt cross vet fmt lint bench bench-realm bench-coldstart coldstart-smoke sim verify ci fuzz cover
 
 build:
 	go build ./...
@@ -15,7 +15,9 @@ race:
 # The concurrency regressions (a follower polling a segment directory
 # while its writer appends, seals, compacts and replaces it, with readers
 # on the follower's database; segment-log crash recovery, the sharded/flat
-# database equivalence, sharded propagation, the KDC cluster, the KDC request
+# database equivalence, the hot-key table under lookups racing password
+# changes and a service key changed under in-flight HandleBatch requests,
+# sharded propagation, the KDC cluster, the KDC request
 # pipeline entered at once by the UDP burst workers and TCP goroutines
 # over one replay cache, a duplicated TGS datagram split across
 # workers, a TGS retransmit rebuilt from its replay memo, listener
@@ -27,7 +29,7 @@ race:
 # exist for even on single-CPU boxes, and starts four burst workers.
 race-regress:
 	GOMAXPROCS=4 go test -race -count=1 \
-		-run 'TestFollower|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled|TestTGSRetransmit' \
+		-run 'TestFollower|TestSegment|TestSharded|TestShardCount|TestCluster|TestEpochChurnRace|TestSnapshotBaseStore|TestFlatKDB4Equivalence|TestHotKey|TestKeyCache|TestLookupResidency|TestMappedBase|TestHandleBatch|TestUDPBurst|TestConcurrentClients|TestSelector|TestPooled|TestTGSRetransmit' \
 		./internal/kdb/ ./internal/kprop/ ./internal/kdc/
 	GOMAXPROCS=4 go test -race -count=1 \
 		-run 'TestReplay|TestConcurrentUse|TestSweep' \
@@ -72,6 +74,12 @@ coldstart-smoke:
 vet:
 	go vet ./...
 
+# gofmt: every Go file must be gofmt-clean, except the analyzers'
+# testdata fixtures, whose layout is part of what they test.
+fmt:
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
+
 # kervet: the repo's own static-analysis suite (cmd/kervet). Exits
 # non-zero on any finding; see DESIGN.md section 10 for the analyzers.
 lint:
@@ -93,7 +101,7 @@ cover:
 # suite under the race detector, the coverage gate, and the fuzz smoke
 # pass. The fault-injection soaks honor `go test -short`, so a fast
 # local pass is `go test -short ./...`.
-ci: vet lint build race cover fuzz
+ci: vet fmt lint build race cover fuzz
 
 # Benchmarks: KDC hot path (BENCH_kdc.json) and database propagation
 # (BENCH_kprop.json).

@@ -19,29 +19,30 @@ import (
 // new annotation without a guard fails here, and a guarded function
 // missing its annotation escapes static checking and also fails here.
 var allocGuards = map[string]struct{ testFile, testName string }{
-	"internal/des.(*Cipher).Seal":                {"internal/des/seal_test.go", "TestSealAllocs"},
-	"internal/des.Seal":                          {"internal/des/seal_test.go", "TestSealAllocs"},
-	"internal/des.(*Cipher).Unseal":              {"internal/des/seal_test.go", "TestUnsealAllocs"},
-	"internal/des.Unseal":                        {"internal/des/seal_test.go", "TestUnsealAllocs"},
-	"internal/des.(*Cipher).SetKey":              {"internal/des/des_test.go", "TestExpandKeyAllocs"},
-	"internal/des.SealBatch":                     {"internal/des/batch_test.go", "TestSealBatchAllocs"},
-	"internal/des.UnsealBatch":                   {"internal/des/batch_test.go", "TestUnsealBatchAllocs"},
-	"internal/kdb.(*Database).Key":               {"internal/kdb/keycache_test.go", "TestKeyCacheHit"},
-	"internal/kdb.(*Database).GetRO":             {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
-	"internal/kdb.(*EpochStore).FetchSharedPair": {"internal/kdb/epoch_test.go", "TestGetROAllocs"},
-	"internal/kdc.(*Server).HandleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
-	"internal/kdc.(*Server).handleBatch":         {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
-	"internal/kdc.(*udpWorker).recv":             {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
-	"internal/kdc.(*udpWorker).send":             {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
-	"internal/replay.(*Cache).Seen":              {"internal/replay/replay_test.go", "TestSeenReplayCheckAllocs"},
-	"internal/replay.(*Cache).SeenWithMemo":      {"internal/replay/replay_test.go", "TestMemoPathAllocs"},
-	"internal/replay.(*Cache).Remember":          {"internal/replay/replay_test.go", "TestMemoPathAllocs"},
-	"internal/obs.(*Counter).Inc":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
-	"internal/obs.(*Counter).Add":                {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
-	"internal/obs.(*Gauge).Set":                  {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
-	"internal/obs.(*Histogram).Observe":          {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
-	"internal/obs.(*SizeHistogram).Observe":      {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
-	"internal/sim.(*Engine).Run":                 {"internal/sim/engine_test.go", "TestEngineRunAllocs"},
+	"internal/des.(*Cipher).Seal":           {"internal/des/seal_test.go", "TestSealAllocs"},
+	"internal/des.Seal":                     {"internal/des/seal_test.go", "TestSealAllocs"},
+	"internal/des.(*Cipher).Unseal":         {"internal/des/seal_test.go", "TestUnsealAllocs"},
+	"internal/des.Unseal":                   {"internal/des/seal_test.go", "TestUnsealAllocs"},
+	"internal/des.(*Cipher).SetKey":         {"internal/des/des_test.go", "TestExpandKeyAllocs"},
+	"internal/des.SealBatch":                {"internal/des/batch_test.go", "TestSealBatchAllocs"},
+	"internal/des.UnsealBatch":              {"internal/des/batch_test.go", "TestUnsealBatchAllocs"},
+	"internal/kdb.(*Database).Key":          {"internal/kdb/keycache_test.go", "TestKeyCacheHit"},
+	"internal/kdb.(*Database).HotKey":       {"internal/kdb/hotkeys_test.go", "TestHotKeyHitAllocs"},
+	"internal/kdb.(*Database).Lookup":       {"internal/kdb/epoch_test.go", "TestLookupAllocs"},
+	"internal/kdb.(*EpochStore).Lookup":     {"internal/kdb/epoch_test.go", "TestLookupAllocs"},
+	"internal/kdc.(*Server).HandleBatch":    {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
+	"internal/kdc.(*Server).handleBatch":    {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},
+	"internal/kdc.(*udpWorker).recv":        {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
+	"internal/kdc.(*udpWorker).send":        {"internal/kdc/transport_burst_test.go", "TestUDPBurstAllocs"},
+	"internal/replay.(*Cache).Seen":         {"internal/replay/replay_test.go", "TestSeenReplayCheckAllocs"},
+	"internal/replay.(*Cache).SeenWithMemo": {"internal/replay/replay_test.go", "TestMemoPathAllocs"},
+	"internal/replay.(*Cache).Remember":     {"internal/replay/replay_test.go", "TestMemoPathAllocs"},
+	"internal/obs.(*Counter).Inc":           {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
+	"internal/obs.(*Counter).Add":           {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
+	"internal/obs.(*Gauge).Set":             {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
+	"internal/obs.(*Histogram).Observe":     {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
+	"internal/obs.(*SizeHistogram).Observe": {"internal/obs/metrics_test.go", "TestHotPathAllocs"},
+	"internal/sim.(*Engine).Run":            {"internal/sim/engine_test.go", "TestEngineRunAllocs"},
 }
 
 func TestHotpathAnnotationsMatchAllocGuards(t *testing.T) {

@@ -17,8 +17,9 @@ import (
 // its key) — through pointers, arrays, slices, maps, channels and
 // struct fields, and also through a sync.Map the variable holds, by
 // what the package stores into that sync.Map. Schedules belong to
-// their callers instead: kdb's per-entry cache lives and dies with its
-// entry, and short-lived keys are expanded on the stack.
+// their callers instead: kdb's hot-key table is a field of its
+// Database and wipes what it evicts, and short-lived keys are expanded
+// on the stack.
 
 // syncMapStores records, per sync.Map location (a package-level var or
 // a struct field), the static types of the keys and values the package

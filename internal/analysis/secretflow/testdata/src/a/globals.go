@@ -46,9 +46,10 @@ var current atomic.Pointer[Cipher] // want `package-level variable current .* ho
 
 // --- shapes that must stay silent ---
 
-// entryRec mimics kdb's Entry and its per-entry key cache: the schedule
-// hangs off an entry the database owns, filled once by CAS, and lives
-// and dies with that entry — no package-level variable reaches it.
+// entryRec is a schedule cached on a value the program allocates,
+// filled once by CAS, living and dying with that value — no
+// package-level variable reaches it (kdb's hot-key table, a field of
+// each Database, is silent for the same reason).
 type entryRec struct {
 	EncKey   []byte
 	keycache unsafe.Pointer // *Cipher

@@ -180,3 +180,40 @@ func readerStates() []string {
 	}
 	return states
 }
+
+// TestCloseEndsLiveSubscription: closing the hub while a subscriber
+// stays connected ends the stream and returns, instead of waiting for
+// the subscriber to hang up.
+func TestCloseEndsLiveSubscription(t *testing.T) {
+	e := newEnv(t)
+	bcn, err := e.realm.NewLoggedInClient("bcn", "bcn-pw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := Subscribe(bcn, e.lst.Addr(), e.service)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Registered after newEnv's, so it runs first: a hub that failed to
+	// close still lets the test end.
+	t.Cleanup(func() { sub.Close() })
+
+	closed := make(chan struct{})
+	go func() {
+		e.lst.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Listener.Close still waiting on a live subscriber after 10s")
+	}
+	select {
+	case _, ok := <-sub.Notices:
+		if ok {
+			t.Fatal("a notice arrived from a closed hub")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the subscriber's stream did not end when the hub closed")
+	}
+}

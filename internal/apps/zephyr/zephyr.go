@@ -210,6 +210,11 @@ func Serve(s *Server, addr string) (*Listener, error) {
 			l.wg.Add(1)
 			go func() {
 				defer l.wg.Done()
+				// Close ends every handler: closing its connection
+				// unblocks the handshake reads and ends a SUB stream,
+				// which otherwise lasts until its client hangs up.
+				stop := context.AfterFunc(ctx, func() { conn.Close() })
+				defer stop()
 				s.HandleConn(conn)
 			}()
 		}
@@ -220,7 +225,8 @@ func Serve(s *Server, addr string) (*Listener, error) {
 // Addr returns the bound address.
 func (l *Listener) Addr() string { return l.tcp.Addr().String() }
 
-// Close stops the listener.
+// Close stops the listener, ends every connection it serves (live
+// subscriptions included) and waits for their handlers to return.
 func (l *Listener) Close() error {
 	l.cancel()
 	l.tcp.Close()

@@ -128,15 +128,15 @@ func TestLifetimeRounding(t *testing.T) {
 	}{
 		{-time.Hour, 0},
 		{0, 0},
-		{time.Nanosecond, 0},          // under one unit rounds up to one unit
-		{5 * time.Minute, 0},          // exactly one unit
-		{5*time.Minute + 1, 1},        // one tick over a boundary → next unit
-		{10 * time.Minute, 1},         // exactly two units
-		{8 * time.Hour, 95},                          // the §6.1 default TGT life
-		{21*time.Hour + 15*time.Minute, 254},         // 255 units
-		{21*time.Hour + 20*time.Minute, MaxLife},     // exactly 256 units
-		{22 * time.Hour, MaxLife},                    // saturates
-		{1000 * time.Hour, MaxLife},                  // still saturates
+		{time.Nanosecond, 0},                     // under one unit rounds up to one unit
+		{5 * time.Minute, 0},                     // exactly one unit
+		{5*time.Minute + 1, 1},                   // one tick over a boundary → next unit
+		{10 * time.Minute, 1},                    // exactly two units
+		{8 * time.Hour, 95},                      // the §6.1 default TGT life
+		{21*time.Hour + 15*time.Minute, 254},     // 255 units
+		{21*time.Hour + 20*time.Minute, MaxLife}, // exactly 256 units
+		{22 * time.Hour, MaxLife},                // saturates
+		{1000 * time.Hour, MaxLife},              // still saturates
 	}
 	for _, c := range cases {
 		if got := LifetimeFromDuration(c.d); got != c.want {

@@ -40,10 +40,11 @@ var ErrInput = errors.New("des: input not a multiple of the block size")
 // safe for concurrent use once expanded and never mutated by the
 // cipher operations, so one Cipher may be shared freely.
 //
-// The caller owns every schedule: long-lived keys live as *Cipher
-// values in kdb's per-entry cache; a short-lived key is expanded into
-// a stack or scratch Cipher (SetKey) and wiped when its use ends. No
-// package-level state holds a key or a schedule.
+// The caller owns every schedule: a realm's hot keys live in kdb's
+// hot-key table, which copies them into its callers' Ciphers; any
+// other key is expanded into a stack or scratch Cipher (SetKey) and
+// wiped when its use ends. No package-level state holds a key or a
+// schedule.
 type Cipher struct {
 	ks  [32]uint32 // the 16 round subkeys as window-positioned word pairs
 	key Key

@@ -301,8 +301,8 @@ var (
 	sealedSink []byte
 )
 
-// BenchmarkNewCipher prices one key expansion onto the heap, as kdb's
-// entry cache makes it; a stack expansion (SetKey) skips the one
+// BenchmarkNewCipher prices one key expansion onto the heap, as
+// kdb's KeyCipher makes it; a stack expansion (SetKey) skips the one
 // allocation.
 func BenchmarkNewCipher(b *testing.B) {
 	key := Key{0x13, 0x34, 0x57, 0x79, 0x9b, 0xbc, 0xdf, 0xf1}

@@ -55,10 +55,18 @@ func (c *Cipher) Seal(plaintext []byte) []byte {
 //
 //kerb:hotpath
 func (c *Cipher) Unseal(ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) < sealHeaderLen || len(ciphertext)%BlockSize != 0 {
+	return c.UnsealTo(make([]byte, len(ciphertext)), ciphertext)
+}
+
+// UnsealTo is Unseal decrypting into dst, which must hold at least
+// len(ciphertext) bytes; the plaintext returned is a subslice of dst.
+// It allocates nothing, so a caller can unseal a secret into a stack
+// buffer and wipe it.
+func (c *Cipher) UnsealTo(dst, ciphertext []byte) ([]byte, error) {
+	if len(ciphertext) < sealHeaderLen || len(ciphertext)%BlockSize != 0 || len(dst) < len(ciphertext) {
 		return nil, ErrIntegrity
 	}
-	buf := make([]byte, len(ciphertext))
+	buf := dst[:len(ciphertext)]
 	if err := c.DecryptPCBC(buf, ciphertext, c.key[:]); err != nil {
 		return nil, ErrIntegrity
 	}

@@ -232,7 +232,9 @@ func (db *Database) LoadDumpShard(i int, dump []byte) error {
 	sh := db.shards[i]
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	if err := sh.store.ReplaceAll(entries, meta); err != nil {
+	err = sh.store.ReplaceAll(entries, meta)
+	sh.hot.retireAll()
+	if err != nil {
 		return err
 	}
 	sh.resetJournalLocked(meta, nil)

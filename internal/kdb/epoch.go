@@ -26,9 +26,9 @@ import (
 //     snapshot; the GC retires it when the last reader drops it — the
 //     grace period comes for free.
 //
-// The index itself is two layers. The bulk of the data sits in an
-// ID-sorted entry slab with an open-addressed hash table over it — the
-// form a KDB4 snapshot materializes into with O(1) allocations. On top
+// The index itself is two layers. The bulk of the data sits in the
+// base: a mapped KDB4 snapshot read in place, or an ID-sorted entry
+// slab, with an open-addressed hash table over it. On top
 // rides a small copy-on-write delta trie (64×64 fan-out of slots)
 // holding everything written since the slab was built; a fixed-depth
 // trie keeps the per-write copy cost at ~3 small nodes regardless of
@@ -47,12 +47,12 @@ type EpochStore struct {
 const deltaFan = 64 // trie fan-out per level (two levels: 4096 buckets)
 
 // epochIndex is one immutable published version of the store. The base
-// takes one of two forms: a heap slab (slab != nil path), or a
-// snapshot-backed snapBase (snap != nil) serving lookups straight from
-// the mapped KDB4 records so cold start touches no per-entry memory.
+// takes one of two forms: a heap slab, or a mapped KDB4 snapshot
+// (snap != nil) whose records serve lookups in place, so a cold start
+// touches no per-entry memory.
 type epochIndex struct {
 	slab  []Entry   // ID-sorted base entries; strings may alias an mmap
-	snap  *snapBase // lazily-materialized mapped base; nil when slab-backed
+	snap  *Snapshot // mapped base read in place; nil when slab-backed
 	table []int32   // open-addressed: hash slot -> base index, -1 empty
 	root  [deltaFan]*deltaMid
 	live  int // live entries (base + delta upserts - tombstones)
@@ -75,43 +75,10 @@ type deltaSlot struct {
 	e  *Entry
 }
 
-// snapBase serves an epoch's base straight from a mapped KDB4
-// snapshot. Probes compare names against zero-copy arena views, so a
-// cold start installs the mapping and the precomputed probe table and
-// is done — no per-entry decode, no slab fill, no rehash. The first
-// time a record is actually returned it is materialized once into ents
-// (first-fill-wins CAS, the Entry.keycache discipline), so each
-// principal pays its decode on first use and a stable *Entry identity
-// afterwards — which is also what lets the per-entry key cache stick.
-type snapBase struct {
-	sn   *Snapshot
-	ents []atomic.Pointer[Entry]
-}
-
-// matchPair reports whether record j is (name, instance), comparing
-// against the arena without materializing anything.
-func (sb *snapBase) matchPair(j int, name, instance string) bool {
-	n, inst := sb.sn.nameInstAt(j)
-	return n == name && inst == instance
-}
-
-// entry returns the stable materialized form of record j.
-func (sb *snapBase) entry(j int) *Entry {
-	if p := sb.ents[j].Load(); p != nil {
-		return p
-	}
-	e := new(Entry)
-	sb.sn.decodeRecord(j, e)
-	if sb.ents[j].CompareAndSwap(nil, e) {
-		return e
-	}
-	return sb.ents[j].Load()
-}
-
 // baseLen returns the number of base records (either form).
 func (ix *epochIndex) baseLen() int {
 	if ix.snap != nil {
-		return len(ix.snap.ents)
+		return ix.snap.Count()
 	}
 	return len(ix.slab)
 }
@@ -119,38 +86,22 @@ func (ix *epochIndex) baseLen() int {
 // baseCompareID three-way compares base record j's ID to id in
 // joined-string order (the merge order fold and Range walk in).
 func (ix *epochIndex) baseCompareID(j int, id string) int {
-	if sb := ix.snap; sb != nil {
-		name, inst := sb.sn.nameInstAt(j)
+	if ix.snap != nil {
+		name, inst := ix.snap.nameInstAt(j)
 		return comparePairID(name, inst, id)
 	}
 	return compareEntryID(&ix.slab[j], id)
 }
 
-// baseCopyAt copies base record j for a rebuilt slab, carrying the key
-// cache along when the record has a materialized form.
-func (ix *epochIndex) baseCopyAt(j int) Entry {
-	if sb := ix.snap; sb != nil {
-		if p := sb.ents[j].Load(); p != nil {
-			return copyEntry(p)
-		}
-		var e Entry
-		sb.sn.decodeRecord(j, &e)
-		return e
+// baseAt copies base record j into dst: a mapped record is decoded in
+// place (its strings and sealed key alias the mapping), a slab entry is
+// copied as a value.
+func (ix *epochIndex) baseAt(j int, dst *Entry) {
+	if ix.snap != nil {
+		ix.snap.decodeRecord(j, dst)
+		return
 	}
-	return copyEntry(&ix.slab[j])
-}
-
-// baseCloneAt clones base record j (Range's per-entry copy).
-func (ix *epochIndex) baseCloneAt(j int) *Entry {
-	if sb := ix.snap; sb != nil {
-		if p := sb.ents[j].Load(); p != nil {
-			return p.clone()
-		}
-		var e Entry
-		sb.sn.decodeRecord(j, &e)
-		return e.clone()
-	}
-	return ix.slab[j].clone()
+	*dst = ix.slab[j]
 }
 
 // NewEpochStore returns an empty store.
@@ -251,109 +202,88 @@ func strcmp(a, b string) int {
 	return 0
 }
 
-// lookup resolves id against the index: delta first (authoritative for
-// anything it holds, including tombstones), then the slab table.
-func (ix *epochIndex) lookup(h uint64, id string) (*Entry, bool) {
+// deltaSlotPair returns the delta slot for (name, instance), or nil when
+// the delta does not hold it.
+func (ix *epochIndex) deltaSlotPair(h uint64, name, instance string) *deltaSlot {
 	if mid := ix.root[h&(deltaFan-1)]; mid != nil {
 		if b := mid.buckets[(h>>6)&(deltaFan-1)]; b != nil {
 			for i := range b.slots {
-				s := &b.slots[i]
-				if s.h == h && s.id == id {
-					if s.e == nil {
-						return nil, false // tombstone
-					}
-					return s.e, true
+				if s := &b.slots[i]; s.h == h && idIsPair(s.id, name, instance) {
+					return s
 				}
 			}
 		}
 	}
-	return ix.baseLookup(h, id)
+	return nil
 }
 
-// lookupPair is lookup keyed by the (name, instance) pair, so the hot
-// path never renders the joined ID.
-func (ix *epochIndex) lookupPair(h uint64, name, instance string) (*Entry, bool) {
-	if mid := ix.root[h&(deltaFan-1)]; mid != nil {
-		if b := mid.buckets[(h>>6)&(deltaFan-1)]; b != nil {
-			for i := range b.slots {
-				s := &b.slots[i]
-				if s.h == h && idIsPair(s.id, name, instance) {
-					if s.e == nil {
-						return nil, false
-					}
-					return s.e, true
-				}
-			}
+// lookupPair resolves (name, instance) into dst: delta first
+// (authoritative for anything it holds, tombstones included), then the
+// base through the probe table. The pair is never joined into an ID.
+func (ix *epochIndex) lookupPair(h uint64, name, instance string, dst *Entry) bool {
+	if s := ix.deltaSlotPair(h, name, instance); s != nil {
+		if s.e == nil {
+			return false // tombstone
 		}
+		*dst = *s.e
+		return true
 	}
+	j := ix.basePair(h, name, instance)
+	if j < 0 {
+		return false
+	}
+	ix.baseAt(j, dst)
+	return true
+}
+
+// basePair returns the base index of (name, instance), or -1.
+func (ix *epochIndex) basePair(h uint64, name, instance string) int {
 	if len(ix.table) == 0 {
-		return nil, false
+		return -1
 	}
 	mask := uint64(len(ix.table) - 1)
-	if sb := ix.snap; sb != nil {
-		for i := h & mask; ; i = (i + 1) & mask {
-			j := ix.table[i]
-			if j < 0 {
-				return nil, false
-			}
-			if sb.matchPair(int(j), name, instance) {
-				return sb.entry(int(j)), true
-			}
-		}
-	}
 	for i := h & mask; ; i = (i + 1) & mask {
-		j := ix.table[i]
+		j := int(ix.table[i])
 		if j < 0 {
-			return nil, false
+			return -1
 		}
-		e := &ix.slab[j]
-		if e.Name == name && e.Instance == instance {
-			return e, true
+		if ix.snap != nil {
+			if n, inst := ix.snap.nameInstAt(j); n == name && inst == instance {
+				return j
+			}
+		} else if e := &ix.slab[j]; e.Name == name && e.Instance == instance {
+			return j
 		}
 	}
 }
 
-func (ix *epochIndex) baseLookup(h uint64, id string) (*Entry, bool) {
+// baseHasID reports whether the base holds the rendered ID id.
+func (ix *epochIndex) baseHasID(h uint64, id string) bool {
 	if len(ix.table) == 0 {
-		return nil, false
+		return false
 	}
 	mask := uint64(len(ix.table) - 1)
-	if sb := ix.snap; sb != nil {
-		for i := h & mask; ; i = (i + 1) & mask {
-			j := ix.table[i]
-			if j < 0 {
-				return nil, false
-			}
-			name, inst := sb.sn.nameInstAt(int(j))
-			if idIsPair(id, name, inst) {
-				return sb.entry(int(j)), true
-			}
-		}
-	}
 	for i := h & mask; ; i = (i + 1) & mask {
-		j := ix.table[i]
+		j := int(ix.table[i])
 		if j < 0 {
-			return nil, false
+			return false
 		}
-		e := &ix.slab[j]
-		if entryIsID(e, id) {
-			return e, true
+		if ix.snap != nil {
+			if name, inst := ix.snap.nameInstAt(j); idIsPair(id, name, inst) {
+				return true
+			}
+		} else if entryIsID(&ix.slab[j], id) {
+			return true
 		}
 	}
 }
 
-// FetchShared implements Store: one atomic load, zero locks, zero
-// allocations. Entries are immutable-and-replaced, so sharing is safe.
-func (s *EpochStore) FetchShared(id string) (*Entry, bool) {
-	return s.idx.Load().lookup(hashID(id), id)
-}
-
-// FetchSharedPair implements Store — the KDC's GetRO path, which must
-// not allocate even for the ID string.
+// Lookup implements Store: one atomic load, zero locks, zero
+// allocations — the KDC's per-request read.
 //
 //kerb:hotpath
-func (s *EpochStore) FetchSharedPair(name, instance string) (*Entry, bool) {
-	return s.idx.Load().lookupPair(hashPair(name, instance), name, instance)
+func (s *EpochStore) Lookup(name, instance string, dst *Entry) bool {
+	return s.idx.Load().lookupPair(hashPair(name, instance), name, instance, dst)
 }
 
 // Len implements Store.
@@ -436,17 +366,15 @@ func (s *EpochStore) InstallSlab(slab []Entry) {
 
 // installSnapshot publishes a snapshot-backed base: the mapped records
 // themselves serve lookups through the snapshot's prebuilt probe table
-// (which may alias the mapping), and entries materialize lazily on
-// first fetch. This is the KDB4 cold-start path — install cost is O(1)
-// in the principal count. The snapshot must stay open for the life of
-// the store: delta folds copy arena-aliased strings into heap slabs,
-// so even after the snap base is folded away its mapping is referenced.
+// (which may alias the mapping), each decoded into the caller's Entry
+// when read. This is the KDB4 cold-start path — install cost is O(1) in
+// the principal count, and reads keep nothing. The snapshot must stay
+// open for the life of the store: entries read from it alias its
+// arena, and so do delta folds, which copy arena-aliased strings into
+// heap slabs, so even after the snap base is folded away its mapping is
+// referenced.
 func (s *EpochStore) installSnapshot(sn *Snapshot, table []int32) {
-	ix := &epochIndex{
-		snap:  &snapBase{sn: sn, ents: make([]atomic.Pointer[Entry], sn.Count())},
-		table: table,
-		live:  sn.Count(),
-	}
+	ix := &epochIndex{snap: sn, table: table, live: sn.Count()}
 	s.mu.Lock()
 	s.idx.Store(ix)
 	s.mu.Unlock()
@@ -592,7 +520,7 @@ func (b *epochBuilder) upsert(e *Entry) {
 	}
 	bk.slots = append(bk.slots, deltaSlot{h: h, id: id, e: e})
 	b.ix.dirty++
-	if _, inBase := b.ix.baseLookup(h, id); !inBase {
+	if !b.ix.baseHasID(h, id) {
 		b.ix.live++
 	}
 }
@@ -607,7 +535,7 @@ func (b *epochBuilder) delete(id string) {
 				return // already deleted
 			}
 			b.ix.live--
-			if _, inBase := b.ix.baseLookup(h, id); inBase {
+			if b.ix.baseHasID(h, id) {
 				s.e = nil // keep the tombstone shadowing the slab
 			} else {
 				bk.slots = append(bk.slots[:i], bk.slots[i+1:]...)
@@ -616,7 +544,7 @@ func (b *epochBuilder) delete(id string) {
 			return
 		}
 	}
-	if _, inBase := b.ix.baseLookup(h, id); inBase {
+	if b.ix.baseHasID(h, id) {
 		bk.slots = append(bk.slots, deltaSlot{h: h, id: id})
 		b.ix.dirty++
 		b.ix.live--
@@ -655,96 +583,70 @@ func (ix *epochIndex) sortedOverlay() []deltaSlot {
 	return overlay
 }
 
-// fold merges the delta down into a fresh slab + table. Entry values
-// are copied field-wise so the per-entry decrypted-key cache pointer
-// transfers atomically (readers may be CASing it on the old slab while
-// the fold runs). A snapshot-backed base folds the same way — its
-// records decode into the new slab (aliasing the mapping, which the
-// owning SegmentStore keeps open until Close).
-func (ix *epochIndex) fold() *epochIndex {
-	overlay := ix.sortedOverlay()
-	n := ix.baseLen()
-	slab := make([]Entry, 0, ix.live)
-	si, oi := 0, 0
-	for si < n || oi < len(overlay) {
-		switch {
-		case oi >= len(overlay):
-			slab = append(slab, ix.baseCopyAt(si))
-			si++
-		case si >= n:
-			if overlay[oi].e != nil {
-				slab = append(slab, copyEntry(overlay[oi].e))
-			}
-			oi++
-		default:
-			c := ix.baseCompareID(si, overlay[oi].id)
-			switch {
-			case c < 0:
-				slab = append(slab, ix.baseCopyAt(si))
-				si++
-			case c > 0:
-				if overlay[oi].e != nil {
-					slab = append(slab, copyEntry(overlay[oi].e))
-				}
-				oi++
-			default:
-				if overlay[oi].e != nil {
-					slab = append(slab, copyEntry(overlay[oi].e))
-				}
-				si++
-				oi++
-			}
-		}
-	}
-	return indexSlab(slab)
-}
-
-// Range implements Store: a clone per entry in globally sorted ID
-// order, merging the sorted slab with the sorted overlay.
-func (s *EpochStore) Range(fn func(*Entry) bool) {
-	ix := s.idx.Load()
+// walk visits the index's live entries in globally sorted ID order,
+// merging the sorted base with the sorted overlay, until fn returns
+// false: fn gets a base record's index with a nil e, or an overlay
+// entry. Tombstones and the base records they shadow are skipped.
+func (ix *epochIndex) walk(fn func(j int, e *Entry) bool) {
 	overlay := ix.sortedOverlay()
 	n := ix.baseLen()
 	si, oi := 0, 0
 	for si < n || oi < len(overlay) {
-		var e *Entry
+		c := -1 // base record next
 		switch {
-		case oi >= len(overlay):
-			e = ix.baseCloneAt(si)
-			si++
 		case si >= n:
-			e = cloneSlot(overlay[oi].e)
-			oi++
-		default:
-			c := ix.baseCompareID(si, overlay[oi].id)
-			switch {
-			case c < 0:
-				e = ix.baseCloneAt(si)
-				si++
-			case c > 0:
-				e = cloneSlot(overlay[oi].e)
-				oi++
-			default:
-				e = cloneSlot(overlay[oi].e)
-				si++
-				oi++
+			c = 1
+		case oi < len(overlay):
+			c = ix.baseCompareID(si, overlay[oi].id)
+		}
+		if c < 0 {
+			if !fn(si, nil) {
+				return
 			}
+			si++
+			continue
 		}
-		if e == nil {
-			continue // tombstone
+		if c == 0 {
+			si++ // shadowed by the overlay
 		}
-		if !fn(e) {
+		e := overlay[oi].e
+		oi++
+		if e != nil && !fn(-1, e) {
 			return
 		}
 	}
 }
 
-// cloneSlot clones a delta slot's entry, passing tombstones through.
-func cloneSlot(e *Entry) *Entry {
-	if e == nil {
-		return nil
-	}
-	return e.clone()
+// fold merges the delta down into a fresh slab + table. A
+// snapshot-backed base folds the same way — its records decode into
+// the new slab (aliasing the mapping, which the owning SegmentStore
+// keeps open until Close).
+func (ix *epochIndex) fold() *epochIndex {
+	slab := make([]Entry, 0, ix.live)
+	ix.walk(func(j int, e *Entry) bool {
+		if e != nil {
+			slab = append(slab, *e)
+		} else {
+			slab = append(slab, Entry{})
+			ix.baseAt(j, &slab[len(slab)-1])
+		}
+		return true
+	})
+	return indexSlab(slab)
+}
+
+// Range implements Store: a clone per entry in globally sorted ID
+// order.
+func (s *EpochStore) Range(fn func(*Entry) bool) {
+	ix := s.idx.Load()
+	ix.walk(func(j int, e *Entry) bool {
+		if e == nil {
+			var base Entry
+			ix.baseAt(j, &base)
+			e = &base
+		}
+		return fn(e.clone())
+	})
 }
 
 // SlabStats reports the published index shape (observability: resident

@@ -364,6 +364,7 @@ func (fs *followShard) resync(sh *dbShard) error {
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
 	fs.mem.adopt(img.mem)
+	sh.hot.retireAll()
 	sh.resetJournalLocked(img.from, records(img.changes))
 	return nil
 }

@@ -82,10 +82,11 @@ func FuzzParseKDB4(f *testing.F) {
 		}
 		s := NewEpochStore()
 		s.installSnapshot(sn, table)
+		var e Entry
 		for i := range slab {
-			s.FetchSharedPair(slab[i].Name, slab[i].Instance)
+			s.Lookup(slab[i].Name, slab[i].Instance, &e)
 		}
-		s.FetchSharedPair("\xffnot-a-principal", "")
+		s.Lookup("\xffnot-a-principal", "", &e)
 		s.Range(func(*Entry) bool { return true })
 	})
 }

@@ -252,6 +252,8 @@ func (sh *dbShard) apply(op ChangeOp, e *Entry) error {
 	} else {
 		err = sh.store.ApplyLogged(recs, []*Entry{e}, nil)
 	}
+	// Whatever the store did, no hot-key slot keeps the key it replaced.
+	sh.hot.retire(hashPair(e.Name, e.Instance))
 	if err != nil {
 		return fmt.Errorf("kdb: appending change: %w", err)
 	}
@@ -459,7 +461,11 @@ func (sh *dbShard) applyChanges(changes []Change, wantDigest uint64) error {
 			deletes = append(deletes, id)
 		}
 	}
-	if err := sh.store.ApplyLogged(recs, upserts, deletes); err != nil {
+	err := sh.store.ApplyLogged(recs, upserts, deletes)
+	for _, id := range order {
+		sh.hot.retire(hashID(id))
+	}
+	if err != nil {
 		return fmt.Errorf("kdb: appending delta: %w", err)
 	}
 	sh.journalLocked(recs)

@@ -134,7 +134,7 @@ func TestChangesSinceDeltaAndApply(t *testing.T) {
 	if _, err := slave.Get("newbie", ""); err != nil {
 		t.Fatalf("new principal err = %v", err)
 	}
-	// The key cache must not serve the pre-delta key.
+	// The hot-key table must not serve the pre-delta key.
 	e, err := slave.Get("user001", "")
 	if err != nil {
 		t.Fatal(err)

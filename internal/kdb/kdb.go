@@ -7,10 +7,13 @@
 // storage layer is a replaceable module behind the Store interface. The
 // in-memory EpochStore serves lock-free reads; SegmentStore wraps one and
 // persists it as an append-only segment log over a KDB4 snapshot, the
-// one on-disk form. Its directory has one writer (kadmind on the master,
-// kpropd on a slave); kerberosd and kprop follow it read-only through a
-// Follower. Dumps serialize one shard's records for the full-copy
-// propagation of §5.3. All private keys are
+// one on-disk form, whose mapped records are read in place. A read
+// copies one record into the caller's Entry and keeps nothing; the
+// realm's few hot keys, kept expanded in a small fixed table, are the
+// one exception (hotkeys.go). Its directory has one writer (kadmind on
+// the master, kpropd on a slave); kerberosd and kprop follow it
+// read-only through a Follower. Dumps serialize one shard's records for
+// the full-copy propagation of §5.3. All private keys are
 // encrypted in the master database key ("All passwords in the Kerberos
 // database are encrypted in the master database key"), so dumps and
 // slave transfers never expose raw keys.
@@ -22,7 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"kerberos/internal/core"
 	"kerberos/internal/des"
@@ -48,18 +50,6 @@ type Entry struct {
 	// Administrative information.
 	ModTime time.Time // last modification
 	ModBy   string    // principal that made the last modification
-
-	// keycache caches the entry's decrypted private key as its expanded
-	// schedule (*des.Cipher, which also carries the key), filled by
-	// Database.Key or KeyCipher on first use.
-	// Stored entries are immutable-and-replaced, so a cache riding on
-	// the entry can never serve a stale key: any mutation (password
-	// change, delta install, reload) produces a new Entry with an empty
-	// cache, and the old entry keeps the key that matches its own KVNO.
-	// Accessed only via atomic.LoadPointer/CompareAndSwapPointer — a raw
-	// unsafe.Pointer rather than atomic.Pointer so Entry values stay
-	// plainly copyable (clone, slabs) without tripping copylocks.
-	keycache unsafe.Pointer
 }
 
 // ID renders the store key for a (name, instance) pair.
@@ -79,52 +69,21 @@ func (e *Entry) Expired(now time.Time) bool {
 }
 
 // clone returns a deep copy so callers can't mutate store internals.
-// Field-wise (not *e) for two reasons: the copy must not carry the key
-// cache of an entry it may be about to diverge from, and a plain read
-// of the keycache field would race with a concurrent CAS fill.
 func (e *Entry) clone() *Entry {
-	return &Entry{
-		Name:       e.Name,
-		Instance:   e.Instance,
-		EncKey:     append([]byte(nil), e.EncKey...),
-		KVNO:       e.KVNO,
-		Expiration: e.Expiration,
-		MaxLife:    e.MaxLife,
-		ModTime:    e.ModTime,
-		ModBy:      e.ModBy,
-	}
-}
-
-// copyEntry copies an entry value for a rebuilt slab, carrying the key
-// cache along (the entry is unchanged, so its cache stays valid; the
-// pointer is read atomically because readers may be filling it).
-func copyEntry(e *Entry) Entry {
-	c := Entry{
-		Name:       e.Name,
-		Instance:   e.Instance,
-		EncKey:     e.EncKey,
-		KVNO:       e.KVNO,
-		Expiration: e.Expiration,
-		MaxLife:    e.MaxLife,
-		ModTime:    e.ModTime,
-		ModBy:      e.ModBy,
-	}
-	c.keycache = atomic.LoadPointer(&e.keycache)
-	return c
+	c := *e
+	c.EncKey = append([]byte(nil), e.EncKey...)
+	return &c
 }
 
 // Store is the replaceable storage module: one narrow contract that
 // every backend implements whole. Implementations must be safe for
-// concurrent use. Stored entries are immutable (mutation replaces the
-// whole entry), so the shared fetches hand out the stored pointer and
-// callers must treat it as read-only.
+// concurrent use.
 type Store interface {
-	// FetchShared returns the stored entry for the rendered ID, or false.
-	FetchShared(id string) (*Entry, bool)
-	// FetchSharedPair is FetchShared keyed by the un-joined (name,
-	// instance) pair, so the KDC's per-request lookup never renders
-	// (allocates) the ID string.
-	FetchSharedPair(name, instance string) (*Entry, bool)
+	// Lookup copies the entry for (name, instance) into dst and reports
+	// whether there is one. It renders no ID and allocates nothing; the
+	// copy's strings and sealed key may alias store memory (a mapped
+	// base's arena), so dst is read-only.
+	Lookup(name, instance string, dst *Entry) bool
 	// Range calls fn for a copy of every entry, in ID-sorted order,
 	// until fn returns false.
 	Range(fn func(*Entry) bool)
@@ -159,13 +118,15 @@ var (
 // definitive copy of the Kerberos database ... Other machines may
 // possess read-only copies."
 //
-// Because every private key in the store is sealed in the master key,
-// naive operation pays a master-key DES decryption on every ticket
-// issued. The decrypted key (and its expanded schedule) is therefore
-// cached on the Entry itself, filled lazily with one atomic CAS. Since
-// stored entries are immutable-and-replaced, the cache needs no
-// invalidation protocol: a password change or srvtab rotation installs
-// a new Entry whose cache is empty, and takes effect immediately.
+// A read leaves nothing behind: Lookup copies a record into the
+// caller's Entry (decoding a mapped base record in place), and
+// UnsealKey expands its key into the caller's des.Cipher, so serving a
+// principal keeps no per-principal memory. Every private key stays
+// sealed in the master key in the store. The one exception is the
+// realm's few hot keys, the krbtgt key and the service keys tickets are
+// sealed under, which every ticket-granting request would otherwise
+// unseal and expand again: HotKey serves them from a small table of
+// expanded schedules the Database owns (hotkeys.go).
 //
 // A Database built with New/NewWithStore has exactly one shard and
 // behaves as the classic single-lock-domain database. NewSharded splits
@@ -181,6 +142,7 @@ type Database struct {
 	readOnly bool
 
 	shards []*dbShard
+	hot    hotKeys
 }
 
 // dbShard is one independent slice of the principal space: a store and
@@ -189,6 +151,7 @@ type Database struct {
 // digest are atomics so reads never contend with writers.
 type dbShard struct {
 	store Store
+	hot   *hotKeys // the Database's; writes retire the keys they replace
 
 	wmu           sync.Mutex
 	serial        atomic.Uint64
@@ -225,7 +188,7 @@ func NewSharded(masterKey des.Key, stores []Store) *Database {
 	}
 	for i, store := range stores {
 		meta := store.LoadedMeta()
-		sh := &dbShard{store: store, preBaseDigest: meta.Digest}
+		sh := &dbShard{store: store, hot: &db.hot, preBaseDigest: meta.Digest}
 		sh.serial.Store(meta.Serial)
 		sh.digest.Store(meta.Digest)
 		db.shards[i] = sh
@@ -294,9 +257,8 @@ func (db *Database) Add(name, instance string, key des.Key, maxLife core.Lifetim
 	sh := db.shard(name, instance)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	// Existence check only: FetchShared avoids cloning the EncKey of an
-	// entry we are about to reject anyway.
-	if _, ok := sh.store.FetchShared(ID(name, instance)); ok {
+	var cur Entry
+	if sh.store.Lookup(name, instance, &cur) {
 		return fmt.Errorf("%w: %s", ErrExists, ID(name, instance))
 	}
 	e := &Entry{
@@ -320,70 +282,86 @@ func (db *Database) Get(name, instance string) (*Entry, error) {
 
 // get clones the stored entry for (name, instance).
 func (sh *dbShard) get(name, instance string) (*Entry, error) {
-	e, ok := sh.store.FetchShared(ID(name, instance))
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
+	var e Entry
+	if !sh.store.Lookup(name, instance, &e) {
+		return nil, notFoundErr(name, instance)
 	}
 	return e.clone(), nil
 }
 
-// GetRO fetches a principal's entry without copying it. The caller must
-// treat the entry as read-only. This is the KDC's per-request lookup
-// path: no clone, no lock, no allocation — the pair fetch never even
-// renders the ID string.
+// Lookup reads a principal's entry into dst, the KDC's per-request
+// read: no lock, no allocation, and nothing kept. A record of a mapped
+// base is decoded in place, so dst's strings and sealed key may alias
+// the mapping or the store's own entry: dst is read-only, and valid
+// while the store is open.
 //
 //kerb:hotpath
-func (db *Database) GetRO(name, instance string) (*Entry, error) {
-	if e, ok := db.shard(name, instance).store.FetchSharedPair(name, instance); ok {
-		return e, nil
+func (db *Database) Lookup(name, instance string, dst *Entry) error {
+	if db.shard(name, instance).store.Lookup(name, instance, dst) {
+		return nil
 	}
-	return nil, notFoundErr(name, instance)
+	return notFoundErr(name, instance)
+}
+
+// GetRO fetches a principal's entry into a new read-only Entry: Lookup
+// into fresh memory.
+func (db *Database) GetRO(name, instance string) (*Entry, error) {
+	e := new(Entry)
+	if err := db.Lookup(name, instance, e); err != nil {
+		return nil, err
+	}
+	return e, nil
 }
 
 // notFoundErr builds the miss-path error off the hot path (the miss
-// allocates regardless; keeping fmt out of GetRO keeps the annotation
+// allocates regardless; keeping fmt out of Lookup keeps the annotation
 // honest).
 func notFoundErr(name, instance string) error {
 	return fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
 }
 
-// Key returns an entry's decrypted private key, from the entry's own
-// cache when filled, otherwise by a master-key decryption (the result
-// is cached on the entry with one CAS). No KVNO validation is needed:
-// the cache lives and dies with the immutable entry it describes.
+// UnsealKey recovers an entry's private key from under the master key
+// and expands it into dst. Nothing but dst holds the key afterwards;
+// the caller wipes it when done.
+func (db *Database) UnsealKey(e *Entry, dst *des.Cipher) error {
+	// The unsealed buffer is the principal's private key in the clear;
+	// wipe it on every return path (§4.1; kervet's deferwipe checks it).
+	var keybuf [hotSealedLen]byte
+	defer clear(keybuf[:])
+	if len(e.EncKey) > len(keybuf) {
+		return ErrMasterKey
+	}
+	plain, err := db.masterCipher.UnsealTo(keybuf[:], e.EncKey)
+	if err != nil || len(plain) != des.KeySize {
+		return ErrMasterKey
+	}
+	dst.SetKey(des.Key(plain))
+	return nil
+}
+
+// Key returns an entry's decrypted private key. It goes through the
+// hot-key table, so a key in use again costs a table copy, not a
+// master-key unseal and an expansion.
 //
 //kerb:hotpath
 func (db *Database) Key(e *Entry) (des.Key, error) {
-	c, err := db.KeyCipher(e)
-	if err != nil {
+	var c des.Cipher
+	if err := db.HotKey(e, &c); err != nil {
 		return des.Key{}, err
 	}
-	return c.Key(), nil
+	k := c.Key()
+	c = des.Cipher{}
+	return k, nil
 }
 
-// KeyCipher returns the expanded schedule of an entry's decrypted
-// private key, the one copy of that key the entry cache holds. The KDC
-// seals and unseals with it directly, so a long-lived key is expanded
-// once per entry, never per request.
+// KeyCipher returns an entry's private key expanded into a new
+// schedule the caller owns (and wipes): UnsealKey into fresh memory.
 func (db *Database) KeyCipher(e *Entry) (*des.Cipher, error) {
-	if p := atomic.LoadPointer(&e.keycache); p != nil {
-		return (*des.Cipher)(p), nil
+	c := new(des.Cipher)
+	if err := db.UnsealKey(e, c); err != nil {
+		return nil, err
 	}
-	plain, err := db.masterCipher.Unseal(e.EncKey)
-	// The unsealed buffer is the principal's private key in the clear;
-	// wipe it on every return path (§4.1; kervet's deferwipe checks it).
-	defer clear(plain)
-	if err != nil {
-		return nil, ErrMasterKey
-	}
-	c, err := des.NewCipherBytes(plain)
-	if err != nil {
-		return nil, ErrMasterKey
-	}
-	// First fill wins, so every caller sees one stable cache identity
-	// (losers re-load the winner and drop their duplicate).
-	atomic.CompareAndSwapPointer(&e.keycache, nil, unsafe.Pointer(c))
-	return (*des.Cipher)(atomic.LoadPointer(&e.keycache)), nil
+	return c, nil
 }
 
 // SetKey changes a principal's private key (password change or srvtab
@@ -434,8 +412,8 @@ func (db *Database) Delete(name, instance string) error {
 	sh := db.shard(name, instance)
 	sh.wmu.Lock()
 	defer sh.wmu.Unlock()
-	// Existence check only: no need to clone the doomed entry's EncKey.
-	if _, ok := sh.store.FetchShared(ID(name, instance)); !ok {
+	var cur Entry
+	if !sh.store.Lookup(name, instance, &cur) {
 		return fmt.Errorf("%w: %s", ErrNotFound, ID(name, instance))
 	}
 	return sh.apply(ChangeDelete, &Entry{Name: name, Instance: instance})

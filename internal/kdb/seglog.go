@@ -49,7 +49,7 @@ func flatResidentEstimate(entries []*Entry) int64 {
 // sealed by opening the next segment; sealed segments are immutable. A
 // background compactor folds sealed segments into a fresh base snapshot
 // and deletes them, bounding startup replay to O(one segment) on top of
-// mapping the base: a KDB4 base is mmapped and materialized with O(1)
+// mapping the base: a KDB4 base is mmapped and read in place with O(1)
 // allocations, so cold start is page faults, not parsing.
 //
 // Crash safety is by construction: records carry a CRC and are applied
@@ -332,13 +332,13 @@ func (img *segImage) loadBase(dir string, mapBase bool) (bool, error) {
 		return false, fmt.Errorf("kdb: loading %s: %w", segBase4Name, err)
 	}
 	// The records serve reads in place: install the snapshot and its
-	// precomputed probe table, and entries materialize lazily on first
-	// fetch. Startup cost is validation, not decoding.
+	// precomputed probe table, and each read decodes the record it
+	// needs into the caller's Entry. Startup cost is validation, not
+	// decoding.
 	img.mem.installSnapshot(sn, table)
 	img.snap, img.base, img.meta = sn, fi, sn.Meta()
-	// Mapping plus the lazy-materialization pointer array; decoded
-	// entries accrete on top as principals are first touched.
-	img.resident = sn.Bytes() + int64(sn.Count())*8
+	// The mapping is all there is: reads keep nothing per record.
+	img.resident = sn.Bytes()
 	return true, nil
 }
 
@@ -784,13 +784,10 @@ func (s *SegmentStore) Close() error {
 	return err
 }
 
-// FetchShared implements Store.
-func (s *SegmentStore) FetchShared(id string) (*Entry, bool) { return s.mem.FetchShared(id) }
-
-// FetchSharedPair implements Store: the KDC's lock-free,
-// zero-allocation read path over the epoch index.
-func (s *SegmentStore) FetchSharedPair(name, instance string) (*Entry, bool) {
-	return s.mem.FetchSharedPair(name, instance)
+// Lookup implements Store: the KDC's lock-free, zero-allocation read
+// path over the epoch index.
+func (s *SegmentStore) Lookup(name, instance string, dst *Entry) bool {
+	return s.mem.Lookup(name, instance, dst)
 }
 
 // Range implements Store.

@@ -31,11 +31,14 @@ import (
 // Failures are isolated per request: a corrupt lane gets its error
 // reply while its neighbours proceed.
 //
-// No stage re-expands a long-lived key: the TGS, service and client
-// keys travel as the kdb-owned *des.Cipher of their entry. The one
-// short-lived key a lane uses twice, a TGS request's TGT session key
-// (authenticator unseal, then reply seal), is expanded once into the
-// lane's scratch Cipher, which release wipes.
+// A lane keeps what it reads in its own scratch: each principal record
+// is looked up into a lane Entry (kdb.Lookup, which decodes a mapped
+// record in place), and each key is expanded into a lane Cipher — the
+// TGS and service keys copied from kdb's hot-key table, the AS client's
+// unsealed from its record, the TGT session key expanded once for its
+// two uses (authenticator unseal, then reply seal). release wipes every
+// lane's entries and ciphers, so a served request leaves no record and
+// no key behind.
 
 // BatchRequest is one datagram of a HandleBatch call: the encoded
 // request, the address it arrived from, and (set by the call) the
@@ -54,16 +57,25 @@ type batchExchange struct {
 	done bool // reply already written (error or unknown type)
 
 	// Staged inputs for the seal phases.
-	client       core.Principal
-	service      core.Principal
-	serviceEntry *kdb.Entry
-	life         core.Lifetime
-	reqTime      core.KerberosTime
-	replyCipher  *des.Cipher // client private key (AS) or TGT session key (TGS)
-	replyKVNO    uint8
-	sessionKey   des.Key
-	issued       core.KerberosTime
-	addr         core.Addr // the address the ticket is bound to
+	client     core.Principal
+	service    core.Principal
+	life       core.Lifetime
+	reqTime    core.KerberosTime
+	replyKVNO  uint8
+	sessionKey des.Key
+	issued     core.KerberosTime
+	addr       core.Addr // the address the ticket is bound to
+
+	// Lane scratch. serviceEntry is the ticket's service; keyEntry the
+	// other record the lane reads, the AS client or the TGS whose key
+	// sealed the TGT. replyKey seals the reply: the client's private
+	// key (AS) or the TGT session key (TGS). ticketKey is the key of the
+	// ticket at hand: the TGS key while a TGT is opened, then the
+	// service key the new ticket is sealed under.
+	serviceEntry kdb.Entry
+	keyEntry     kdb.Entry
+	replyKey     des.Cipher
+	ticketKey    des.Cipher
 
 	// TGS extras.
 	req     *core.TGSRequest
@@ -76,13 +88,12 @@ type batchExchange struct {
 // pipeline is one call's staging scratch. Each kind of DES batch is
 // carved from a shared backing array — TGT then authenticator unseals,
 // ticket then reply seals — and the idx slices map a batch position
-// back to its lane. ciphers[i] is lane i's TGT session key schedule.
+// back to its lane.
 type pipeline struct {
 	exs     []batchExchange
 	unseals []des.UnsealRequest
 	seals   []des.SealRequest
 	idx     []int
-	ciphers []des.Cipher
 }
 
 var pipelinePool = sync.Pool{New: func() any { return new(pipeline) }}
@@ -96,23 +107,20 @@ func getPipeline(n int) *pipeline {
 			unseals: make([]des.UnsealRequest, 2*n),
 			seals:   make([]des.SealRequest, 2*n),
 			idx:     make([]int, 3*n),
-			ciphers: make([]des.Cipher, n),
 		}
 	}
 	p.exs = p.exs[:n]
 	return p
 }
 
-// release wipes the key material the stages parked — the new session
-// keys in the exchanges and the lanes' TGT session key schedules —
-// drops every reference the batch held (the kdb-owned ciphers
-// included), and returns the scratch to the pool.
+// release wipes what the lanes read and expanded — their entries, the
+// key schedules and the new session keys — drops every reference the
+// batch held, and returns the scratch to the pool.
 func (p *pipeline) release() {
 	n := len(p.exs)
 	clear(p.exs)
 	clear(p.unseals[:2*n])
 	clear(p.seals[:2*n])
-	clear(p.ciphers[:n])
 	pipelinePool.Put(p)
 }
 
@@ -207,10 +215,9 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		}
 		ex.tgt = tgt
 		// Expanded once: the same schedule seals this lane's reply.
-		sessionCipher := &p.ciphers[i]
-		sessionCipher.SetKey(tgt.SessionKey)
+		ex.replyKey.SetKey(tgt.SessionKey)
 		authUnseals = append(authUnseals, des.UnsealRequest{
-			Cipher: sessionCipher, Ciphertext: ex.req.APReq.Authenticator,
+			Cipher: &ex.replyKey, Ciphertext: ex.req.APReq.Authenticator,
 		})
 		authIdx = append(authIdx, i)
 	}
@@ -286,8 +293,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			ex.done = true
 			continue
 		}
-		serviceEntry, err := s.lookup(service, now)
-		if err != nil {
+		if err := s.lookup(service, now, &ex.serviceEntry); err != nil {
 			batch[i].Reply, ex.done = s.fail(&ex.ev, err), true
 			continue
 		}
@@ -296,7 +302,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			// The original ticket was sealed under a service key that has
 			// since been replaced: the identical reply cannot be rebuilt,
 			// and a fresh one would be new work for an old authenticator.
-			if m.kvno != serviceEntry.KVNO {
+			if m.kvno != ex.serviceEntry.KVNO {
 				batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrRepeat,
 					"authenticator from %v already presented; key of %v changed since", auth.Client, service))
 				ex.done = true
@@ -304,20 +310,18 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			}
 			ex.rebuild = true
 			ex.issued, ex.addr, ex.life = m.issued, m.addr, m.life
-			p.ciphers[i].DecryptBlock(ex.sessionKey[:], m.sealedKey[:])
+			ex.replyKey.DecryptBlock(ex.sessionKey[:], m.sealedKey[:])
 		} else {
 			// "The lifetime of the new ticket is the minimum of the
 			// remaining life for the ticket-granting ticket and the
 			// default for the service" (§4.4).
-			ex.life = core.MinLife(req.Life, core.MinLife(ex.tgt.RemainingLife(now), effMaxLife(serviceEntry)))
+			ex.life = core.MinLife(req.Life, core.MinLife(ex.tgt.RemainingLife(now), effMaxLife(&ex.serviceEntry)))
 		}
 		// The client's realm in the new ticket is where the client was
 		// originally authenticated (§7.2), carried over from the TGT.
 		ex.client = ex.tgt.Client
 		ex.service = service
-		ex.serviceEntry = serviceEntry
 		ex.reqTime = req.Time
-		ex.replyCipher = &p.ciphers[i]
 		ex.auth = auth
 		ex.digest = digest
 	}
@@ -331,8 +335,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 		if ex.done {
 			continue
 		}
-		serviceCipher, err := s.db.KeyCipher(ex.serviceEntry)
-		if err != nil {
+		if err := s.db.HotKey(&ex.serviceEntry, &ex.ticketKey); err != nil {
 			batch[i].Reply = s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt key for %v", ex.service))
 			ex.done = true
 			continue
@@ -356,7 +359,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			Life:       ex.life,
 			SessionKey: ex.sessionKey,
 		}
-		ticketSeals = append(ticketSeals, des.SealRequest{Cipher: serviceCipher, Plaintext: ticket.SealPayload()})
+		ticketSeals = append(ticketSeals, des.SealRequest{Cipher: &ex.ticketKey, Plaintext: ticket.SealPayload()})
 		sealIdx = append(sealIdx, i)
 	}
 	des.SealBatch(ticketSeals)
@@ -376,7 +379,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 			RequestTime: ex.reqTime,
 			Ticket:      ticketSeals[j].Sealed,
 		}
-		replySeals = append(replySeals, des.SealRequest{Cipher: ex.replyCipher, Plaintext: enc.SealPayload()})
+		replySeals = append(replySeals, des.SealRequest{Cipher: &ex.replyKey, Plaintext: enc.SealPayload()})
 	}
 	des.SealBatch(replySeals)
 
@@ -401,7 +404,7 @@ func (s *Server) handleBatch(batch []BatchRequest) {
 					s.realm, ex.service, ex.client, ex.client.Realm)
 			}
 			m := tgsMemo{issued: ex.issued, addr: ex.addr, life: ex.life, kvno: ex.serviceEntry.KVNO}
-			ex.replyCipher.EncryptBlock(m.sealedKey[:], ex.sessionKey[:])
+			ex.replyKey.EncryptBlock(m.sealedKey[:], ex.sessionKey[:])
 			s.replays.Remember(ex.auth, ex.digest, m.pack(), now)
 		case s.logger != nil:
 			s.logger.Printf("kdc %s: AS issued %v ticket to %v at %v", s.realm, ex.service, ex.client, batch[i].From)
@@ -451,8 +454,8 @@ func (s *Server) stageAS(msg []byte, ex *batchExchange, now time.Time) []byte {
 		return s.fail(&ex.ev, core.NewError(core.ErrWrongRealm,
 			"client %v is not of realm %s", client, s.realm))
 	}
-	clientEntry, err := s.lookup(client, now)
-	if err != nil {
+	clientEntry := &ex.keyEntry
+	if err := s.lookup(client, now, clientEntry); err != nil {
 		return s.fail(&ex.ev, err)
 	}
 	service := req.Service.WithRealm(s.realm)
@@ -463,20 +466,18 @@ func (s *Server) stageAS(msg []byte, ex *batchExchange, now time.Time) []byte {
 		return s.fail(&ex.ev, core.NewError(core.ErrWrongRealm,
 			"service %v is not registered in realm %s", service, s.realm))
 	}
-	serviceEntry, err := s.lookup(service, now)
-	if err != nil {
+	if err := s.lookup(service, now, &ex.serviceEntry); err != nil {
 		return s.fail(&ex.ev, err)
 	}
-	clientCipher, err := s.db.KeyCipher(clientEntry)
-	if err != nil {
+	// A user's key is used once per login: unsealed into the lane,
+	// never kept.
+	if err := s.db.UnsealKey(clientEntry, &ex.replyKey); err != nil {
 		return s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt key for %v", client))
 	}
 	ex.client = client
 	ex.service = service
-	ex.serviceEntry = serviceEntry
-	ex.life = core.MinLife(req.Life, core.MinLife(effMaxLife(clientEntry), effMaxLife(serviceEntry)))
+	ex.life = core.MinLife(req.Life, core.MinLife(effMaxLife(clientEntry), effMaxLife(&ex.serviceEntry)))
 	ex.reqTime = req.Time
-	ex.replyCipher = clientCipher
 	ex.replyKVNO = clientEntry.KVNO
 	return nil
 }
@@ -501,15 +502,13 @@ func (s *Server) stageTGSOpen(msg []byte, ex *batchExchange, now time.Time) (des
 	if issuingRealm == "" {
 		issuingRealm = s.realm
 	}
-	tgsEntry, err := s.lookup(core.TGSPrincipal(issuingRealm, s.realm), now)
-	if err != nil {
+	if err := s.lookup(core.TGSPrincipal(issuingRealm, s.realm), now, &ex.keyEntry); err != nil {
 		return des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrWrongRealm,
 			"no key shared with realm %s", issuingRealm))
 	}
-	tgsCipher, err := s.db.KeyCipher(tgsEntry)
-	if err != nil {
+	if err := s.db.HotKey(&ex.keyEntry, &ex.ticketKey); err != nil {
 		return des.UnsealRequest{}, s.fail(&ex.ev, core.NewError(core.ErrDatabase, "cannot decrypt TGS key"))
 	}
 	ex.req = req
-	return des.UnsealRequest{Cipher: tgsCipher, Ciphertext: req.APReq.Ticket}, nil
+	return des.UnsealRequest{Cipher: &ex.ticketKey, Ciphertext: req.APReq.Ticket}, nil
 }

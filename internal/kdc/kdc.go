@@ -195,18 +195,17 @@ func (s *Server) trace(ev *obs.Event, kind obs.Kind, start time.Time, d time.Dur
 	s.sink.Emit(*ev)
 }
 
-// lookup fetches a principal entry from this realm's database, mapping
-// kdb errors to protocol errors. The entry is shared with the store and
-// must be treated as read-only.
-func (s *Server) lookup(p core.Principal, now time.Time) (*kdb.Entry, error) {
-	e, err := s.db.GetRO(p.Name, p.Instance)
-	if err != nil {
-		return nil, core.NewError(core.ErrPrincipalUnknown, "%v", p)
+// lookup reads a principal's entry from this realm's database into
+// the lane's e, mapping kdb errors to protocol errors. The entry may
+// alias the store and must be treated as read-only.
+func (s *Server) lookup(p core.Principal, now time.Time, e *kdb.Entry) error {
+	if err := s.db.Lookup(p.Name, p.Instance, e); err != nil {
+		return core.NewError(core.ErrPrincipalUnknown, "%v", p)
 	}
 	if e.Expired(now) {
-		return nil, core.NewError(core.ErrPrincipalExpired, "%v expired %v", p, e.Expiration)
+		return core.NewError(core.ErrPrincipalExpired, "%v expired %v", p, e.Expiration)
 	}
-	return e, nil
+	return nil
 }
 
 // effMaxLife interprets an entry's MaxLife: zero means "no specific

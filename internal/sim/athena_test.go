@@ -36,7 +36,7 @@ func TestAthenaDay(t *testing.T) {
 	if got := m.Logins.Load(); got != all {
 		t.Fatalf("logins = %d, want %d", got, all)
 	}
-	if got := m.LoginFailures.Load()+m.Timeouts.Load(); got != 0 {
+	if got := m.LoginFailures.Load() + m.Timeouts.Load(); got != 0 {
 		t.Fatalf("login failures+timeouts = %d, want 0: the 2 surviving instances must absorb the outage", got)
 	}
 
