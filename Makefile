@@ -75,9 +75,12 @@ vet:
 	go vet ./...
 
 # gofmt: every Go file must be gofmt-clean, except the analyzers'
-# testdata fixtures, whose layout is part of what they test.
+# testdata fixtures, whose layout is part of what they test. A file
+# gofmt cannot parse fails the check too (gofmt exits non-zero, and so
+# does xargs), even one no build on this host compiles.
 fmt:
-	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l); \
+	@out=$$(find . -name '*.go' -not -path '*/testdata/*' -not -path './.bench_build/*' | xargs gofmt -l) || \
+		{ echo "gofmt failed on the files above"; exit 1; }; \
 	if [ -n "$$out" ]; then echo "gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 # kervet: the repo's own static-analysis suite (cmd/kervet). Exits

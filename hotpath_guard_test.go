@@ -26,8 +26,8 @@ var allocGuards = map[string]struct{ testFile, testName string }{
 	"internal/des.(*Cipher).SetKey":         {"internal/des/des_test.go", "TestExpandKeyAllocs"},
 	"internal/des.SealBatch":                {"internal/des/batch_test.go", "TestSealBatchAllocs"},
 	"internal/des.UnsealBatch":              {"internal/des/batch_test.go", "TestUnsealBatchAllocs"},
-	"internal/kdb.(*Database).Key":          {"internal/kdb/keycache_test.go", "TestKeyCacheHit"},
-	"internal/kdb.(*Database).HotKey":       {"internal/kdb/hotkeys_test.go", "TestHotKeyHitAllocs"},
+	"internal/kdb.(*Database).Key":          {"internal/kdb/hotkeys_test.go", "TestHotKeyColdKeysKeepNothing"},
+	"internal/kdb.(*Database).HotKey":       {"internal/kdb/keycache_test.go", "TestKeyCacheHit"},
 	"internal/kdb.(*Database).Lookup":       {"internal/kdb/epoch_test.go", "TestLookupAllocs"},
 	"internal/kdb.(*EpochStore).Lookup":     {"internal/kdb/epoch_test.go", "TestLookupAllocs"},
 	"internal/kdc.(*Server).HandleBatch":    {"internal/kdc/batch_test.go", "TestHandleBatchAllocs"},

@@ -26,11 +26,13 @@ import (
 // changed key is wiped without waiting for its next use.
 
 // The table is hotSets sets of hotWays slots, the set chosen by the
-// principal's ID hash: 512 schedules, about 90 KB. A set overflows only
-// when five hot keys hash to it; with the 67 hot keys of a realm like
-// the benchmark's (65 services, krbtgt, changepw) that happens in
-// about one realm in forty, and then costs those five keys some
-// re-expansions.
+// principal's ID hash: 512 schedules, about 90 KB. An Athena-sized
+// realm (65 services, krbtgt, changepw) fits with room to spare: a
+// 10 s tgs_flood run hits on all but the first use of each key and
+// evicts nothing. A realm with far more services than slots misses on
+// most service keys, and a miss costs what a table-less fetch costs
+// (an unseal and an expansion, ~0.3 µs) plus the fill; the krbtgt key,
+// used by every request, still hits (EXPERIMENTS.md AB10).
 const (
 	hotSets = 128
 	hotWays = 4

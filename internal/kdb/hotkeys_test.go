@@ -8,19 +8,6 @@ import (
 	"kerberos/internal/des"
 )
 
-// hotSlotOf returns the slot of db's hot-key table holding key's
-// schedule, or nil. Nothing may run against db while it reads.
-func hotSlotOf(db *Database, key des.Key) *hotSlot {
-	for i := range db.hot {
-		for j := range db.hot[i].ways {
-			if s := &db.hot[i].ways[j]; s.full && s.c.Key() == key {
-				return s
-			}
-		}
-	}
-	return nil
-}
-
 // hotFilled adds a service with a random key to db and fills its hot
 // slot, returning the key.
 func hotFilled(t *testing.T, db *Database, name, instance string) des.Key {
@@ -35,7 +22,7 @@ func hotFilled(t *testing.T, db *Database, name, instance string) des.Key {
 	if k := hotKeyOf(t, db, name, instance); k != key {
 		t.Fatal("HotKey served the wrong key")
 	}
-	if hotSlotOf(db, key) == nil {
+	if _, _, ok := HotSlotFor(db, key); !ok {
 		t.Fatal("HotKey left no slot for the key")
 	}
 	return key
@@ -48,40 +35,11 @@ func hotKeyOf(t *testing.T, db *Database, name, instance string) des.Key {
 	if err := db.Lookup(name, instance, &e); err != nil {
 		t.Fatal(err)
 	}
-	var c des.Cipher
-	if err := db.HotKey(&e, &c); err != nil {
-		t.Fatal(err)
-	}
-	return c.Key()
-}
-
-// TestHotKeyHitAllocs is the AllocsPerRun guard for the //kerb:hotpath
-// annotation on Database.HotKey: a hit copies the schedule into the
-// caller's Cipher, allocates nothing and expands nothing, and the copy
-// is the caller's own.
-func TestHotKeyHitAllocs(t *testing.T) {
-	db := newTestDB(t)
-	key := hotFilled(t, db, "rcmd", "priam")
-	e, err := db.GetRO("rcmd", "priam")
+	k, err := hotKey(db, &e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A hit unseals and expands nothing: with the master key gone, an
-	// unseal would fail.
-	db.masterCipher = des.NewCipher(des.StringToKey("not-the-master", "R"))
-	var c des.Cipher
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := db.HotKey(e, &c); err != nil || c.Key() != key {
-			t.Fatalf("HotKey hit: %v", err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("HotKey hit allocates %.1f objects/op, want 0", allocs)
-	}
-	c = des.Cipher{} // the caller's wipe leaves the table's copy alone
-	if s := hotSlotOf(db, key); s == nil {
-		t.Fatal("wiping the caller's copy wiped the table's")
-	}
+	return k
 }
 
 // TestHotKeyRetiredOnWrite: every path that replaces or removes an
@@ -101,18 +59,18 @@ func TestHotKeyRetiredOnWrite(t *testing.T) {
 	for name, write := range local {
 		t.Run(name, func(t *testing.T) {
 			db := New(master)
-			s := hotSlotOf(db, hotFilled(t, db, "rcmd", "priam"))
+			set, way, _ := HotSlotFor(db, hotFilled(t, db, "rcmd", "priam"))
 			if err := write(db); err != nil {
 				t.Fatal(err)
 			}
-			if *s != (hotSlot{}) {
+			if !HotSlotZero(db, set, way) {
 				t.Errorf("%s left the old key's slot unwiped", name)
 			}
 		})
 	}
 
 	// A slave that served the service, then follows the master's change.
-	setup := func(t *testing.T) (m, slave *Database, s *hotSlot) {
+	setup := func(t *testing.T) (m, slave *Database, set, way int) {
 		m, slave = New(master), New(master)
 		key, _ := des.NewRandomKey()
 		if err := m.Add("rcmd", "priam", key, 0, "test", t0); err != nil {
@@ -127,10 +85,14 @@ func TestHotKeyRetiredOnWrite(t *testing.T) {
 		if err := m.SetKey("rcmd", "priam", newKey, "test", t0.Add(time.Hour)); err != nil {
 			t.Fatal(err)
 		}
-		return m, slave, hotSlotOf(slave, key)
+		set, way, ok := HotSlotFor(slave, key)
+		if !ok {
+			t.Fatal("the slave's key is not in the hot-key table")
+		}
+		return m, slave, set, way
 	}
 	t.Run("delta", func(t *testing.T) {
-		m, slave, s := setup(t)
+		m, slave, set, way := setup(t)
 		recs, verdict := m.ChangesSinceShard(0, slave.ShardSerial(0), slave.ShardDigest(0))
 		if verdict != DeltaOK {
 			t.Fatalf("verdict %v", verdict)
@@ -142,7 +104,7 @@ func TestHotKeyRetiredOnWrite(t *testing.T) {
 		if err := slave.ApplyChangesShard(0, changes, m.ShardDigest(0)); err != nil {
 			t.Fatal(err)
 		}
-		if *s != (hotSlot{}) {
+		if !HotSlotZero(slave, set, way) {
 			t.Error("delta install left the old key's slot unwiped")
 		}
 		if hotKeyOf(t, slave, "rcmd", "priam") != newKey {
@@ -150,11 +112,11 @@ func TestHotKeyRetiredOnWrite(t *testing.T) {
 		}
 	})
 	t.Run("full", func(t *testing.T) {
-		m, slave, s := setup(t)
+		m, slave, set, way := setup(t)
 		if err := slave.LoadDumpShard(0, m.DumpShard(0)); err != nil {
 			t.Fatal(err)
 		}
-		if *s != (hotSlot{}) {
+		if !HotSlotZero(slave, set, way) {
 			t.Error("full load left the old key's slot unwiped")
 		}
 		if hotKeyOf(t, slave, "rcmd", "priam") != newKey {
@@ -179,10 +141,10 @@ func TestHotKeyValidatesOnUse(t *testing.T) {
 	if k := hotKeyOf(t, db, "rcmd", "priam"); k != newKey {
 		t.Fatal("a slot served a key its entry no longer has")
 	}
-	if hotSlotOf(db, oldKey) != nil {
+	if _, _, ok := HotSlotFor(db, oldKey); ok {
 		t.Error("the replaced key's schedule is still in the table")
 	}
-	if hotSlotOf(db, newKey) == nil {
+	if _, _, ok := HotSlotFor(db, newKey); !ok {
 		t.Error("the current key was not cached")
 	}
 }
@@ -201,13 +163,15 @@ func TestHotKeyStaleEntryNotRefilled(t *testing.T) {
 	if err := db.HotKey(stale, &c); err != nil || c.Key() != oldKey {
 		t.Fatalf("stale entry's key: %v", err)
 	}
-	if hotSlotOf(db, oldKey) != nil {
+	if _, _, ok := HotSlotFor(db, oldKey); ok {
 		t.Error("a replaced entry's key was put back into the table")
 	}
 }
 
-// TestHotKeyColdKeysKeepNothing: UnsealKey and KeyCipher, the paths of
-// a user's key, leave the table as it was.
+// TestHotKeyColdKeysKeepNothing: UnsealKey, KeyCipher and Key, the
+// paths of a user's key, leave the table as it was. It is also the
+// AllocsPerRun guard for the //kerb:hotpath annotation on Database.Key:
+// the unseal allocates nothing.
 func TestHotKeyColdKeysKeepNothing(t *testing.T) {
 	db := newTestDB(t)
 	key := des.StringToKey("zanzibar", "ATHENA.MIT.EDUjis")
@@ -221,6 +185,14 @@ func TestHotKeyColdKeysKeepNothing(t *testing.T) {
 	}
 	if kc, err := db.KeyCipher(e); err != nil || kc.Key() != key {
 		t.Fatalf("KeyCipher: %v", err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if k, err := db.Key(e); err != nil || k != key {
+			t.Fatalf("Key: %v", err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Key allocates %.1f objects/op, want 0", allocs)
 	}
 	if db.hot != (hotKeys{}) {
 		t.Error("a cold key entered the hot-key table")

@@ -339,14 +339,15 @@ func (db *Database) UnsealKey(e *Entry, dst *des.Cipher) error {
 	return nil
 }
 
-// Key returns an entry's decrypted private key. It goes through the
-// hot-key table, so a key in use again costs a table copy, not a
-// master-key unseal and an expansion.
+// Key returns an entry's decrypted private key, unsealed from under the
+// master key on every call. It bypasses the hot-key table: its callers
+// (kadmind's changepw service and key extraction) fetch a key once, and
+// a user's key must not stay expanded in the table.
 //
 //kerb:hotpath
 func (db *Database) Key(e *Entry) (des.Key, error) {
 	var c des.Cipher
-	if err := db.HotKey(e, &c); err != nil {
+	if err := db.UnsealKey(e, &c); err != nil {
 		return des.Key{}, err
 	}
 	k := c.Key()

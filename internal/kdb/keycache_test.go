@@ -10,42 +10,59 @@ import (
 	"kerberos/internal/des"
 )
 
-// TestKeyCacheHit verifies repeated Key calls for the same entry are
+// hotKey returns the key HotKey serves for e.
+func hotKey(db *Database, e *Entry) (des.Key, error) {
+	var c des.Cipher
+	if err := db.HotKey(e, &c); err != nil {
+		return des.Key{}, err
+	}
+	k := c.Key()
+	c = des.Cipher{}
+	return k, nil
+}
+
+// TestKeyCacheHit verifies repeated HotKey calls for the same entry are
 // served by the hot-key table — no master-key decryption, no expansion —
 // and agree, and that the hit path does not allocate: this is the
-// per-ticket key fetch on the KDC hot path.
+// per-ticket key fetch on the KDC hot path, and the AllocsPerRun guard
+// for the //kerb:hotpath annotation on Database.HotKey. The copy a hit
+// hands out is the caller's own.
 func TestKeyCacheHit(t *testing.T) {
 	db := newTestDB(t)
-	key := des.StringToKey("zanzibar", "ATHENA.MIT.EDUjis")
-	if err := db.Add("jis", "", key, core.DefaultTGTLife, "test", t0); err != nil {
+	key := des.StringToKey("zanzibar", "ATHENA.MIT.EDUrcmd")
+	if err := db.Add("rcmd", "priam", key, core.DefaultTGTLife, "test", t0); err != nil {
 		t.Fatal(err)
 	}
-	e, err := db.Get("jis", "")
+	e, err := db.Get("rcmd", "priam")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Key(e)
+	got, err := hotKey(db, e)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != key {
-		t.Fatal("first Key() wrong")
+		t.Fatal("first HotKey() wrong")
 	}
 	// A hit unseals nothing: with the master key gone it still serves.
 	db.masterCipher = des.NewCipher(des.StringToKey("not-the-master", "R"))
+	var c des.Cipher
 	allocs := testing.AllocsPerRun(100, func() {
-		k, err := db.Key(e)
-		if err != nil || k != key {
-			t.Fatal("cached Key() wrong")
+		if err := db.HotKey(e, &c); err != nil || c.Key() != key {
+			t.Fatal("cached HotKey() wrong")
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("cached Key() allocates %.1f objects/op, want 0", allocs)
+		t.Errorf("cached HotKey() allocates %.1f objects/op, want 0", allocs)
+	}
+	c = des.Cipher{} // the caller's wipe leaves the table's copy alone
+	if _, _, ok := HotSlotFor(db, key); !ok {
+		t.Fatal("wiping the caller's copy wiped the table's")
 	}
 }
 
 // TestKeyCacheInvalidatedOnKVNOChange is the correctness condition for
-// the hot-key table at all: after SetKey bumps the KVNO, Key must
+// the hot-key table at all: after SetKey bumps the KVNO, HotKey must
 // return the NEW key, never the cached old one.
 func TestKeyCacheInvalidatedOnKVNOChange(t *testing.T) {
 	db := newTestDB(t)
@@ -54,7 +71,7 @@ func TestKeyCacheInvalidatedOnKVNOChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := db.Get("jis", "")
-	if k, _ := db.Key(e); k != oldKey {
+	if k, _ := hotKey(db, e); k != oldKey {
 		t.Fatal("warm-up lookup wrong")
 	}
 	newKey := des.StringToKey("new-password", "ATHENA.MIT.EDUjis")
@@ -65,7 +82,7 @@ func TestKeyCacheInvalidatedOnKVNOChange(t *testing.T) {
 	if e2.KVNO != e.KVNO+1 {
 		t.Fatalf("KVNO = %d, want %d", e2.KVNO, e.KVNO+1)
 	}
-	got, err := db.Key(e2)
+	got, err := hotKey(db, e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +94,7 @@ func TestKeyCacheInvalidatedOnKVNOChange(t *testing.T) {
 	}
 	// A caller still holding the OLD entry must not be served the new
 	// key: a slot matches on KVNO and sealed key bytes.
-	if k, err := db.Key(e); err == nil && k == newKey {
+	if k, err := hotKey(db, e); err == nil && k == newKey {
 		t.Error("old-KVNO entry served the new key")
 	}
 }
@@ -90,7 +107,7 @@ func TestKeyCacheInvalidatedOnReAdd(t *testing.T) {
 	oldKey := des.StringToKey("first", "Xjis")
 	db.Add("jis", "", oldKey, core.DefaultTGTLife, "test", t0)
 	e, _ := db.Get("jis", "")
-	db.Key(e) // warm the cache at KVNO 1
+	hotKey(db, e) // warm the cache at KVNO 1
 	if err := db.Delete("jis", ""); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +116,7 @@ func TestKeyCacheInvalidatedOnReAdd(t *testing.T) {
 		t.Fatal(err)
 	}
 	e2, _ := db.Get("jis", "")
-	got, err := db.Key(e2)
+	got, err := hotKey(db, e2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +154,7 @@ func TestKeyCacheConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				k, err := db.Key(e)
+				k, err := hotKey(db, e)
 				if err != nil {
 					continue // raced with SetKey; entry superseded
 				}
